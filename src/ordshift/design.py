@@ -1,10 +1,13 @@
 """Expansion of raw covariates and a model spec into per-category design rows.
 
 The multivariate GLM underneath every model here has k-1 linear predictors
-per observation; ``build_design_tensor`` materializes them as an
-(n, k-1, n_params) tensor aligned with the parameter vector layout
+per observation. ``expand_design`` builds the covariate matrices X (location)
+and Z (dispersion) and ``make_layout`` the parameter vector layout
 [intercepts | location | dispersion] (category-specific location blocks are
-laid out per threshold).
+laid out per threshold). Fitting works from X, Z and the scaling weights
+directly and never materializes the design rows; ``build_design_rows`` and
+``build_design_tensor`` spell them out, one observation or as a dense
+(n, k-1, n_params) tensor, as a reference.
 """
 
 from __future__ import annotations
@@ -132,16 +135,14 @@ def encode_dummies(values, levels, name="variable") -> np.ndarray:
     levels = list(levels)
     if len(levels) < 2:
         raise SpecError(f"categorical {name!r} needs at least 2 levels")
-    index = {lev: j for j, lev in enumerate(levels)}
-    n = len(values)
-    out = np.zeros((n, len(levels) - 1))
-    for i, v in enumerate(values):
-        if v not in index:
-            raise DataError(f"variable {name!r}: unseen level {v!r}")
-        j = index[v]
-        if j > 0:
-            out[i, j - 1] = 1.0
-    return out
+    values = np.asarray(values, dtype=object)
+    codes = np.full(values.shape[0], -1)
+    for j, lev in enumerate(levels):
+        codes[values == lev] = j
+    unseen = np.flatnonzero(codes < 0)
+    if unseen.size:
+        raise DataError(f"variable {name!r}: unseen level {values[unseen[0]]!r}")
+    return (codes[:, None] == np.arange(1, len(levels))).astype(float)
 
 
 def _expand_side(data: OrdinalDataset, terms, side, n_basis_default, smooths, cols, blocks):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import OrdinalDataset
-from .design import ModelSpec, ParamLayout, build_design_tensor, expand_design
+from .design import ModelSpec, ParamLayout, expand_design, make_layout
 from .exceptions import (
     DataError,
     SeparationWarning,
@@ -25,7 +25,7 @@ from .exceptions import (
     ThresholdOrderError,
     ZeroProbabilityWarning,
 )
-from .links import PROB_FLOOR, Family, category_probs
+from .links import PROB_FLOOR, Family, category_probs, scaling_factors
 
 SEPARATION_BOUND = 30.0
 WEIGHT_FLOOR = 1e-12  # probability floor inside score/information weights
@@ -75,58 +75,153 @@ def _check_categories(data: OrdinalDataset) -> None:
         )
 
 
-def _matrices(data: OrdinalDataset, spec: ModelSpec):
-    """Design tensor, layout, and 0-based response in canonical orientation."""
-    if spec.family.reverse:
-        canon = replace(spec, family=Family(spec.family.kind, reverse=False))
-        fit_data = data.relabeled()
-    else:
-        canon = spec
-        fit_data = data
-    design = expand_design(fit_data, canon)
-    D, layout = build_design_tensor(design, canon, fit_data.k)
-    return D, layout, fit_data.y - 1, canon, design
+class _Problem:
+    """One (spec, data) pair compiled once for likelihood, score and information.
 
-
-def _probs(eta: np.ndarray, kind: str, link) -> np.ndarray:
-    return category_probs(Family(kind), link, eta)
-
-
-def _loglik(probs: np.ndarray, y0: np.ndarray) -> float:
-    picked = probs[np.arange(y0.size), y0]
-    return float(np.log(np.maximum(picked, PROB_FLOOR)).sum())
-
-
-def _logprob_jacobian(eta, probs, kind, link) -> np.ndarray:
-    """A[i, c, r] = d log pi_c / d eta_r for observation i."""
-    n, k = probs.shape
-    q = k - 1
-    if kind == "cumulative":
-        f = link.density(eta)
-        pid = np.maximum(probs, WEIGHT_FLOOR)
-        A = np.zeros((n, k, q))
-        idx = np.arange(q)
-        A[:, idx, idx] = f / pid[:, :q]
-        A[:, idx + 1, idx] = -f / pid[:, 1:]
-    else:
-        tails = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]  # sum_{m >= c} pi_m
-        ind = (np.arange(k)[:, None] >= np.arange(1, k)[None, :]).astype(float)
-        A = ind[None, :, :] - tails[:, None, 1:]
-    return A
-
-
-def _score_info(D, eta, probs, y0, kind, link):
-    """Observed score and expected information assembled from design rows.
-
-    The per-observation information in predictor space is the multinomial
-    covariance of the log-probability gradient, sum_c pi_c A_c A_c'.
+    Reverse specs are compiled on the relabeled response with the canonical
+    family; ``perm`` maps parameter vectors between the reported and the
+    canonical order (the identity for forward specs). Every design row of a
+    global or location-shift spec is D_i = [I | 1 x_i' | w z_i'], and row r of
+    a category-specific spec holds [1, x_i'] in threshold r's slots, so the
+    predictors, the score and the information are assembled from X, Z and the
+    scaling weights w without materializing the (n, k-1, n_params) tensor.
     """
-    A = _logprob_jacobian(eta, probs, kind, link)
-    u = A[np.arange(y0.size), y0, :]
-    score_vec = np.einsum("nr,nrp->p", u, D)
-    W = np.einsum("nc,ncr,ncs->nrs", probs, A, A)
-    info = np.tensordot(D, np.matmul(W, D), axes=([0, 1], [0, 1]))
-    return score_vec, info
+
+    def __init__(self, data: OrdinalDataset, spec: ModelSpec):
+        self.reverse = spec.family.reverse
+        if self.reverse:
+            spec = replace(spec, family=Family(spec.family.kind, reverse=False))
+            data = data.relabeled()
+        self.spec = spec
+        self.design = expand_design(data, spec)
+        self.layout = make_layout(self.design, spec, data.k)
+        self.y0 = data.y - 1
+        self.X, self.Z = self.design.X, self.design.Z
+        self.w = scaling_factors(spec.family, data.k)
+        self.perm = (
+            _reverse_permutation(self.layout) if self.reverse
+            else np.arange(self.layout.n_params)
+        )
+        if spec.structure == "catspec":
+            q, p = self.layout.q, self.layout.p
+            self._X1 = np.hstack([np.ones((data.n, 1)), self.X])
+            self._X1X1 = (self._X1[:, :, None] * self._X1[:, None, :]).reshape(data.n, -1)
+            # parameter slot of (threshold r, column j of [1, x])
+            j = np.arange(p + 1)[None, :]
+            r = np.arange(q)[:, None]
+            self._slots = np.where(j == 0, r, q + r * p + j - 1).ravel()
+
+    def canonical(self, params) -> np.ndarray:
+        params = np.asarray(params, dtype=float)
+        if params.shape != (self.layout.n_params,):
+            raise SpecError(f"expected {self.layout.n_params} parameters, got {params.shape}")
+        return params[self.perm]
+
+    def initial_params(self) -> np.ndarray:
+        """Intercepts at the marginal cumulative quantiles (cumulative) or
+        adjacent log-ratios, every covariate effect zero."""
+        layout = self.layout
+        counts = np.bincount(self.y0, minlength=layout.k).astype(float)
+        theta = np.zeros(layout.n_params)
+        if self.spec.family.kind == "cumulative":
+            cum = np.cumsum(counts)[: layout.q] / counts.sum()
+            theta[: layout.q] = self.spec.link.quantile(cum)
+        else:
+            theta[: layout.q] = np.log(counts[1:] / counts[:-1])
+        return theta
+
+    def eta(self, theta: np.ndarray) -> np.ndarray:
+        """(n, k-1) linear predictors at canonical ``theta``."""
+        layout = self.layout
+        q = layout.q
+        if layout.structure == "catspec":
+            return theta[:q] + self.X @ theta[q:].reshape(q, layout.p).T
+        eta = theta[:q] + (self.X @ theta[layout.location])[:, None]
+        if layout.m:
+            eta = eta + (self.Z @ theta[layout.dispersion])[:, None] * self.w
+        return eta
+
+    def probs(self, eta: np.ndarray) -> np.ndarray:
+        return category_probs(self.spec.family, self.spec.link, eta)
+
+    def picked(self, probs: np.ndarray) -> np.ndarray:
+        """Probability of each observation's own response category."""
+        return probs[np.arange(self.y0.size), self.y0]
+
+    def loglik(self, probs: np.ndarray) -> float:
+        return float(np.log(np.maximum(self.picked(probs), PROB_FLOOR)).sum())
+
+    def _predictor_terms(self, eta, probs):
+        """u[i, r] = d log pi_{y_i} / d eta_ir and the (n, k-1, k-1) information
+        W_i = sum_c pi_c A_c A_c' of each observation in predictor space, where
+        A_c = d log pi_c / d eta, in closed form (Fahrmeir & Tutz, Multivariate
+        Statistical Modelling Based on GLMs).
+
+        Cumulative: W is tridiagonal, with pi_r a_r^2 + pi_{r+1} b_r^2 on the
+        diagonal and -pi_{r+1} b_r a_{r+1} off it, where a_r = f_r / pi_r and
+        b_r = f_r / pi_{r+1} with probabilities floored at WEIGHT_FLOOR.
+        Adjacent: W[r, s] = P(Y <= min(r, s)) P(Y > max(r, s)), which is
+        T_max(r,s) - T_r T_s with T_r = P(Y > r) written without cancellation.
+        """
+        n, k = probs.shape
+        q = k - 1
+        y0 = self.y0
+        idx = np.arange(q)
+        if self.spec.family.kind == "cumulative":
+            f = self.spec.link.density(eta)
+            floored = np.maximum(probs, WEIGHT_FLOOR)
+            a = f / floored[:, :q]  # d log pi_r / d eta_r
+            b = f / floored[:, 1:]  # -d log pi_{r+1} / d eta_r
+            u = np.where(y0[:, None] == idx, a, 0.0) - np.where(y0[:, None] == idx + 1, b, 0.0)
+            W = np.zeros((n, q * q))  # row-major (r, s) pairs: the diagonal has stride q+1
+            W[:, ::q + 1] = probs[:, :q] * a * a + probs[:, 1:] * b * b
+            off = -probs[:, 1:q] * b[:, :-1] * a[:, 1:]
+            W[:, 1::q + 1] = off
+            W[:, q::q + 1] = off
+            W = W.reshape(n, q, q)
+        else:
+            below = np.cumsum(probs, axis=1)[:, :q]  # P(Y <= r)
+            above = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1][:, 1:]  # P(Y > r)
+            u = np.where(y0[:, None] > idx, below, -above)
+            W = below[:, np.minimum.outer(idx, idx)]
+            W *= above[:, np.maximum.outer(idx, idx)]
+        return u, W
+
+    def score_info(self, eta: np.ndarray, probs: np.ndarray):
+        """Observed score and expected information in canonical order.
+
+        Global and location-shift blocks need only W, W 1 and W w per
+        observation plus their quadratic forms against X and Z; the
+        category-specific information is one (q^2, n) @ (n, (p+1)^2) product.
+        """
+        u, W = self._predictor_terms(eta, probs)
+        layout = self.layout
+        q, size = layout.q, layout.n_params
+        s = np.empty(size)
+        info = np.empty((size, size))
+        if layout.structure == "catspec":
+            n, p1 = u.shape[0], layout.p + 1
+            s[self._slots] = (u.T @ self._X1).ravel()
+            blocks = (W.reshape(n, q * q).T @ self._X1X1).reshape(q, q, p1, p1)
+            info[np.ix_(self._slots, self._slots)] = blocks.transpose(0, 2, 1, 3).reshape(size, size)
+        else:
+            X, Z, w = self.X, self.Z, self.w
+            loc, disp = layout.location, layout.dispersion
+            W1 = W.sum(axis=2)
+            s[:q] = u.sum(axis=0)
+            s[loc] = X.T @ u.sum(axis=1)
+            info[:q, :q] = W.sum(axis=0)
+            info[:q, loc] = W1.T @ X
+            info[loc, loc] = X.T @ (W1.sum(axis=1)[:, None] * X)
+            if layout.m:
+                Ww = W @ w
+                s[disp] = Z.T @ (u @ w)
+                info[:q, disp] = Ww.T @ Z
+                info[loc, disp] = X.T @ (Ww.sum(axis=1)[:, None] * Z)
+                info[disp, disp] = Z.T @ ((Ww @ w)[:, None] * Z)
+        upper = np.triu_indices(size, 1)
+        info[upper[::-1]] = info[upper]
+        return s, info
 
 
 def _reverse_permutation(layout: ParamLayout) -> np.ndarray:
@@ -156,76 +251,44 @@ def _covariance(info: np.ndarray):
     return cov, bad
 
 
-def _as_canonical(params, layout: ParamLayout, spec: ModelSpec) -> np.ndarray:
-    params = np.asarray(params, dtype=float)
-    if params.shape != (layout.n_params,):
-        raise SpecError(f"expected {layout.n_params} parameters, got {params.shape}")
-    if spec.family.reverse:
-        return params[_reverse_permutation(layout)]
-    return params
-
-
 def log_likelihood(params, data: OrdinalDataset, spec: ModelSpec) -> float:
     """Multinomial log-likelihood at ``params``, probabilities clamped at 1e-15.
 
     Warns when an observed response falls in a floor-probability category;
     cumulative specs raise ThresholdOrderError at infeasible parameters.
     """
-    D, layout, y0, canon, _ = _matrices(data, spec)
-    theta = _as_canonical(params, layout, spec)
-    probs = _probs(D @ theta, canon.family.kind, canon.link)
-    picked = probs[np.arange(y0.size), y0]
-    if np.any(picked <= PROB_FLOOR):
+    problem = _Problem(data, spec)
+    probs = problem.probs(problem.eta(problem.canonical(params)))
+    if np.any(problem.picked(probs) <= PROB_FLOOR):
         warnings.warn(
             "observed categories with probability at the 1e-15 floor",
             ZeroProbabilityWarning,
             stacklevel=2,
         )
-    return _loglik(probs, y0)
+    return problem.loglik(probs)
 
 
 def score(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Analytic gradient of log_likelihood with respect to ``params``."""
-    D, layout, y0, canon, _ = _matrices(data, spec)
-    theta = _as_canonical(params, layout, spec)
-    eta = D @ theta
-    probs = _probs(eta, canon.family.kind, canon.link)
-    s, _ = _score_info(D, eta, probs, y0, canon.family.kind, canon.link)
-    if spec.family.reverse:
-        s = s[_reverse_permutation(layout)]
-    return s
+    problem = _Problem(data, spec)
+    eta = problem.eta(problem.canonical(params))
+    s, _ = problem.score_info(eta, problem.probs(eta))
+    return s[problem.perm]
 
 
 def fisher_info(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Expected information matrix at ``params``."""
-    D, layout, y0, canon, _ = _matrices(data, spec)
-    theta = _as_canonical(params, layout, spec)
-    eta = D @ theta
-    probs = _probs(eta, canon.family.kind, canon.link)
-    _, info = _score_info(D, eta, probs, y0, canon.family.kind, canon.link)
-    if spec.family.reverse:
-        perm = _reverse_permutation(layout)
-        info = info[np.ix_(perm, perm)]
-    return info
+    problem = _Problem(data, spec)
+    eta = problem.eta(problem.canonical(params))
+    _, info = problem.score_info(eta, problem.probs(eta))
+    return info[np.ix_(problem.perm, problem.perm)]
 
 
 def category_probabilities(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Category probabilities (n, k) at ``params`` in the original labels."""
-    D, layout, y0, canon, _ = _matrices(data, spec)
-    theta = _as_canonical(params, layout, spec)
-    probs = _probs(D @ theta, canon.family.kind, canon.link)
-    return probs[:, ::-1] if spec.family.reverse else probs
-
-
-def _initial_params(layout: ParamLayout, y0: np.ndarray, kind: str, link) -> np.ndarray:
-    counts = np.bincount(y0, minlength=layout.k).astype(float)
-    theta = np.zeros(layout.n_params)
-    if kind == "cumulative":
-        cum = np.cumsum(counts)[: layout.q] / counts.sum()
-        theta[: layout.q] = link.quantile(cum)
-    else:
-        theta[: layout.q] = np.log(counts[1:] / counts[:-1])
-    return theta
+    problem = _Problem(data, spec)
+    probs = problem.probs(problem.eta(problem.canonical(params)))
+    return probs[:, ::-1] if problem.reverse else probs
 
 
 def fit(
@@ -244,35 +307,36 @@ def fit(
     iterations without an accepted step stop the fit with converged=False.
     Convergence requires relative deviance change < tol and max |score| <
     score_tol * (1 + |loglik|) at the same iteration. The covariance is the
-    inverse expected information at the optimum.
+    inverse expected information at the optimum. Score and information are
+    evaluated once at the start and once after each accepted step; that one
+    evaluation serves the convergence test, the next step and the covariance.
     """
     _check_categories(data)
-    D, layout, y0, canon, design = _matrices(data, spec)
-    kind, link = canon.family.kind, canon.link
+    problem = _Problem(data, spec)
+    layout = problem.layout
 
     if start is not None:
-        theta = np.asarray(start, dtype=float).copy()
+        theta = np.asarray(start, dtype=float)
         if theta.shape != (layout.n_params,):
             raise StartError(f"start has {theta.shape} entries, expected {layout.n_params}")
-        if spec.family.reverse:
-            theta = theta[_reverse_permutation(layout)]
+        theta = theta[problem.perm]
         try:
-            eta = D @ theta
-            probs = _probs(eta, kind, link)
+            eta = problem.eta(theta)
+            probs = problem.probs(eta)
         except ThresholdOrderError as exc:
             raise StartError(f"infeasible start: {exc}") from exc
     else:
-        theta = _initial_params(layout, y0, kind, link)
-        eta = D @ theta
-        probs = _probs(eta, kind, link)
+        theta = problem.initial_params()
+        eta = problem.eta(theta)
+        probs = problem.probs(eta)
 
-    deviance = -2.0 * _loglik(probs, y0)
+    deviance = -2.0 * problem.loglik(probs)
+    s, info = problem.score_info(eta, probs)
     converged = False
     iterations = 0
     failures = 0
     for iteration in range(1, max_iter + 1):
         iterations = iteration
-        s, info = _score_info(D, eta, probs, y0, kind, link)
         try:
             step = np.linalg.solve(info, s)
         except np.linalg.LinAlgError:
@@ -282,12 +346,12 @@ def fit(
         for _ in range(11):
             cand = theta + lam * step
             try:
-                cand_eta = D @ cand
-                cand_probs = _probs(cand_eta, kind, link)
+                cand_eta = problem.eta(cand)
+                cand_probs = problem.probs(cand_eta)
             except ThresholdOrderError:
                 lam /= 2.0
                 continue
-            cand_dev = -2.0 * _loglik(cand_probs, y0)
+            cand_dev = -2.0 * problem.loglik(cand_probs)
             if np.isfinite(cand_dev) and cand_dev <= deviance:
                 accepted = True
                 break
@@ -306,12 +370,11 @@ def fit(
         failures = 0
         rel_change = abs(deviance - cand_dev) / (abs(deviance) + 1e-10)
         theta, eta, probs, deviance = cand, cand_eta, cand_probs, cand_dev
-        s_new, _ = _score_info(D, eta, probs, y0, kind, link)
-        if rel_change < tol and np.max(np.abs(s_new)) < score_tol * (1.0 + abs(deviance) / 2.0):
+        s, info = problem.score_info(eta, probs)
+        if rel_change < tol and np.max(np.abs(s)) < score_tol * (1.0 + abs(deviance) / 2.0):
             converged = True
             break
 
-    _, info = _score_info(D, eta, probs, y0, kind, link)
     cov, bad = _covariance(info)
 
     notes = []
@@ -331,20 +394,15 @@ def fit(
         notes.append("did not converge")
 
     monotone = None
-    if kind == "cumulative":
+    if problem.spec.family.kind == "cumulative":
         monotone = bool(np.all(np.diff(eta, axis=1) >= -1e-12))
 
-    if spec.family.reverse:
-        perm = _reverse_permutation(layout)
-        theta = theta[perm]
-        cov = cov[np.ix_(perm, perm)]
-        bad = bad[perm]
-
+    perm = problem.perm
     return FitResult(
         spec=spec,
         layout=layout,
-        params=theta,
-        covariance=cov,
+        params=theta[perm],
+        covariance=cov[np.ix_(perm, perm)],
         loglik=-deviance / 2.0,
         deviance=deviance,
         df_residual=data.n * (data.k - 1) - layout.n_params,
@@ -353,10 +411,10 @@ def fit(
         iterations=iterations,
         converged=converged,
         monotonicity_ok=monotone,
-        se_unavailable=bad,
+        se_unavailable=bad[perm],
         warnings=notes,
-        smooths=design.smooths,
-        variables=design.variables,
+        smooths=problem.design.smooths,
+        variables=problem.design.variables,
     )
 
 

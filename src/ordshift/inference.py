@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import OrdinalDataset
-from .design import ModelSpec, expand_design, make_layout, Term
+from .design import ModelSpec, Term
 from .exceptions import InvalidInputError, NestingError, OrdshiftError, SpecError
 from .fit import FitResult, fit, standard_errors
 from .links import scaling_factors
@@ -172,10 +172,15 @@ class ComparisonTable:
 
 
 def _catspec_start(locshift_fit: FitResult, data: OrdinalDataset, spec: ModelSpec):
-    """Warm start for the category-specific fit via the constraint map."""
-    layout = make_layout(expand_design(data, spec), spec, data.k)
+    """Warm start for the category-specific fit via the constraint map.
+
+    The category-specific location columns are the location-shift fit's
+    location columns followed by the dispersion columns of variables without
+    a location term, the order in which expand_design folds them.
+    """
     ls = locshift_fit.layout
-    q, p = layout.q, layout.p
+    have = {c.source for c in ls.x_cols}
+    cols = ls.x_cols + [c for c in ls.z_cols if c.source not in have]
     beta = {
         c.name: locshift_fit.params[ls.location.start + i]
         for i, c in enumerate(ls.x_cols)
@@ -185,13 +190,10 @@ def _catspec_start(locshift_fit: FitResult, data: OrdinalDataset, spec: ModelSpe
         for i, c in enumerate(ls.z_cols)
     }
     w = scaling_factors(spec.family, data.k)
-    theta = np.zeros(layout.n_params)
-    theta[:q] = locshift_fit.params[:q]
-    for r in range(q):
-        block = layout.catspec_block(r + 1)
-        for j, col in enumerate(layout.x_cols):
-            theta[block.start + j] = beta.get(col.name, 0.0) + w[r] * alpha.get(col.name, 0.0)
-    return theta
+    q = ls.q
+    slopes = [[beta.get(c.name, 0.0) + w[r] * alpha.get(c.name, 0.0) for c in cols]
+              for r in range(q)]
+    return np.concatenate([locshift_fit.params[:q], np.ravel(slopes)])
 
 
 def model_ladder(data: OrdinalDataset, base_spec: ModelSpec, **fit_options) -> ComparisonTable:

@@ -30,6 +30,17 @@ def _dataset_with(columns, k=4, y=None, categorical=None):
     return OrdinalDataset(y=y, k=k, columns=columns, categorical_levels=categorical or {})
 
 
+def _loop_dummies(values, levels):
+    """Row-by-row dummy coding: the reference for encode_dummies."""
+    index = {lev: j for j, lev in enumerate(levels)}
+    out = np.zeros((len(values), len(levels) - 1))
+    for i, v in enumerate(values):
+        j = index[v]
+        if j > 0:
+            out[i, j - 1] = 1.0
+    return out
+
+
 class TestDummies:
     def test_indicator_coding(self):
         out = encode_dummies(["1", "2", "4", "1"], ["1", "2", "3", "4"])
@@ -38,6 +49,21 @@ class TestDummies:
     def test_unseen_level(self):
         with pytest.raises(DataError, match=r"Residence.*'5'"):
             encode_dummies(["1", "5"], ["1", "2"], name="Residence")
+
+    def test_unseen_level_names_first_offender(self):
+        with pytest.raises(DataError, match=r"variable 'Residence': unseen level '7'$"):
+            encode_dummies(["1", "7", "2", "5"], ["1", "2"], name="Residence")
+
+    def test_matches_row_loop(self):
+        # a column mixing every level, the reference first, in random order,
+        # against the row-by-row coding the vectorised version replaced
+        rng = np.random.default_rng(12)
+        levels = ("3", "1", "b", "20", "a")
+        values = rng.choice(np.array(levels, dtype=object), size=500)
+        out = encode_dummies(values, levels, name="mixed")
+        assert out.dtype == np.float64
+        assert np.array_equal(out, _loop_dummies(values, levels))
+        assert np.array_equal(encode_dummies(list(values), levels), out)
 
     def test_single_level_rejected(self):
         with pytest.raises(SpecError):

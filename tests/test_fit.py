@@ -14,7 +14,7 @@ from helpers import (
 )
 
 from ordshift.data import OrdinalDataset
-from ordshift.design import ModelSpec, Term, expand_design, make_layout
+from ordshift.design import ModelSpec, Term, build_design_tensor, expand_design, make_layout
 from ordshift.exceptions import (
     SeparationWarning,
     SpecError,
@@ -23,8 +23,8 @@ from ordshift.exceptions import (
     ZeroProbabilityWarning,
 )
 from ordshift.fit import (
-    _logprob_jacobian,
-    _score_info,
+    WEIGHT_FLOOR,
+    _Problem,
     category_probabilities,
     deviance_report,
     fisher_info,
@@ -34,7 +34,7 @@ from ordshift.fit import (
     smooth_values,
     standard_errors,
 )
-from ordshift.links import LOGIT, Family
+from ordshift.links import LOGIT, Family, category_probs
 
 CUM = Family("cumulative")
 ADJ = Family("adjacent")
@@ -121,21 +121,21 @@ class TestScore:
 
     def test_alpha_gradient_vanishes_with_zero_weights(self):
         # k=2 edge: all scaling factors are 0, so the alpha block of the
-        # score must vanish identically (the design tensor wipes z out)
+        # score and information must vanish identically; expand_design
+        # rejects dispersion terms at k=2, so a compiled k=3 problem gets
+        # the all-zero weights instead
         rng = np.random.default_rng(4)
         n = 30
-        z = rng.normal(size=n)
-        D = np.zeros((n, 1, 2))
-        D[:, 0, 0] = 1.0
-        D[:, 0, 1] = 0.0 * z  # weighted dispersion column at w=0
-        y0 = rng.integers(0, 2, size=n)
-        eta = D @ np.array([0.3, 1.7])
-        from ordshift.links import category_probs
-
-        probs = category_probs(CUM, LOGIT, eta)
-        s, info = _score_info(D, eta, probs, y0, "cumulative", LOGIT)
-        assert s[1] == 0.0
-        assert np.all(info[1, :] == 0.0)
+        y = rng.integers(1, 4, size=n)
+        y[:3] = [1, 2, 3]
+        data = OrdinalDataset(y=y, k=3, columns={"z": rng.normal(size=n)})
+        problem = _Problem(data, ModelSpec(CUM, "locshift", (), (Term("z"),)))
+        problem.w = np.zeros(2)
+        eta = problem.eta(np.array([-0.3, 0.4, 1.7]))
+        s, info = problem.score_info(eta, problem.probs(eta))
+        assert s[2] == 0.0
+        assert np.all(info[2, :] == 0.0)
+        assert np.all(info[:, 2] == 0.0)
 
 
 class TestFisherInfo:
@@ -183,8 +183,6 @@ class TestFisherInfo:
         # independent assembly: I = sum_i D_i' (Delta' Sigma^{-1} Delta) D_i
         rng = np.random.default_rng(8)
         data, spec, params = random_dataset(rng, n=40, k=4)
-        from ordshift.design import build_design_tensor
-
         design = expand_design(data, spec)
         D, layout = build_design_tensor(design, spec, data.k)
         eta = D @ params
@@ -208,6 +206,147 @@ class TestFisherInfo:
             w = delta.T @ np.linalg.solve(sigma, delta)
             expected += D[i].T @ w @ D[i]
         assert fisher_info(params, data, spec) == pytest.approx(expected, rel=1e-8)
+        problem = _Problem(data, spec)
+        kernel_eta = problem.eta(params)
+        assert kernel_eta == pytest.approx(eta, rel=1e-12)
+        _, info = problem.score_info(kernel_eta, problem.probs(kernel_eta))
+        assert info == pytest.approx(expected, rel=1e-8)
+
+
+def _dense_score_info(problem, theta):
+    """Dense oracle of the structured kernel at canonical ``theta``.
+
+    Builds A[i, c, r] = d log pi_c / d eta_r entry by entry and contracts it
+    with the (n, k-1, n_params) design tensor: score sum_i D_i' A[i, y_i] and
+    information sum_i D_i' (sum_c pi_c A_c A_c') D_i.
+    """
+    D, _ = build_design_tensor(problem.design, problem.spec, problem.layout.k)
+    eta = D @ theta
+    probs = category_probs(problem.spec.family, LOGIT, eta)
+    n, k = probs.shape
+    q = k - 1
+    A = np.zeros((n, k, q))
+    if problem.spec.family.kind == "cumulative":
+        f = LOGIT.density(eta)
+        floored = np.maximum(probs, WEIGHT_FLOOR)
+        for r in range(q):
+            A[:, r, r] = f[:, r] / floored[:, r]
+            A[:, r + 1, r] = -f[:, r] / floored[:, r + 1]
+    else:
+        for c in range(k):
+            for r in range(q):
+                A[:, c, r] = float(c > r) - probs[:, r + 1:].sum(axis=1)
+    u = A[np.arange(n), problem.y0]
+    score_vec = np.einsum("nr,nrp->p", u, D)
+    W = np.einsum("nc,ncr,ncs->nrs", probs, A, A)
+    info = np.einsum("nrp,nrs,nsq->pq", D, W, D)
+    return eta, score_vec, info
+
+
+def _max_rel(actual, expected):
+    return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
+class TestKernelParity:
+    """The structured score/information kernel against the dense oracle."""
+
+    @pytest.mark.parametrize("structure", ["global", "locshift", "catspec"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    def test_matches_dense_oracle(self, kind, reverse, structure):
+        rng = np.random.default_rng(hash((kind, reverse, structure)) % 2**31)
+        data, base, _ = random_dataset(rng, n=60, k=5, family=Family(kind))
+        self._check(rng, data, ModelSpec(
+            Family(kind, reverse), structure, base.location, base.dispersion
+        ))
+
+    def test_smooth_locshift_matches_dense_oracle(self):
+        rng = np.random.default_rng(61)
+        data, base, _ = random_dataset(rng, n=200, k=4)
+        loc = (Term("v1", smooth=True, n_basis=5), Term("v2"))
+        self._check(rng, data, ModelSpec(CUM, "locshift", loc, base.dispersion))
+
+    @staticmethod
+    def _check(rng, data, spec):
+        problem = _Problem(data, spec)
+        # canonical parameters are feasible exactly when they are feasible
+        # for the forward spec on the original data (only eta's order counts)
+        forward = ModelSpec(Family(spec.family.kind), spec.structure, spec.location,
+                            spec.dispersion)
+        for _ in range(3):
+            theta = feasible_params(rng, problem.layout, forward, data)
+            eta, dense_s, dense_info = _dense_score_info(problem, theta)
+            kernel_eta = problem.eta(theta)
+            s, info = problem.score_info(kernel_eta, problem.probs(kernel_eta))
+            assert _max_rel(kernel_eta, eta) <= 1e-12
+            assert _max_rel(s, dense_s) <= 1e-12
+            assert _max_rel(info, dense_info) <= 1e-12
+            assert np.array_equal(info, info.T)
+            assert score(theta[problem.perm], data, spec) == pytest.approx(
+                s[problem.perm], rel=1e-12, abs=1e-12
+            )
+
+
+class TestScoreInfoEvaluations:
+    """Fisher scoring evaluates score and information once at the start and
+    once after each accepted step, and at no other point."""
+
+    @pytest.mark.parametrize(
+        "kind, structure, options",
+        [
+            ("cumulative", "locshift", {}),
+            ("adjacent", "catspec", {}),
+            ("cumulative", "global", {"max_iter": 2}),
+            ("adjacent", "locshift", {"max_iter": 0}),
+        ],
+    )
+    def test_once_per_accepted_step(self, monkeypatch, kind, structure, options):
+        rng = np.random.default_rng(88)
+        data, base, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
+        spec = base.with_structure(structure)
+        counts = self._instrument(monkeypatch)
+        fit(spec, data, **options)
+        self._assert_once_per_accepted(counts)
+
+    def test_start_at_optimum(self, monkeypatch):
+        rng = np.random.default_rng(89)
+        data, spec, _ = random_dataset(rng, n=150, k=5)
+        optimum = fit(spec, data)
+        counts = self._instrument(monkeypatch)
+        result = fit(spec, data, start=optimum.params)
+        assert result.converged
+        self._assert_once_per_accepted(counts)
+
+    @staticmethod
+    def _instrument(monkeypatch):
+        counts = {"score_info": 0, "deviances": []}
+        score_info, loglik = _Problem.score_info, _Problem.loglik
+
+        def counted_score_info(self, eta, probs):
+            counts["score_info"] += 1
+            return score_info(self, eta, probs)
+
+        def recorded_loglik(self, probs):
+            value = loglik(self, probs)
+            counts["deviances"].append(-2.0 * value)
+            return value
+
+        monkeypatch.setattr(_Problem, "score_info", counted_score_info)
+        monkeypatch.setattr(_Problem, "loglik", recorded_loglik)
+        return counts
+
+    @staticmethod
+    def _assert_once_per_accepted(counts):
+        # replay the acceptance rule over the start and candidate deviances:
+        # a candidate is accepted when its deviance does not exceed the
+        # current one, and halving stops at the first accepted candidate
+        current, *candidates = counts["deviances"]
+        accepted = 0
+        for dev in candidates:
+            if np.isfinite(dev) and dev <= current:
+                accepted += 1
+                current = dev
+        assert counts["score_info"] == 1 + accepted
 
 
 class TestFit:

@@ -8,10 +8,11 @@ import pytest
 from helpers import random_dataset, stub_fit
 
 from ordshift.data import OrdinalDataset
-from ordshift.design import ModelSpec, Term
+from ordshift.design import ModelSpec, Term, expand_design, make_layout
 from ordshift.exceptions import InvalidInputError, NestingError, SpecError
-from ordshift.fit import fit
+from ordshift.fit import fit, log_likelihood
 from ordshift.inference import (
+    _catspec_start,
     chisq_sf,
     lrt,
     model_ladder,
@@ -21,7 +22,7 @@ from ordshift.inference import (
     star_data,
     wald_table,
 )
-from ordshift.links import Family
+from ordshift.links import Family, scaling_factors
 from ordshift.simulate import simulate_dataset
 
 CUM = Family("cumulative")
@@ -216,6 +217,43 @@ class TestModelLadder:
         assert table.row("global").ok
         assert table.row("locshift").test is None
         assert table.row("global").test is not None
+
+    @pytest.mark.parametrize("family", [CUM, Family("adjacent", reverse=True)])
+    def test_catspec_start_is_constraint_map_on_catspec_layout(self, family):
+        # a dispersion-only variable and a categorical on both sides: the
+        # start must follow the catspec layout that expand_design builds
+        rng = np.random.default_rng(6)
+        n = 300
+        y = rng.integers(1, 5, size=n)
+        y[:4] = [1, 2, 3, 4]
+        columns = {
+            "a": rng.normal(size=n),
+            "b": rng.normal(size=n),
+            "g": rng.choice(np.array(["u", "v", "w"], dtype=object), size=n),
+        }
+        data = OrdinalDataset(y=y, k=4, columns=columns, categorical_levels={"g": ("u", "v", "w")})
+        spec = ModelSpec(family, "locshift", (Term("a"), Term("g")), (Term("g"), Term("b")))
+        ls = fit(spec, data)
+        catspec = spec.with_structure("catspec")
+        start = _catspec_start(ls, data, catspec)
+        layout = make_layout(expand_design(data, catspec), catspec, data.k)
+        assert start.shape == (layout.n_params,)
+        assert start[:3] == pytest.approx(ls.params[:3], abs=0)
+        w = scaling_factors(family, data.k)
+
+        def coef(index, name):
+            try:
+                return ls.params[index(name)]
+            except KeyError:
+                return 0.0
+
+        for r in range(1, 4):
+            for j, col in enumerate(layout.x_cols):
+                beta = coef(ls.layout.location_index, col.name)
+                alpha = coef(ls.layout.dispersion_index, col.name)
+                assert start[layout.catspec_block(r).start + j] == beta + w[r - 1] * alpha
+        # the constraint map reproduces the location-shift fit exactly
+        assert log_likelihood(start, data, catspec) == pytest.approx(ls.loglik, abs=1e-9)
 
     def test_needs_dispersion_terms(self):
         rng = np.random.default_rng(5)
