@@ -29,7 +29,6 @@ from .exceptions import (
 from .fit import (
     FitResult,
     category_probabilities,
-    deviance_report,
     fisher_info,
     fit,
     log_likelihood,

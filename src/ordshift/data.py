@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +18,9 @@ log = logging.getLogger("ordshift.data")
 class OrdinalDataset:
     """Responses in 1..k plus raw covariate columns.
 
-    ``columns`` maps names to float arrays (numeric) or object arrays of
-    strings (categorical); ``categorical_levels`` fixes the level order of
-    each categorical column (first level = dummy reference).
+    ``columns`` maps names to float arrays (numeric, every value finite) or
+    object arrays of strings (categorical); ``categorical_levels`` fixes the
+    level order of each categorical column (first level = dummy reference).
     """
 
     y: np.ndarray
@@ -44,6 +45,13 @@ class OrdinalDataset:
         for name, values in self.columns.items():
             if len(values) != self.n:
                 raise DataError(f"column {name!r} has {len(values)} rows, expected {self.n}")
+            values = np.asarray(values)
+            if name not in self.categorical_levels and values.dtype.kind == "f":
+                bad = np.flatnonzero(~np.isfinite(values))
+                if bad.size:
+                    raise DataError(
+                        f"column {name!r} index {bad[0]}: value {values[bad[0]]} is not finite"
+                    )
         for name, levels in self.categorical_levels.items():
             if name not in self.columns:
                 raise DataError(f"categorical column {name!r} not present")
@@ -68,11 +76,14 @@ class OrdinalDataset:
 
 def _parse_float(value: str, column: str, row: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise DataError(
             f"column {column!r} row {row}: could not parse {value!r} as a number"
         ) from None
+    if not math.isfinite(number):
+        raise DataError(f"column {column!r} row {row}: {value!r} is not a finite number")
+    return number
 
 
 def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
@@ -81,7 +92,8 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
     Only the response and the columns named by ``formula`` are kept. Columns
     listed in ``categorical`` (or whose values are entirely non-numeric) are
     treated as categorical with levels in first-seen order; a numeric column
-    containing stray text is an error naming the offending cell.
+    containing stray text or a non-finite value (nan, inf) is an error naming
+    the offending cell.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)

@@ -41,7 +41,6 @@ class FitResult:
     covariance: np.ndarray
     loglik: float
     deviance: float
-    df_residual: int
     n: int
     k: int
     iterations: int
@@ -59,6 +58,11 @@ class FitResult:
     @property
     def n_params(self) -> int:
         return int(self.params.size)
+
+    @property
+    def df_residual(self) -> int:
+        """Residual degrees of freedom n(k-1) - n_params."""
+        return self.n * (self.k - 1) - self.n_params
 
     @property
     def structure(self) -> str:
@@ -85,6 +89,10 @@ class _Problem:
     a category-specific spec holds [1, x_i'] in threshold r's slots, so the
     predictors, the score and the information are assembled from X, Z and the
     scaling weights w without materializing the (n, k-1, n_params) tensor.
+    The per-observation information in predictor space is kept in its
+    structured form as well, never as an (n, k-1, k-1) array: tridiagonal
+    bands for the cumulative family (_Tridiagonal), semiseparable factors for
+    the adjacent family (_Semiseparable).
     """
 
     def __init__(self, data: OrdinalDataset, spec: ModelSpec):
@@ -98,6 +106,7 @@ class _Problem:
         self.y0 = data.y - 1
         self.X, self.Z = self.design.X, self.design.Z
         self.w = scaling_factors(spec.family, data.k)
+        self._weights = _Tridiagonal if spec.family.kind == "cumulative" else _Semiseparable
         self.perm = (
             _reverse_permutation(self.layout) if self.reverse
             else np.arange(self.layout.n_params)
@@ -151,77 +160,169 @@ class _Problem:
     def loglik(self, probs: np.ndarray) -> float:
         return float(np.log(np.maximum(self.picked(probs), PROB_FLOOR)).sum())
 
-    def _predictor_terms(self, eta, probs):
-        """u[i, r] = d log pi_{y_i} / d eta_ir and the (n, k-1, k-1) information
-        W_i = sum_c pi_c A_c A_c' of each observation in predictor space, where
-        A_c = d log pi_c / d eta, in closed form (Fahrmeir & Tutz, Multivariate
-        Statistical Modelling Based on GLMs).
-
-        Cumulative: W is tridiagonal, with pi_r a_r^2 + pi_{r+1} b_r^2 on the
-        diagonal and -pi_{r+1} b_r a_{r+1} off it, where a_r = f_r / pi_r and
-        b_r = f_r / pi_{r+1} with probabilities floored at WEIGHT_FLOOR.
-        Adjacent: W[r, s] = P(Y <= min(r, s)) P(Y > max(r, s)), which is
-        T_max(r,s) - T_r T_s with T_r = P(Y > r) written without cancellation.
-        """
-        n, k = probs.shape
-        q = k - 1
-        y0 = self.y0
-        idx = np.arange(q)
-        if self.spec.family.kind == "cumulative":
-            f = self.spec.link.density(eta)
-            floored = np.maximum(probs, WEIGHT_FLOOR)
-            a = f / floored[:, :q]  # d log pi_r / d eta_r
-            b = f / floored[:, 1:]  # -d log pi_{r+1} / d eta_r
-            u = np.where(y0[:, None] == idx, a, 0.0) - np.where(y0[:, None] == idx + 1, b, 0.0)
-            W = np.zeros((n, q * q))  # row-major (r, s) pairs: the diagonal has stride q+1
-            W[:, ::q + 1] = probs[:, :q] * a * a + probs[:, 1:] * b * b
-            off = -probs[:, 1:q] * b[:, :-1] * a[:, 1:]
-            W[:, 1::q + 1] = off
-            W[:, q::q + 1] = off
-            W = W.reshape(n, q, q)
-        else:
-            below = np.cumsum(probs, axis=1)[:, :q]  # P(Y <= r)
-            above = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1][:, 1:]  # P(Y > r)
-            u = np.where(y0[:, None] > idx, below, -above)
-            W = below[:, np.minimum.outer(idx, idx)]
-            W *= above[:, np.maximum.outer(idx, idx)]
-        return u, W
-
     def score_info(self, eta: np.ndarray, probs: np.ndarray):
         """Observed score and expected information in canonical order.
 
-        Global and location-shift blocks need only W, W 1 and W w per
-        observation plus their quadratic forms against X and Z; the
-        category-specific information is one (q^2, n) @ (n, (p+1)^2) product.
+        u_i = d log pi_{y_i} / d eta_i and W_i = sum_c pi_c A_c A_c' with
+        A_c = d log pi_c / d eta are each observation's score and information
+        in predictor space, in the closed forms of the multinomial GLM
+        (Fahrmeir & Tutz, Multivariate Statistical Modelling Based on GLMs).
+        Global and location-shift blocks need only sum_i u_i, u_i 1, u_i w,
+        sum_i W_i, W_i 1 and W_i w, and the quadratic forms of the last two
+        against X and Z; the category-specific information contracts only
+        the threshold pairs (r, s) where W_i[r, s] can be nonzero,
+        (pairs, n) @ (n, (p+1)^2). No (n, k-1, k-1) array is formed.
         """
-        u, W = self._predictor_terms(eta, probs)
+        weights = self._weights(self, eta, probs)
         layout = self.layout
         q, size = layout.q, layout.n_params
         s = np.empty(size)
         info = np.empty((size, size))
         if layout.structure == "catspec":
-            n, p1 = u.shape[0], layout.p + 1
-            s[self._slots] = (u.T @ self._X1).ravel()
-            blocks = (W.reshape(n, q * q).T @ self._X1X1).reshape(q, q, p1, p1)
+            p1 = layout.p + 1
+            s[self._slots] = (weights.score().T @ self._X1).ravel()
+            rows, cols, pair_weights = weights.pairs()
+            pair_blocks = (pair_weights @ self._X1X1).reshape(-1, p1, p1)
+            blocks = np.zeros((q, q, p1, p1))
+            blocks[rows, cols] = pair_blocks
+            blocks[cols, rows] = pair_blocks
             info[np.ix_(self._slots, self._slots)] = blocks.transpose(0, 2, 1, 3).reshape(size, size)
         else:
             X, Z, w = self.X, self.Z, self.w
             loc, disp = layout.location, layout.dispersion
-            W1 = W.sum(axis=2)
-            s[:q] = u.sum(axis=0)
-            s[loc] = X.T @ u.sum(axis=1)
-            info[:q, :q] = W.sum(axis=0)
+            ones = np.ones(q)
+            s_int, u1, uw = weights.score_sums(w)
+            W1 = weights.times(ones)
+            s[:q] = s_int
+            s[loc] = X.T @ u1
+            info[:q, :q] = weights.total()
             info[:q, loc] = W1.T @ X
-            info[loc, loc] = X.T @ (W1.sum(axis=1)[:, None] * X)
+            info[loc, loc] = X.T @ ((W1 @ ones)[:, None] * X)
             if layout.m:
-                Ww = W @ w
-                s[disp] = Z.T @ (u @ w)
+                Ww = weights.times(w)
+                s[disp] = Z.T @ uw
                 info[:q, disp] = Ww.T @ Z
-                info[loc, disp] = X.T @ (Ww.sum(axis=1)[:, None] * Z)
+                info[loc, disp] = X.T @ ((Ww @ ones)[:, None] * Z)
                 info[disp, disp] = Z.T @ ((Ww @ w)[:, None] * Z)
         upper = np.triu_indices(size, 1)
         info[upper[::-1]] = info[upper]
         return s, info
+
+
+class _Tridiagonal:
+    """Cumulative-family score and weights: W_i is tridiagonal, so products
+    with it are three-term band sums and only its two bands are stored.
+
+    With f_r = F'(eta_r) and probabilities floored at WEIGHT_FLOOR (pi~),
+    a_r = f_r / pi~_r = d log pi_r / d eta_r and b_r = f_r / pi~_{r+1} =
+    -d log pi_{r+1} / d eta_r, the diagonal is d_r = pi_r a_r^2 + pi_{r+1} b_r^2
+    and the off-diagonal o_r = W[r, r+1] = -pi_{r+1} b_r a_{r+1}. The score
+    u_i has at most two nonzeros, a_{y_i} at r = y_i and -b_{y_i - 1} at
+    r = y_i - 1 (0-based categories), both over pi~ of the observed category.
+    """
+
+    def __init__(self, problem, eta, probs):
+        n, k = probs.shape
+        q = k - 1
+        y0 = problem.y0
+        self.y0, self.k = y0, k
+        f = problem.spec.link.density(eta)
+        g = probs / np.maximum(probs, WEIGHT_FLOOR) ** 2  # pi_c / pi~_c^2
+        self.d = f * f * (g[:, :q] + g[:, 1:])
+        self.o = -f[:, :-1] * f[:, 1:] * g[:, 1:q]
+        rows = np.arange(n)
+        picked = np.maximum(problem.picked(probs), WEIGHT_FLOOR)
+        self.ua = np.where(y0 < q, f[rows, np.minimum(y0, q - 1)], 0.0) / picked
+        self.ub = np.where(y0 > 0, f[rows, np.maximum(y0 - 1, 0)], 0.0) / picked
+
+    def score_sums(self, w):
+        """(sum_i u_i, u_i . 1, u_i . w)."""
+        k, y0, ua, ub = self.k, self.y0, self.ua, self.ub
+        total = np.bincount(y0, ua, k)[:-1] - np.bincount(y0, ub, k)[1:]
+        weight_a = np.append(w, 0.0)[y0]  # w at r = y_i
+        weight_b = np.insert(w, 0, 0.0)[y0]  # w at r = y_i - 1
+        return total, ua - ub, ua * weight_a - ub * weight_b
+
+    def score(self):
+        """Dense (n, k-1) score, for the category-specific contraction."""
+        n = self.y0.size
+        rows = np.arange(n)
+        padded = np.zeros((n, self.k + 1))  # column r + 1 holds u[:, r]
+        padded[rows, self.y0 + 1] = self.ua
+        padded[rows, self.y0] = -self.ub
+        return padded[:, 1:self.k]
+
+    def times(self, v):
+        """W_i v for every observation, (n, k-1): a three-term band sum."""
+        out = self.d * v
+        out[:, 1:] += self.o * v[:-1]
+        out[:, :-1] += self.o * v[1:]
+        return out
+
+    def total(self):
+        """sum_i W_i."""
+        off = self.o.sum(axis=0)
+        return np.diag(self.d.sum(axis=0)) + np.diag(off, 1) + np.diag(off, -1)
+
+    def pairs(self):
+        """Threshold pairs r <= s with W_i[r, s] not identically zero and the
+        (pairs, n) weights of each: the diagonal and the first superdiagonal."""
+        q = self.d.shape[1]
+        idx = np.arange(q)
+        rows = np.concatenate([idx, idx[:-1]])
+        cols = np.concatenate([idx, idx[1:]])
+        return rows, cols, np.concatenate([self.d, self.o], axis=1).T
+
+
+class _Semiseparable:
+    """Adjacent-family score and weights: W_i[r, s] = B_min(r,s) A_max(r,s),
+    with B_r = P(Y <= r) and A_r = P(Y > r), the cancellation-free form of
+    T_max(r,s) - T_r T_s with T_r = P(Y > r). Only B and A are stored; the
+    score is u_ir = B_r when y_i > r and -A_r otherwise.
+    """
+
+    def __init__(self, problem, eta, probs):
+        k = probs.shape[1]
+        q = k - 1
+        c = np.arange(k)[:, None]
+        r = np.arange(q)[None, :]
+        self.below = probs @ (c <= r).astype(float)  # B, (n, k-1)
+        self.above = probs @ (c > r).astype(float)  # A, (n, k-1)
+        self.u = np.where(problem.y0[:, None] > r, self.below, -self.above)
+
+    def score_sums(self, w):
+        """(sum_i u_i, u_i . 1, u_i . w)."""
+        u = self.u
+        return u.sum(axis=0), u @ np.ones(u.shape[1]), u @ w
+
+    def score(self):
+        return self.u
+
+    def times(self, v):
+        """W_i v for every observation, (n, k-1), from a prefix and a suffix
+        sum, each one product with a triangular 0/1 matrix:
+        (W v)_r = A_r sum_{s <= r} B_s v_s + B_r sum_{s > r} A_s v_s."""
+        q = v.size
+        upto = np.triu(np.ones((q, q)))  # upto[s, r] = 1 when s <= r
+        return (
+            self.above * (self.below @ (v[:, None] * upto))
+            + self.below * (self.above @ (v[:, None] * (1.0 - upto)))
+        )
+
+    def total(self):
+        """sum_i W_i: the upper triangle of B' A, mirrored."""
+        upper = np.triu(self.below.T @ self.above)
+        return upper + np.triu(upper, 1).T
+
+    def pairs(self):
+        """Every threshold pair r <= s (row-major) and the (pairs, n) weights
+        B_r A_s, built from contiguous rows of B' and A'."""
+        below_t = np.ascontiguousarray(self.below.T)
+        above_t = np.ascontiguousarray(self.above.T)
+        q = below_t.shape[0]
+        rows, cols = np.triu_indices(q)
+        weights = np.concatenate([below_t[r] * above_t[r:] for r in range(q)])
+        return rows, cols, weights
 
 
 def _reverse_permutation(layout: ParamLayout) -> np.ndarray:
@@ -405,7 +506,6 @@ def fit(
         covariance=cov[np.ix_(perm, perm)],
         loglik=-deviance / 2.0,
         deviance=deviance,
-        df_residual=data.n * (data.k - 1) - layout.n_params,
         n=data.n,
         k=data.k,
         iterations=iterations,
@@ -416,11 +516,6 @@ def fit(
         smooths=problem.design.smooths,
         variables=problem.design.variables,
     )
-
-
-def deviance_report(result: FitResult, n: int, k: int):
-    """(deviance, residual df) with df = n(k-1) - n_params."""
-    return result.deviance, n * (k - 1) - result.n_params
 
 
 def standard_errors(result: FitResult) -> np.ndarray:

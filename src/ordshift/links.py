@@ -45,13 +45,12 @@ class LogitLink(Link):
     name = "logit"
 
     def cdf(self, eta):
+        # 1 / (1 + e^-eta) for eta >= 0 and e^eta / (1 + e^eta) below it,
+        # from one e = exp(-|eta|) that cannot overflow
         eta = np.asarray(eta, dtype=float)
-        out = np.empty_like(eta)
-        pos = eta >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-        e = np.exp(eta[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
+        e = np.exp(-np.abs(eta))
+        t = 1.0 + e
+        return np.where(eta >= 0, 1.0 / t, e / t)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -147,11 +146,11 @@ def category_probs_cumulative(link: Link, eta) -> np.ndarray:
         raise InvalidInputError("eta must be finite")
     _check_monotone(eta)
     gamma = np.clip(link.cdf(eta), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    shape = eta.shape[:-1]
-    ones = np.ones(shape + (1,))
-    zeros = np.zeros(shape + (1,))
-    probs = np.diff(np.concatenate([zeros, gamma, ones], axis=-1), axis=-1)
-    return np.clip(probs, 0.0, 1.0)
+    probs = np.empty(eta.shape[:-1] + (eta.shape[-1] + 1,))
+    probs[..., 0] = gamma[..., 0]
+    np.subtract(gamma[..., 1:], gamma[..., :-1], out=probs[..., 1:-1])
+    probs[..., -1] = 1.0 - gamma[..., -1]
+    return np.clip(probs, 0.0, 1.0, out=probs)
 
 
 def category_probs_adjacent(link: Link, eta) -> np.ndarray:

@@ -125,7 +125,6 @@ def stub_fit(n_params, deviance=100.0, n=100, k=3, converged=True, family=Family
         covariance=np.eye(n_params),
         loglik=-deviance / 2.0,
         deviance=deviance,
-        df_residual=n * (k - 1) - n_params,
         n=n,
         k=k,
         iterations=1,

@@ -24,7 +24,6 @@ from helpers import (
 from ordshift.data import OrdinalDataset, load_csv
 from ordshift.design import ModelSpec, Term, constraint_map, expand_design, make_layout
 from ordshift.fit import (
-    deviance_report,
     fisher_info,
     fit,
     log_likelihood,
@@ -50,7 +49,7 @@ def announce(number, name, ok, detail=""):
 
 def test_criterion_01_df_arithmetic():
     expected = {90: 19935, 27: 19998, 18: 20007}
-    results = {p: deviance_report(stub_fit(p), n=2225, k=10)[1] for p in expected}
+    results = {p: stub_fit(p, n=2225, k=10).df_residual for p in expected}
     ok = results == expected
     announce(1, "df arithmetic n=2225 k=10", ok, f"{results}")
 

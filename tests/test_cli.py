@@ -133,6 +133,19 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "error[data]:" in proc.stderr
 
+    def test_data_error_non_finite_cell(self, tmp_path):
+        lines = DATA.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = "nan"  # the age cell of CSV row 4
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        proc = run_cli("--data", str(bad), "--formula", FORMULA, "--categorical", "group")
+        assert proc.returncode == 2
+        message = proc.stderr.strip().splitlines()[-1]
+        assert message.startswith("error[data]:")
+        assert "'age' row 4" in message
+
     def test_fit_error_iteration_cap(self):
         proc = run_cli(
             "--data", str(DATA), "--formula", FORMULA,

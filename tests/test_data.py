@@ -51,6 +51,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"'a' row 3.*'oops'"):
             load_csv(path, FORMULA)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_numeric_cell(self, tmp_path, value):
+        path = write(tmp_path, f"y,a,g\n1,0.5,m\n2,{value},f\n3,1.0,m\n")
+        with pytest.raises(DataError, match=rf"'a' row 3: '{value}' is not a finite number"):
+            load_csv(path, FORMULA)
+
     def test_missing_columns(self, tmp_path):
         path = write(tmp_path, "y,a\n1,0.5\n")
         with pytest.raises(DataError, match="missing columns.*g"):
@@ -110,6 +116,12 @@ class TestOrdinalDataset:
     def test_column_length_checked(self):
         with pytest.raises(DataError):
             OrdinalDataset(y=np.array([1, 2]), k=2, columns={"a": np.zeros(3)})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_numeric_value_rejected(self, value):
+        a = np.array([0.5, 1.0, value, 2.0])
+        with pytest.raises(DataError, match=r"column 'a' index 2"):
+            OrdinalDataset(y=np.array([1, 2, 1, 2]), k=2, columns={"a": a})
 
     def test_float_integers_accepted(self):
         data = OrdinalDataset(y=np.array([1.0, 2.0]), k=2, columns={})

@@ -1,5 +1,7 @@
 """Likelihood, score, information, and the Fisher-scoring optimizer."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,6 @@ from ordshift.fit import (
     WEIGHT_FLOOR,
     _Problem,
     category_probabilities,
-    deviance_report,
     fisher_info,
     fit,
     log_likelihood,
@@ -51,6 +52,12 @@ def _counts_data(counts, columns=None):
 
 def _intercept_spec(family=CUM):
     return ModelSpec(family, "global", location=())
+
+
+def _case_rng(*case):
+    """Generator seeded from a parametrized case; unlike hash() of strings,
+    the seed is the same in every process."""
+    return np.random.default_rng(zlib.crc32(repr(case).encode()))
 
 
 class TestLogLikelihood:
@@ -87,7 +94,7 @@ class TestScore:
     @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
     @pytest.mark.parametrize("structure", ["global", "locshift", "catspec"])
     def test_matches_finite_differences(self, kind, structure):
-        rng = np.random.default_rng(hash((kind, structure)) % 2**31)
+        rng = _case_rng(kind, structure)
         data, base, _ = random_dataset(rng, n=40, k=4, family=Family(kind))
         spec = base.with_structure(structure)
         layout = make_layout(expand_design(data, spec), spec, data.k)
@@ -254,7 +261,7 @@ class TestKernelParity:
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
     def test_matches_dense_oracle(self, kind, reverse, structure):
-        rng = np.random.default_rng(hash((kind, reverse, structure)) % 2**31)
+        rng = _case_rng(kind, reverse, structure)
         data, base, _ = random_dataset(rng, n=60, k=5, family=Family(kind))
         self._check(rng, data, ModelSpec(
             Family(kind, reverse), structure, base.location, base.dispersion
@@ -266,8 +273,57 @@ class TestKernelParity:
         loc = (Term("v1", smooth=True, n_basis=5), Term("v2"))
         self._check(rng, data, ModelSpec(CUM, "locshift", loc, base.dispersion))
 
-    @staticmethod
-    def _check(rng, data, spec):
+    @pytest.mark.parametrize(
+        "k, structure",
+        # k=2 has one threshold: the cumulative off-diagonal band is empty
+        # and dispersion terms are not identified
+        [(2, "global"), (2, "catspec"), (3, "global"), (3, "locshift"), (3, "catspec")],
+    )
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    def test_few_categories_match_dense_oracle(self, kind, reverse, k, structure):
+        rng = _case_rng(kind, reverse, k, structure)
+        n = 60
+        columns = {"v1": rng.normal(size=n), "v2": rng.normal(size=n)}
+        y = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, n - k)])
+        data = OrdinalDataset(y=y, k=k, columns=columns)
+        terms = (Term("v1"), Term("v2"))
+        dispersion = terms[:1] if structure == "locshift" else ()
+        self._check(rng, data, ModelSpec(Family(kind, reverse), structure, terms, dispersion))
+
+    @pytest.mark.parametrize("structure", ["global", "locshift", "catspec"])
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    def test_floored_weights_match_dense_oracle(self, kind, structure):
+        # a few observations far out on v1 push category probabilities below
+        # WEIGHT_FLOOR, so the cumulative weights use the floored values; each
+        # of them is observed in its least likely category, so the score's
+        # own-category probability is floored as well
+        rng = np.random.default_rng(62)
+        n, k = 80, 4
+        v1 = rng.normal(size=n)
+        v1[:6] = [40.0, 45.0, 50.0, -40.0, -45.0, -50.0]
+        y = np.concatenate([[1, 1, 1, k, k, k], rng.integers(1, k + 1, n - 6)])
+        y[6:6 + k] = np.arange(1, k + 1)
+        data = OrdinalDataset(y=y, k=k, columns={"v1": v1, "v2": rng.normal(size=n)})
+        terms = (Term("v1"), Term("v2"))
+        spec = ModelSpec(Family(kind), structure, terms,
+                         terms[1:] if structure == "locshift" else ())
+        problem = _Problem(data, spec)
+        theta = np.zeros(problem.layout.n_params)
+        theta[:k - 1] = [-1.0, 0.0, 1.0] if kind == "cumulative" else 0.2
+        sign = -1.0 if kind == "cumulative" else 1.0  # toward category k at v1 = 40
+        if structure == "catspec":
+            theta[problem.layout.catspec_block(1)] = [sign, 0.1]
+            theta[problem.layout.catspec_block(2)] = [sign, -0.1]
+            theta[problem.layout.catspec_block(3)] = [sign, 0.2]
+        else:
+            theta[problem.layout.location] = [sign, 0.3]
+        probs = problem.probs(problem.eta(theta))
+        assert probs.min() < WEIGHT_FLOOR
+        self._check_at(problem, data, spec, theta)
+
+    @classmethod
+    def _check(cls, rng, data, spec):
         problem = _Problem(data, spec)
         # canonical parameters are feasible exactly when they are feasible
         # for the forward spec on the original data (only eta's order counts)
@@ -275,16 +331,20 @@ class TestKernelParity:
                             spec.dispersion)
         for _ in range(3):
             theta = feasible_params(rng, problem.layout, forward, data)
-            eta, dense_s, dense_info = _dense_score_info(problem, theta)
-            kernel_eta = problem.eta(theta)
-            s, info = problem.score_info(kernel_eta, problem.probs(kernel_eta))
-            assert _max_rel(kernel_eta, eta) <= 1e-12
-            assert _max_rel(s, dense_s) <= 1e-12
-            assert _max_rel(info, dense_info) <= 1e-12
-            assert np.array_equal(info, info.T)
-            assert score(theta[problem.perm], data, spec) == pytest.approx(
-                s[problem.perm], rel=1e-12, abs=1e-12
-            )
+            cls._check_at(problem, data, spec, theta)
+
+    @staticmethod
+    def _check_at(problem, data, spec, theta):
+        eta, dense_s, dense_info = _dense_score_info(problem, theta)
+        kernel_eta = problem.eta(theta)
+        s, info = problem.score_info(kernel_eta, problem.probs(kernel_eta))
+        assert _max_rel(kernel_eta, eta) <= 1e-12
+        assert _max_rel(s, dense_s) <= 1e-12
+        assert _max_rel(info, dense_info) <= 1e-12
+        assert np.array_equal(info, info.T)
+        assert score(theta[problem.perm], data, spec) == pytest.approx(
+            s[problem.perm], rel=1e-12, abs=1e-12
+        )
 
 
 class TestScoreInfoEvaluations:
@@ -541,19 +601,19 @@ class TestFit:
 
 
 class TestDevianceReport:
+    """Deviance and residual degrees of freedom as FitResult reports them."""
+
     def test_paper_df_arithmetic(self):
         for n_params, df in ((90, 19935), (27, 19998), (18, 20007)):
-            result = stub_fit(n_params, deviance=9825.78)
-            dev, residual = deviance_report(result, n=2225, k=10)
-            assert dev == 9825.78
-            assert residual == df
+            result = stub_fit(n_params, deviance=9825.78, n=2225, k=10)
+            assert result.deviance == 9825.78
+            assert result.df_residual == df
 
     def test_consistency_with_fit(self):
         data = _counts_data([10, 20, 30])
         result = fit(_intercept_spec(), data)
-        dev, df = deviance_report(result, data.n, data.k)
-        assert dev == result.deviance
-        assert df == result.df_residual
+        assert result.deviance == -2.0 * result.loglik
+        assert result.df_residual == data.n * (data.k - 1) - result.n_params
 
 
 class TestStandardErrors:

@@ -121,6 +121,69 @@ class TestCumulativeProbs:
             category_probs_cumulative(LOGIT, [0.0, np.inf])
 
 
+def _masked_logistic(eta):
+    """The two-branch logistic written with boolean-masked gathers and
+    scatters, the reference the single-pass LogitLink.cdf must reproduce."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _differenced_cumulative_probs(eta):
+    """Cumulative probabilities as the difference of [0, gamma, 1]."""
+    gamma = np.clip(_masked_logistic(eta), 1e-15, 1.0 - 1e-15)
+    edge = eta.shape[:-1] + (1,)
+    probs = np.diff(np.concatenate([np.zeros(edge), gamma, np.ones(edge)], axis=-1), axis=-1)
+    return np.clip(probs, 0.0, 1.0)
+
+
+def _bitwise_equal(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    return actual.shape == expected.shape and np.array_equal(
+        actual.view(np.int64), expected.view(np.int64)
+    )
+
+
+# logit(1e-15): beyond about |34.54| the probabilities sit at the clip floor
+_FLOOR_ETA = float(np.log(1e-15) - np.log1p(-1e-15))
+_EDGES = [-40.0, 40.0, -0.0, 0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0]
+for _x in (_FLOOR_ETA, -_FLOOR_ETA):
+    _EDGES += [_x, np.nextafter(_x, -np.inf), np.nextafter(_x, np.inf), _x - 1e-9, _x + 1e-9]
+ETA_GRID = np.concatenate([_EDGES, np.linspace(-50.0, 50.0, 2001)])
+
+
+class TestPinnedFormulas:
+    """The single-pass logistic and the preallocated cumulative map are bit
+    for bit the formulas they replaced."""
+
+    def test_logistic_grid(self):
+        assert _bitwise_equal(LOGIT.cdf(ETA_GRID), _masked_logistic(ETA_GRID))
+
+    def test_logistic_batched_and_scalar(self):
+        batch = ETA_GRID[:2016].reshape(224, 9)
+        assert _bitwise_equal(LOGIT.cdf(batch), _masked_logistic(batch))
+        for x in (-0.0, 0.0, 40.0, -40.0, _FLOOR_ETA):
+            assert _bitwise_equal(LOGIT.cdf(x), _masked_logistic(x))
+
+    def test_cumulative_probs_batched(self):
+        rng = np.random.default_rng(12)
+        rows = np.sort(rng.choice(ETA_GRID, size=(500, 9)), axis=1)
+        rows[0] = [-40.0, _FLOOR_ETA, _FLOOR_ETA + 1e-9, -0.0, 0.0, 0.0,
+                   -_FLOOR_ETA - 1e-9, -_FLOOR_ETA, 40.0]
+        assert _bitwise_equal(category_probs_cumulative(LOGIT, rows),
+                              _differenced_cumulative_probs(rows))
+
+    @pytest.mark.parametrize("eta", [[0.0], [-0.0], [-40.0, 40.0], [_FLOOR_ETA, -_FLOOR_ETA]])
+    def test_cumulative_probs_vector(self, eta):
+        eta = np.array(eta)
+        assert _bitwise_equal(category_probs_cumulative(LOGIT, eta),
+                              _differenced_cumulative_probs(eta))
+
+
 class TestAdjacentProbs:
     def test_uniform(self):
         probs = category_probs_adjacent(LOGIT, [0.0, 0.0, 0.0])
