@@ -11,7 +11,6 @@ from .design import (
     ModelSpec,
     Term,
     VariableSpec,
-    build_design_rows,
     constraint_map,
     encode_dummies,
     expand_design,

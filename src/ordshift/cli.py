@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 data errors, 3 fit failure of the requested
 structure, 4 usage errors. Every error prints a single line to stderr with
-an ``error[data|fit|usage]:`` prefix.
+an ``error[data|fit|usage]:`` prefix. An output path given to --out, --star
+or --smooth that cannot be written (missing directory, no permission) is a
+usage error naming the flag and the path; outputs written before it stay.
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
+def _write(flag: str, path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {flag} {path}: {exc.strerror or exc}") from None
+
+
 def _max_iter_from_env() -> int:
     raw = os.environ.get("ORDSHIFT_MAX_ITER")
     if raw is None:
@@ -169,30 +179,30 @@ def main(argv=None) -> int:
         return _fail("fit", str(exc), EXIT_FIT)
 
     report = render_report(ladder, fits, format=args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(report)
-    else:
-        sys.stdout.write(report)
+    try:
+        if args.out:
+            _write("--out", args.out, report)
+        else:
+            sys.stdout.write(report)
 
-    star_fit = next((f for f in fits if f.structure == "locshift"), None)
-    if args.star is not None:
-        if star_fit is None:
-            return _fail(
-                "fit", "star plot needs a converged location-shift fit", EXIT_FIT
-            )
-        points = star_data(star_fit, level=args.conf)
-        with open(args.star, "w", encoding="utf-8") as handle:
-            handle.write(render_star_svg(points))
+        star_fit = next((f for f in fits if f.structure == "locshift"), None)
+        if args.star is not None:
+            if star_fit is None:
+                return _fail(
+                    "fit", "star plot needs a converged location-shift fit", EXIT_FIT
+                )
+            points = star_data(star_fit, level=args.conf)
+            _write("--star", args.star, render_star_svg(points))
 
-    smooth_fit = star_fit or (fits[0] if fits else None)
-    for var, path in smooth_requests:
-        try:
-            svg = render_smooth_svg(smooth_fit, var)
-        except SpecError as exc:
-            return _fail("usage", str(exc), EXIT_USAGE)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(svg)
+        smooth_fit = star_fit or (fits[0] if fits else None)
+        for var, path in smooth_requests:
+            try:
+                svg = render_smooth_svg(smooth_fit, var)
+            except SpecError as exc:
+                return _fail("usage", str(exc), EXIT_USAGE)
+            _write("--smooth", path, svg)
+    except _UsageError as exc:
+        return _fail("usage", str(exc), EXIT_USAGE)
     return EXIT_OK
 
 

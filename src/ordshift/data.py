@@ -21,12 +21,15 @@ class OrdinalDataset:
     ``columns`` maps names to float arrays (numeric, every value finite) or
     object arrays of strings (categorical); ``categorical_levels`` fixes the
     level order of each categorical column (first level = dummy reference).
+    Columns are not modified after construction: the integer codes of the
+    categorical columns are computed once and kept (see level_codes).
     """
 
     y: np.ndarray
     k: int
     columns: dict = field(default_factory=dict)
     categorical_levels: dict = field(default_factory=dict)
+    _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y)
@@ -64,14 +67,36 @@ class OrdinalDataset:
     def category_counts(self) -> np.ndarray:
         return np.bincount(self.y, minlength=self.k + 1)[1:]
 
+    def level_codes(self, name: str) -> np.ndarray:
+        """Codes of categorical column ``name`` (see the module's
+        level_codes), computed on the first call and kept."""
+        codes = self._codes.get(name)
+        if codes is None:
+            codes = self._codes[name] = level_codes(
+                self.columns[name], self.categorical_levels[name]
+            )
+        return codes
+
     def relabeled(self) -> "OrdinalDataset":
-        """Dataset with categories flipped to k+1-y (reverse representation)."""
-        return OrdinalDataset(
+        """Dataset with categories flipped to k+1-y (reverse representation);
+        it shares the columns and their kept level codes."""
+        flipped = OrdinalDataset(
             y=self.k + 1 - self.y,
             k=self.k,
             columns=self.columns,
             categorical_levels=dict(self.categorical_levels),
         )
+        flipped._codes = self._codes
+        return flipped
+
+
+def level_codes(values, levels) -> np.ndarray:
+    """Index of each value in ``levels``, -1 for a value not among them."""
+    values = np.asarray(values, dtype=object)
+    codes = np.full(values.shape[0], -1)
+    for j, lev in enumerate(levels):
+        codes[values == lev] = j
+    return codes
 
 
 def _parse_float(value: str, column: str, row: int) -> float:

@@ -5,9 +5,8 @@ per observation. ``expand_design`` builds the covariate matrices X (location)
 and Z (dispersion) and ``make_layout`` the parameter vector layout
 [intercepts | location | dispersion] (category-specific location blocks are
 laid out per threshold). Fitting works from X, Z and the scaling weights
-directly and never materializes the design rows; ``build_design_rows`` and
-``build_design_tensor`` spell them out, one observation or as a dense
-(n, k-1, n_params) tensor, as a reference.
+directly and never materializes the design rows; ``build_design_tensor``
+spells them out as a dense (n, k-1, n_params) tensor, as a reference.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import OrdinalDataset
+from .data import OrdinalDataset, level_codes
 from .exceptions import DataError, SpecError
 from .links import LOGIT, Family, Link, scaling_factors
 from .splines import BasisDef, bspline_basis, center_basis, knot_sequence
@@ -132,13 +131,14 @@ class ExpandedDesign:
 
 def encode_dummies(values, levels, name="variable") -> np.ndarray:
     """0/1 dummy columns for levels[1:], reference = levels[0]."""
-    levels = list(levels)
+    return _dummies(level_codes(values, levels), values, levels, name)
+
+
+def _dummies(codes, values, levels, name) -> np.ndarray:
+    """Dummy block from the level codes of ``values``, with a DataError that
+    names the first value that is not one of ``levels``."""
     if len(levels) < 2:
         raise SpecError(f"categorical {name!r} needs at least 2 levels")
-    values = np.asarray(values, dtype=object)
-    codes = np.full(values.shape[0], -1)
-    for j, lev in enumerate(levels):
-        codes[values == lev] = j
     unseen = np.flatnonzero(codes < 0)
     if unseen.size:
         raise DataError(f"variable {name!r}: unseen level {values[unseen[0]]!r}")
@@ -154,7 +154,7 @@ def _expand_side(data: OrdinalDataset, terms, side, n_basis_default, smooths, co
         if levels is not None:
             if term.smooth:
                 raise SpecError(f"smooth term on categorical variable {term.name!r}")
-            blocks.append(encode_dummies(values, levels, name=term.name))
+            blocks.append(_dummies(data.level_codes(term.name), values, levels, term.name))
             cols.extend(ColumnInfo(f"{term.name}{lev}", term.name) for lev in levels[1:])
         elif term.smooth:
             m = term.n_basis or n_basis_default
@@ -297,37 +297,6 @@ def make_layout(design: ExpandedDesign, spec: ModelSpec, k: int) -> ParamLayout:
         names=names, structure=spec.structure, k=k, p=p, m=m,
         x_cols=list(design.x_cols), z_cols=list(design.z_cols),
     )
-
-
-def build_design_rows(spec: ModelSpec, x_row, z_row, k: int) -> np.ndarray:
-    """The (k-1) x n_params coefficient rows of one observation.
-
-    Row r carries 1 in intercept slot r, the expanded location values in the
-    relevant beta block, and scaling_factor(family, r, k) * z in the alpha
-    block (location-shift only); eta_r is exactly row_r . params.
-    """
-    x_row = np.atleast_1d(np.asarray(x_row, dtype=float))
-    z_row = np.atleast_1d(np.asarray(z_row, dtype=float)) if z_row is not None else np.empty(0)
-    if k < 2:
-        raise SpecError(f"k must be >= 2, got {k}")
-    q, p = k - 1, x_row.size
-    if spec.structure == "locshift" and z_row.size:
-        if k == 2:
-            raise SpecError("dispersion terms are not identified for k=2")
-        m = z_row.size
-        w = scaling_factors(spec.family, k)
-        rows = np.zeros((q, q + p + m))
-        rows[:, q:q + p] = x_row
-        rows[:, q + p:] = w[:, None] * z_row
-    elif spec.structure == "catspec":
-        rows = np.zeros((q, q + q * p))
-        for r in range(q):
-            rows[r, q + r * p:q + (r + 1) * p] = x_row
-    else:
-        rows = np.zeros((q, q + p))
-        rows[:, q:] = x_row
-    rows[:q, :q] = np.eye(q)
-    return rows
 
 
 def build_design_tensor(design: ExpandedDesign, spec: ModelSpec, k: int):

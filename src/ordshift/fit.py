@@ -25,10 +25,13 @@ from .exceptions import (
     ThresholdOrderError,
     ZeroProbabilityWarning,
 )
-from .links import PROB_FLOOR, Family, category_probs, scaling_factors
+from .links import PROB_FLOOR, Family, LogitLink, category_probs, scaling_factors
 
 SEPARATION_BOUND = 30.0
 WEIGHT_FLOOR = 1e-12  # probability floor inside score/information weights
+# Rows per evaluation block of _Problem: a block's (rows, k-1) temporaries
+# (288 KB at k=10) stay in cache and are reused by the allocator.
+BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -93,6 +96,14 @@ class _Problem:
     structured form as well, never as an (n, k-1, k-1) array: tridiagonal
     bands for the cumulative family (_Tridiagonal), semiseparable factors for
     the adjacent family (_Semiseparable).
+
+    Predictors, probabilities, score and information are evaluated over
+    fixed blocks of BLOCK_ROWS rows, and the score and information are the
+    sums of the per-block contributions. A block's (rows, k-1) temporaries
+    stay in cache and the allocator recycles them from block to block, where
+    fresh (n, k-1) temporaries page-fault on every pass; only eta, the
+    probabilities and the cumulative logit's kept F(eta) are whole arrays.
+    With n <= BLOCK_ROWS there is a single block.
     """
 
     def __init__(self, data: OrdinalDataset, spec: ModelSpec):
@@ -106,15 +117,34 @@ class _Problem:
         self.y0 = data.y - 1
         self.X, self.Z = self.design.X, self.design.Z
         self.w = scaling_factors(spec.family, data.k)
-        self._weights = _Tridiagonal if spec.family.kind == "cumulative" else _Semiseparable
         self.perm = (
             _reverse_permutation(self.layout) if self.reverse
             else np.arange(self.layout.n_params)
         )
+        n, q = data.n, data.k - 1
+        self.blocks = [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
+        self.ones = np.ones(self.blocks[0].stop)  # column sums of a block as ones @ block
+        # F(eta) of the latest probs() call and that eta (cumulative logit only)
+        keep_cdf = spec.family.kind == "cumulative" and isinstance(spec.link, LogitLink)
+        self._cdf = np.empty((n, q)) if keep_cdf else None
+        self._cdf_eta = None
+        if spec.family.kind == "cumulative":
+            self._weights = _Tridiagonal
+        else:
+            self._weights = _Semiseparable
+            r = np.arange(q)
+            # probs @ below_of = P(Y <= r); upto[s, r] = 1 when s <= r
+            self.below_of = (np.arange(data.k)[:, None] <= r).astype(float)
+            self.above_of = 1.0 - self.below_of
+            self.upto = np.triu(np.ones((q, q)))
+            self.after = 1.0 - self.upto
+            # response masks of the score: 1 where y_i > r, and its complement
+            self.y_above = (self.y0[:, None] > r).astype(float)
+            self.y_below = 1.0 - self.y_above
         if spec.structure == "catspec":
-            q, p = self.layout.q, self.layout.p
-            self._X1 = np.hstack([np.ones((data.n, 1)), self.X])
-            self._X1X1 = (self._X1[:, :, None] * self._X1[:, None, :]).reshape(data.n, -1)
+            p = self.layout.p
+            self._X1 = np.hstack([np.ones((n, 1)), self.X])
+            self._X1X1 = (self._X1[:, :, None] * self._X1[:, None, :]).reshape(n, -1)
             # parameter slot of (threshold r, column j of [1, x])
             j = np.arange(p + 1)[None, :]
             r = np.arange(q)[:, None]
@@ -143,15 +173,42 @@ class _Problem:
         """(n, k-1) linear predictors at canonical ``theta``."""
         layout = self.layout
         q = layout.q
-        if layout.structure == "catspec":
-            return theta[:q] + self.X @ theta[q:].reshape(q, layout.p).T
-        eta = theta[:q] + (self.X @ theta[layout.location])[:, None]
-        if layout.m:
-            eta = eta + (self.Z @ theta[layout.dispersion])[:, None] * self.w
-        return eta
+        out = np.empty((self.y0.size, q))
+        for rows in self.blocks:
+            block = out[rows]
+            if layout.structure == "catspec":
+                np.add(theta[:q], self.X[rows] @ theta[q:].reshape(q, layout.p).T, out=block)
+            else:
+                np.add(theta[:q], (self.X[rows] @ theta[layout.location])[:, None], out=block)
+                if layout.m:
+                    block += (self.Z[rows] @ theta[layout.dispersion])[:, None] * self.w
+        return out
 
     def probs(self, eta: np.ndarray) -> np.ndarray:
-        return category_probs(self.spec.family, self.spec.link, eta)
+        """(n, k) category probabilities at ``eta``. For the cumulative logit
+        model the F(eta) of the latest call is kept, in one buffer per
+        problem, for the density of a score_info call at that same eta."""
+        out = np.empty((eta.shape[0], self.layout.k))
+        cdf = self._cdf
+        self._cdf_eta = None  # the buffer is rewritten block by block
+        for rows in self.blocks:
+            out[rows] = category_probs(
+                self.spec.family, self.spec.link, eta[rows],
+                None if cdf is None else cdf[rows],
+            )
+        if cdf is not None:
+            self._cdf_eta = eta
+        return out
+
+    def density(self, eta: np.ndarray, rows: slice) -> np.ndarray:
+        """Link density F'(eta) of one block of rows. When ``eta`` is the
+        array probs() was last called with (predictor arrays are never
+        modified in place), the logistic F' = F (1 - F) comes from the F kept
+        there, bit for bit LogitLink.density without a second evaluation."""
+        if self._cdf_eta is not eta:
+            return self.spec.link.density(eta[rows])
+        F = self._cdf[rows]
+        return F * (1.0 - F)
 
     def picked(self, probs: np.ndarray) -> np.ndarray:
         """Probability of each observation's own response category."""
@@ -171,47 +228,57 @@ class _Problem:
         sum_i W_i, W_i 1 and W_i w, and the quadratic forms of the last two
         against X and Z; the category-specific information contracts only
         the threshold pairs (r, s) where W_i[r, s] can be nonzero,
-        (pairs, n) @ (n, (p+1)^2). No (n, k-1, k-1) array is formed.
+        (pairs, n) @ (n, (p+1)^2). No (n, k-1, k-1) array is formed, and
+        every sum over observations is accumulated block by block.
         """
-        weights = self._weights(self, eta, probs)
         layout = self.layout
         q, size = layout.q, layout.n_params
-        s = np.empty(size)
-        info = np.empty((size, size))
+        s = np.zeros(size)
+        info = np.zeros((size, size))
         if layout.structure == "catspec":
             p1 = layout.p + 1
-            s[self._slots] = (weights.score().T @ self._X1).ravel()
-            rows, cols, pair_weights = weights.pairs()
-            pair_blocks = (pair_weights @ self._X1X1).reshape(-1, p1, p1)
+            score_sum = np.zeros((q, p1))
+            pair_sum = 0.0
+            for rows in self.blocks:
+                weights = self._weights(self, rows, eta, probs)
+                score_sum += weights.score().T @ self._X1[rows]
+                pair_rows, pair_cols, pair_weights = weights.pairs()
+                pair_sum = pair_sum + pair_weights @ self._X1X1[rows]
+            s[self._slots] = score_sum.ravel()
+            pair_blocks = pair_sum.reshape(-1, p1, p1)
             blocks = np.zeros((q, q, p1, p1))
-            blocks[rows, cols] = pair_blocks
-            blocks[cols, rows] = pair_blocks
+            blocks[pair_rows, pair_cols] = pair_blocks
+            blocks[pair_cols, pair_rows] = pair_blocks
             info[np.ix_(self._slots, self._slots)] = blocks.transpose(0, 2, 1, 3).reshape(size, size)
         else:
-            X, Z, w = self.X, self.Z, self.w
-            loc, disp = layout.location, layout.dispersion
+            w, loc, disp = self.w, layout.location, layout.dispersion
             ones = np.ones(q)
-            s_int, u1, uw = weights.score_sums(w)
-            W1 = weights.times(ones)
-            s[:q] = s_int
-            s[loc] = X.T @ u1
-            info[:q, :q] = weights.total()
-            info[:q, loc] = W1.T @ X
-            info[loc, loc] = X.T @ ((W1 @ ones)[:, None] * X)
-            if layout.m:
-                Ww = weights.times(w)
-                s[disp] = Z.T @ uw
-                info[:q, disp] = Ww.T @ Z
-                info[loc, disp] = X.T @ ((Ww @ ones)[:, None] * Z)
-                info[disp, disp] = Z.T @ ((Ww @ w)[:, None] * Z)
+            for rows in self.blocks:
+                weights = self._weights(self, rows, eta, probs)
+                X = self.X[rows]
+                s_int, u1, uw = weights.score_sums(w)
+                W1 = weights.times(ones)
+                s[:q] += s_int
+                s[loc] += X.T @ u1
+                info[:q, :q] += weights.total()
+                info[:q, loc] += W1.T @ X
+                info[loc, loc] += X.T @ ((W1 @ ones)[:, None] * X)
+                if layout.m:
+                    Z = self.Z[rows]
+                    Ww = weights.times(w)
+                    s[disp] += Z.T @ uw
+                    info[:q, disp] += Ww.T @ Z
+                    info[loc, disp] += X.T @ ((Ww @ ones)[:, None] * Z)
+                    info[disp, disp] += Z.T @ ((Ww @ w)[:, None] * Z)
         upper = np.triu_indices(size, 1)
         info[upper[::-1]] = info[upper]
         return s, info
 
 
 class _Tridiagonal:
-    """Cumulative-family score and weights: W_i is tridiagonal, so products
-    with it are three-term band sums and only its two bands are stored.
+    """Cumulative-family score and weights of one block of rows: W_i is
+    tridiagonal, so products with it are three-term band sums and only its
+    two bands are stored.
 
     With f_r = F'(eta_r) and probabilities floored at WEIGHT_FLOOR (pi~),
     a_r = f_r / pi~_r = d log pi_r / d eta_r and b_r = f_r / pi~_{r+1} =
@@ -221,19 +288,20 @@ class _Tridiagonal:
     r = y_i - 1 (0-based categories), both over pi~ of the observed category.
     """
 
-    def __init__(self, problem, eta, probs):
+    def __init__(self, problem, rows, eta, probs):
+        probs = probs[rows]
         n, k = probs.shape
         q = k - 1
-        y0 = problem.y0
-        self.y0, self.k = y0, k
-        f = problem.spec.link.density(eta)
+        y0 = problem.y0[rows]
+        self.y0, self.k, self.ones = y0, k, problem.ones[:n]
+        f = problem.density(eta, rows)
         g = probs / np.maximum(probs, WEIGHT_FLOOR) ** 2  # pi_c / pi~_c^2
         self.d = f * f * (g[:, :q] + g[:, 1:])
         self.o = -f[:, :-1] * f[:, 1:] * g[:, 1:q]
-        rows = np.arange(n)
-        picked = np.maximum(problem.picked(probs), WEIGHT_FLOOR)
-        self.ua = np.where(y0 < q, f[rows, np.minimum(y0, q - 1)], 0.0) / picked
-        self.ub = np.where(y0 > 0, f[rows, np.maximum(y0 - 1, 0)], 0.0) / picked
+        index = np.arange(n)
+        picked = np.maximum(probs[index, y0], WEIGHT_FLOOR)
+        self.ua = np.where(y0 < q, f[index, np.minimum(y0, q - 1)], 0.0) / picked
+        self.ub = np.where(y0 > 0, f[index, np.maximum(y0 - 1, 0)], 0.0) / picked
 
     def score_sums(self, w):
         """(sum_i u_i, u_i . 1, u_i . w)."""
@@ -244,16 +312,16 @@ class _Tridiagonal:
         return total, ua - ub, ua * weight_a - ub * weight_b
 
     def score(self):
-        """Dense (n, k-1) score, for the category-specific contraction."""
+        """Dense (rows, k-1) score, for the category-specific contraction."""
         n = self.y0.size
-        rows = np.arange(n)
+        index = np.arange(n)
         padded = np.zeros((n, self.k + 1))  # column r + 1 holds u[:, r]
-        padded[rows, self.y0 + 1] = self.ua
-        padded[rows, self.y0] = -self.ub
+        padded[index, self.y0 + 1] = self.ua
+        padded[index, self.y0] = -self.ub
         return padded[:, 1:self.k]
 
     def times(self, v):
-        """W_i v for every observation, (n, k-1): a three-term band sum."""
+        """W_i v for every observation, (rows, k-1): a three-term band sum."""
         out = self.d * v
         out[:, 1:] += self.o * v[:-1]
         out[:, :-1] += self.o * v[1:]
@@ -261,12 +329,12 @@ class _Tridiagonal:
 
     def total(self):
         """sum_i W_i."""
-        off = self.o.sum(axis=0)
-        return np.diag(self.d.sum(axis=0)) + np.diag(off, 1) + np.diag(off, -1)
+        off = self.ones @ self.o
+        return np.diag(self.ones @ self.d) + np.diag(off, 1) + np.diag(off, -1)
 
     def pairs(self):
         """Threshold pairs r <= s with W_i[r, s] not identically zero and the
-        (pairs, n) weights of each: the diagonal and the first superdiagonal."""
+        (pairs, rows) weights of each: the diagonal and the first superdiagonal."""
         q = self.d.shape[1]
         idx = np.arange(q)
         rows = np.concatenate([idx, idx[:-1]])
@@ -275,38 +343,36 @@ class _Tridiagonal:
 
 
 class _Semiseparable:
-    """Adjacent-family score and weights: W_i[r, s] = B_min(r,s) A_max(r,s),
-    with B_r = P(Y <= r) and A_r = P(Y > r), the cancellation-free form of
-    T_max(r,s) - T_r T_s with T_r = P(Y > r). Only B and A are stored; the
-    score is u_ir = B_r when y_i > r and -A_r otherwise.
+    """Adjacent-family score and weights of one block of rows:
+    W_i[r, s] = B_min(r,s) A_max(r,s), with B_r = P(Y <= r) and
+    A_r = P(Y > r), the cancellation-free form of T_max(r,s) - T_r T_s with
+    T_r = P(Y > r). Only B and A are stored; the score is u_ir = B_r when
+    y_i > r and -A_r otherwise, taken with the problem's response masks.
     """
 
-    def __init__(self, problem, eta, probs):
-        k = probs.shape[1]
-        q = k - 1
-        c = np.arange(k)[:, None]
-        r = np.arange(q)[None, :]
-        self.below = probs @ (c <= r).astype(float)  # B, (n, k-1)
-        self.above = probs @ (c > r).astype(float)  # A, (n, k-1)
-        self.u = np.where(problem.y0[:, None] > r, self.below, -self.above)
+    def __init__(self, problem, rows, eta, probs):
+        probs = probs[rows]
+        self.ones = problem.ones[:probs.shape[0]]
+        self.upto, self.after = problem.upto, problem.after
+        self.below = probs @ problem.below_of  # B, (rows, k-1)
+        self.above = probs @ problem.above_of  # A, (rows, k-1)
+        self.u = self.below * problem.y_above[rows] - self.above * problem.y_below[rows]
 
     def score_sums(self, w):
         """(sum_i u_i, u_i . 1, u_i . w)."""
         u = self.u
-        return u.sum(axis=0), u @ np.ones(u.shape[1]), u @ w
+        return self.ones @ u, u @ np.ones(u.shape[1]), u @ w
 
     def score(self):
         return self.u
 
     def times(self, v):
-        """W_i v for every observation, (n, k-1), from a prefix and a suffix
-        sum, each one product with a triangular 0/1 matrix:
+        """W_i v for every observation, (rows, k-1), from a prefix and a
+        suffix sum, each one product with a triangular 0/1 matrix:
         (W v)_r = A_r sum_{s <= r} B_s v_s + B_r sum_{s > r} A_s v_s."""
-        q = v.size
-        upto = np.triu(np.ones((q, q)))  # upto[s, r] = 1 when s <= r
         return (
-            self.above * (self.below @ (v[:, None] * upto))
-            + self.below * (self.above @ (v[:, None] * (1.0 - upto)))
+            self.above * (self.below @ (v[:, None] * self.upto))
+            + self.below * (self.above @ (v[:, None] * self.after))
         )
 
     def total(self):
@@ -315,8 +381,8 @@ class _Semiseparable:
         return upper + np.triu(upper, 1).T
 
     def pairs(self):
-        """Every threshold pair r <= s (row-major) and the (pairs, n) weights
-        B_r A_s, built from contiguous rows of B' and A'."""
+        """Every threshold pair r <= s (row-major) and the (pairs, rows)
+        weights B_r A_s, built from contiguous rows of B' and A'."""
         below_t = np.ascontiguousarray(self.below.T)
         above_t = np.ascontiguousarray(self.above.T)
         q = below_t.shape[0]

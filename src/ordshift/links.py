@@ -46,11 +46,13 @@ class LogitLink(Link):
 
     def cdf(self, eta):
         # 1 / (1 + e^-eta) for eta >= 0 and e^eta / (1 + e^eta) below it,
-        # from one e = exp(-|eta|) that cannot overflow
+        # from one e = exp(-|eta|) that cannot overflow; the numerator
+        # e [eta < 0] + [eta >= 0] picks the branch by arithmetic (exact:
+        # e * 0 = 0 and 0 + 1 = 1), several times faster than np.where
         eta = np.asarray(eta, dtype=float)
         e = np.exp(-np.abs(eta))
-        t = 1.0 + e
-        return np.where(eta >= 0, 1.0 / t, e / t)
+        negative = eta < 0
+        return (e * negative + ~negative) / (1.0 + e)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -64,17 +66,6 @@ class LogitLink(Link):
 
 
 LOGIT = LogitLink()
-
-_LINKS = {"logit": LOGIT}
-
-
-def get_link(name: str) -> Link:
-    try:
-        return _LINKS[name]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown link {name!r}; available: {sorted(_LINKS)}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -132,12 +123,14 @@ def _check_monotone(eta: np.ndarray) -> None:
         raise ThresholdOrderError(idx)
 
 
-def category_probs_cumulative(link: Link, eta) -> np.ndarray:
+def category_probs_cumulative(link: Link, eta, cdf_out=None) -> np.ndarray:
     """Category probabilities of the cumulative model, P(Y<=r) = F(eta_r).
 
     ``eta`` is a vector of k-1 nondecreasing thresholds (or an array of them
     in the last axis); returns k probabilities summing to 1. Equal adjacent
-    thresholds yield a legal zero-width category.
+    thresholds yield a legal zero-width category. ``cdf_out``, an array of
+    eta's shape, receives the unclipped F(eta) when given, so a caller that
+    also needs the density does not evaluate the link a second time.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.ndim == 0 or eta.shape[-1] < 1:
@@ -145,7 +138,10 @@ def category_probs_cumulative(link: Link, eta) -> np.ndarray:
     if not np.all(np.isfinite(eta)):
         raise InvalidInputError("eta must be finite")
     _check_monotone(eta)
-    gamma = np.clip(link.cdf(eta), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    cdf = link.cdf(eta)
+    if cdf_out is not None:
+        cdf_out[...] = cdf
+    gamma = np.clip(cdf, PROB_FLOOR, 1.0 - PROB_FLOOR)
     probs = np.empty(eta.shape[:-1] + (eta.shape[-1] + 1,))
     probs[..., 0] = gamma[..., 0]
     np.subtract(gamma[..., 1:], gamma[..., :-1], out=probs[..., 1:-1])
@@ -169,15 +165,23 @@ def category_probs_adjacent(link: Link, eta) -> np.ndarray:
         raise InvalidInputError("eta must hold at least one log-ratio")
     if not np.all(np.isfinite(eta)):
         raise InvalidInputError("eta must be finite")
-    zeros = np.zeros(eta.shape[:-1] + (1,))
-    logw = np.concatenate([zeros, np.cumsum(eta, axis=-1)], axis=-1)
-    logw -= logw.max(axis=-1, keepdims=True)
-    w = np.exp(logw)
-    return w / w.sum(axis=-1, keepdims=True)
+    q = eta.shape[-1]
+    # log-weights sum_{r < c} eta_r as one product with the strictly upper
+    # 0/1 (k-1, k) matrix; the row max and the normaliser avoid numpy's slow
+    # reductions along the short category axis
+    logw = eta @ np.triu(np.ones((q, q + 1)), 1)
+    top = logw[..., 0].copy()
+    for c in range(1, q + 1):
+        np.maximum(top, logw[..., c], out=top)
+    logw -= top[..., None]
+    w = np.exp(logw, out=logw)
+    w /= (w @ np.ones(q + 1))[..., None]
+    return w
 
 
-def category_probs(family: Family, link: Link, eta) -> np.ndarray:
-    """Dispatch to the family's probability map (canonical orientation)."""
+def category_probs(family: Family, link: Link, eta, cdf_out=None) -> np.ndarray:
+    """Dispatch to the family's probability map (canonical orientation);
+    ``cdf_out`` is passed to the cumulative map and unused by the adjacent one."""
     if family.kind == "cumulative":
-        return category_probs_cumulative(link, eta)
+        return category_probs_cumulative(link, eta, cdf_out)
     return category_probs_adjacent(link, eta)

@@ -188,3 +188,38 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
         assert "error[fit]:" in proc.stderr
+
+    def _assert_unwritable(self, proc, path):
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        line = proc.stderr.strip().splitlines()[-1]
+        assert line.startswith("error[usage]: cannot write")
+        assert str(path) in line
+
+    def test_usage_error_unwritable_out(self, tmp_path):
+        path = tmp_path / "missing" / "report.txt"
+        proc = run_cli(
+            "--data", str(DATA), "--formula", FORMULA,
+            "--categorical", "group", "--structure", "locshift",
+            "--out", str(path),
+        )
+        self._assert_unwritable(proc, path)
+
+    def test_usage_error_unwritable_star(self, tmp_path):
+        path = tmp_path / "missing" / "star.svg"
+        proc = run_cli(
+            "--data", str(DATA), "--formula", FORMULA,
+            "--categorical", "group", "--structure", "locshift",
+            "--out", str(tmp_path / "r.txt"), "--star", str(path),
+        )
+        self._assert_unwritable(proc, path)
+        assert (tmp_path / "r.txt").exists()  # the report before it was written
+
+    def test_usage_error_unwritable_smooth(self, tmp_path):
+        path = tmp_path / "missing" / "smooth.svg"
+        proc = run_cli(
+            "--data", str(DATA), "--formula", "y ~ s(age, 4) + group | age",
+            "--categorical", "group", "--structure", "locshift",
+            "--out", str(tmp_path / "r.txt"), "--smooth", f"age:{path}",
+        )
+        self._assert_unwritable(proc, path)

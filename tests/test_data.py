@@ -1,11 +1,16 @@
 """CSV ingestion and dataset validation."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from ordshift.data import OrdinalDataset, load_csv
+from ordshift.design import ModelSpec, Term
 from ordshift.exceptions import DataError
+from ordshift.fit import fit
 from ordshift.formula import parse_formula
+from ordshift.links import Family
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -108,6 +113,35 @@ class TestOrdinalDataset:
     def test_relabeled_flips(self):
         data = OrdinalDataset(y=np.array([1, 2, 4]), k=4, columns={})
         assert data.relabeled().y.tolist() == [4, 3, 1]
+
+    def test_level_codes(self):
+        g = np.array(["b", "a", "c", "a"], dtype=object)
+        data = OrdinalDataset(y=[1, 2, 3, 1], k=3, columns={"g": g},
+                              categorical_levels={"g": ("a", "b")})
+        assert data.level_codes("g").tolist() == [1, 0, -1, 0]  # c is not a level
+
+    def test_level_codes_computed_once_per_dataset(self, monkeypatch):
+        # a reverse fit relabels the data and expands g on both sides: one
+        # coding of the column serves all of it
+        data_module = importlib.import_module("ordshift.data")
+        calls = []
+
+        def counted(values, levels):
+            calls.append(levels)
+            return level_codes(values, levels)
+
+        level_codes = data_module.level_codes
+        monkeypatch.setattr(data_module, "level_codes", counted)
+        rng = np.random.default_rng(6)
+        g = rng.choice(np.array(["u", "v", "w"], dtype=object), size=90)
+        y = np.concatenate([[1, 2, 3], rng.integers(1, 4, 87)])
+        data = OrdinalDataset(y=y, k=3, columns={"g": g},
+                              categorical_levels={"g": ("u", "v", "w")})
+        spec = ModelSpec(Family("cumulative", reverse=True), "locshift", (Term("g"),), (Term("g"),))
+        fit(spec, data)
+        fit(spec.with_structure("global"), data)
+        assert calls == [("u", "v", "w")]
+        assert data.relabeled().level_codes("g") is data.level_codes("g")
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):

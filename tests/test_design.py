@@ -9,7 +9,6 @@ from ordshift.data import OrdinalDataset
 from ordshift.design import (
     ModelSpec,
     Term,
-    build_design_rows,
     build_design_tensor,
     constraint_map,
     encode_dummies,
@@ -17,7 +16,7 @@ from ordshift.design import (
     make_layout,
 )
 from ordshift.exceptions import DataError, SpecError
-from ordshift.fit import log_likelihood
+from ordshift.fit import _Problem, log_likelihood
 from ordshift.links import Family
 
 
@@ -89,10 +88,22 @@ class TestDummies:
         ]
 
 
+def _design_rows(spec, x_row, z_row, k):
+    """The (k-1, n_params) design rows of one observation whose location
+    terms take the values ``x_row`` and dispersion terms ``z_row``, as the
+    design built from a one-row dataset lays them out."""
+    values = list(zip(spec.location, np.atleast_1d(x_row)))
+    if z_row is not None:
+        values += list(zip(spec.dispersion, np.atleast_1d(z_row)))
+    data = OrdinalDataset(y=[1], k=k, columns={t.name: np.array([v], float) for t, v in values})
+    D, _ = build_design_tensor(expand_design(data, spec), spec, k)
+    return D[0]
+
+
 class TestDesignRows:
     def test_global_has_no_alpha_block(self):
         spec = ModelSpec(Family("cumulative"), "global", (Term("a"),))
-        rows = build_design_rows(spec, [2.0], [9.9], k=4)
+        rows = _design_rows(spec, [2.0], [9.9], k=4)
         assert rows.shape == (3, 4)
         assert rows[:, :3] == pytest.approx(np.eye(3))
         assert rows[:, 3] == pytest.approx([2.0, 2.0, 2.0])
@@ -101,7 +112,7 @@ class TestDesignRows:
         # threshold diagram, k=6: row 5 carries +2z in the alpha slot
         spec = ModelSpec(Family("cumulative"), "locshift", (Term("a"),), (Term("b"),))
         z = 1.7
-        rows = build_design_rows(spec, [0.5], [z], k=6)
+        rows = _design_rows(spec, [0.5], [z], k=6)
         assert rows.shape == (5, 7)
         assert rows[4, 6] == pytest.approx(2.0 * z)
         assert rows[0, 6] == pytest.approx(-2.0 * z)
@@ -110,7 +121,7 @@ class TestDesignRows:
     def test_catspec_block_placement(self):
         spec = ModelSpec(Family("cumulative"), "catspec", (Term("a"), Term("b")))
         x = [1.5, -0.5]
-        rows = build_design_rows(spec, x, None, k=4)
+        rows = _design_rows(spec, x, None, k=4)
         assert rows.shape == (3, 3 + 6)
         assert rows[1, 5:7] == pytest.approx(x)
         assert rows[1, 3:5] == pytest.approx([0.0, 0.0])
@@ -118,8 +129,8 @@ class TestDesignRows:
 
     def test_linearity(self):
         spec = ModelSpec(Family("adjacent"), "locshift", (Term("a"),), (Term("b"),))
-        rows1 = build_design_rows(spec, [1.2], [0.7], k=5)
-        rows2 = build_design_rows(spec, [2.4], [1.4], k=5)
+        rows1 = _design_rows(spec, [1.2], [0.7], k=5)
+        rows2 = _design_rows(spec, [2.4], [1.4], k=5)
         q = 4
         assert rows2[:, q:] == pytest.approx(2.0 * rows1[:, q:])
         assert rows2[:, :q] == pytest.approx(rows1[:, :q])
@@ -128,7 +139,7 @@ class TestDesignRows:
         rng = np.random.default_rng(3)
         spec = ModelSpec(Family("cumulative"), "locshift", (Term("a"), Term("b")), (Term("c"),))
         x, z = rng.normal(size=2), rng.normal(size=1)
-        rows = build_design_rows(spec, x, z, k=5)
+        rows = _design_rows(spec, x, z, k=5)
         theta = rng.normal(size=rows.shape[1])
         w = np.array([r - 2.5 for r in range(1, 5)])
         manual = theta[:4] + x @ theta[4:6] + w * (z @ theta[6:])
@@ -137,9 +148,11 @@ class TestDesignRows:
     def test_k2_with_dispersion_rejected(self):
         spec = ModelSpec(Family("cumulative"), "locshift", (Term("a"),), (Term("b"),))
         with pytest.raises(SpecError):
-            build_design_rows(spec, [1.0], [1.0], k=2)
+            _design_rows(spec, [1.0], [1.0], k=2)
 
     def test_tensor_matches_row_builder(self):
+        # the tensor's rows of each observation reproduce the predictors the
+        # fitting kernel computes from X, Z and the scaling weights
         rng = np.random.default_rng(7)
         data, spec, _ = random_dataset(rng, n=20, k=5)
         for structure in ("global", "locshift", "catspec"):
@@ -147,10 +160,10 @@ class TestDesignRows:
             design = expand_design(data, s)
             D, layout = build_design_tensor(design, s, data.k)
             assert D.shape == (20, 4, layout.n_params)
+            theta = rng.normal(size=layout.n_params)
+            eta = _Problem(data, s).eta(theta)
             for i in range(0, 20, 7):
-                z_row = design.Z[i] if design.Z.shape[1] else None
-                rows = build_design_rows(s, design.X[i], z_row, data.k)
-                assert D[i] == pytest.approx(rows)
+                assert D[i] @ theta == pytest.approx(eta[i], abs=1e-14)
 
 
 class TestParameterCounts:

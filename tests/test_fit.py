@@ -1,5 +1,6 @@
 """Likelihood, score, information, and the Fisher-scoring optimizer."""
 
+import importlib
 import zlib
 
 import numpy as np
@@ -39,6 +40,8 @@ from ordshift.links import LOGIT, Family, category_probs
 
 CUM = Family("cumulative")
 ADJ = Family("adjacent")
+# the module itself: the package's ``fit`` attribute is the fit function
+FIT_MODULE = importlib.import_module("ordshift.fit")
 
 # frozen: sum of n_r * log(n_r / 60) for counts (10, 20, 30)
 MULTINOMIAL_LL_10_20_30 = -60.68425588244111
@@ -322,6 +325,19 @@ class TestKernelParity:
         assert probs.min() < WEIGHT_FLOOR
         self._check_at(problem, data, spec, theta)
 
+    @pytest.mark.parametrize("structure", ["global", "locshift", "catspec"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    def test_row_blocks_match_dense_oracle(self, monkeypatch, kind, reverse, structure):
+        # blocks of 7 rows over n=60: eight full blocks and a ragged one of 4
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 7)
+        rng = _case_rng("blocks", kind, reverse, structure)
+        data, base, _ = random_dataset(rng, n=60, k=5, family=Family(kind))
+        spec = ModelSpec(Family(kind, reverse), structure, base.location, base.dispersion)
+        blocks = _Problem(data, spec).blocks
+        assert [b.stop - b.start for b in blocks] == [7] * 8 + [4]
+        self._check(rng, data, spec)
+
     @classmethod
     def _check(cls, rng, data, spec):
         problem = _Problem(data, spec)
@@ -377,6 +393,16 @@ class TestScoreInfoEvaluations:
         assert result.converged
         self._assert_once_per_accepted(counts)
 
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    def test_once_per_accepted_step_in_row_blocks(self, monkeypatch, kind):
+        # one evaluation per accepted step, not one per block of rows
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
+        rng = np.random.default_rng(90)
+        data, spec, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
+        counts = self._instrument(monkeypatch)
+        fit(spec, data)
+        self._assert_once_per_accepted(counts)
+
     @staticmethod
     def _instrument(monkeypatch):
         counts = {"score_info": 0, "deviances": []}
@@ -407,6 +433,82 @@ class TestScoreInfoEvaluations:
                 accepted += 1
                 current = dev
         assert counts["score_info"] == 1 + accepted
+
+
+class TestRowBlocks:
+    """Evaluation over several row blocks, the last one ragged, reproduces
+    the single-block evaluation."""
+
+    @pytest.mark.parametrize("structure", ["global", "locshift", "catspec"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    def test_fit_matches_single_block(self, monkeypatch, kind, reverse, structure):
+        rng = _case_rng("fit-blocks", kind, reverse, structure)
+        data, base, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
+        spec = ModelSpec(Family(kind, reverse), structure, base.location, base.dispersion)
+        whole = fit(spec, data)
+        assert len(_Problem(data, spec).blocks) == 1
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)  # 9 blocks of 16 and one of 6
+        blocked = fit(spec, data)
+        assert len(_Problem(data, spec).blocks) == 10
+        assert blocked.iterations == whole.iterations
+        assert blocked.converged == whole.converged
+        # the reverse cumulative catspec case stops without converging (no
+        # accepted step twice in a row, as its forward fit does); its last
+        # iterate moves by 8e-10 under any reordering of the row sums, a row
+        # permutation included, so it gets test_permutation_invariance's bound
+        tol = 1e-10 if whole.converged else 1e-8
+        assert np.max(np.abs(blocked.params - whole.params)) <= tol
+        assert blocked.deviance == pytest.approx(whole.deviance, rel=1e-12)
+
+    def test_kept_cdf_gives_the_link_density(self, monkeypatch):
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
+        rng = np.random.default_rng(91)
+        data, spec, params = random_dataset(rng, n=40, k=5)
+        problem = _Problem(data, spec)
+        eta = problem.eta(params)
+        problem.probs(eta)
+        for rows in problem.blocks:
+            expected = LOGIT.density(eta[rows])
+            assert np.array_equal(problem.density(eta, rows), expected)  # kept F
+            assert np.array_equal(problem.density(eta.copy(), rows), expected)  # evaluated
+
+    @staticmethod
+    def _crossing_late():
+        """Catspec data and parameters whose thresholds cross only in the
+        last of five blocks of 8 rows: eta_2 - eta_1 = 1 - 0.6 x is negative
+        only for x > 5/3, and the four rows at x >= 3 come last."""
+        x = np.concatenate([np.linspace(-1.0, 1.0, 36), [3.0, 3.5, 4.0, 4.5]])
+        data = OrdinalDataset(y=np.tile([1, 2, 3, 4], 10), k=4, columns={"x": x})
+        return data, ModelSpec(CUM, "catspec", (Term("x"),)), [-1.0, 0.0, 1.0, 0.0, -0.6, -0.6]
+
+    def test_threshold_order_error_in_later_block(self, monkeypatch):
+        data, spec, start = self._crossing_late()
+        with pytest.raises(StartError) as whole:
+            fit(spec, data, start=start)
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 8)
+        problem = _Problem(data, spec)
+        assert len(problem.blocks) == 5
+        eta = problem.eta(np.array(start))
+        category_probs(CUM, LOGIT, eta[:32])  # the first four blocks are feasible
+        with pytest.raises(StartError) as blocked:
+            fit(spec, data, start=start)
+        assert str(blocked.value) == str(whole.value)
+        assert str(whole.value) == "infeasible start: thresholds out of order at index 1"
+
+    def test_kept_cdf_dropped_when_probs_raise(self, monkeypatch):
+        # a candidate that fails in its last block has already overwritten
+        # the kept F of the first four: the current eta's density must not
+        # be read from it
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 8)
+        data, spec, crossing = self._crossing_late()
+        problem = _Problem(data, spec)
+        eta = problem.eta(np.array([-1.0, 0.0, 1.0, 0.1, 0.2, 0.3]))
+        problem.probs(eta)
+        with pytest.raises(ThresholdOrderError):
+            problem.probs(problem.eta(np.array(crossing)))
+        for rows in problem.blocks:
+            assert np.array_equal(problem.density(eta, rows), LOGIT.density(eta[rows]))
 
 
 class TestFit:

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from ordshift.data import OrdinalDataset
+from ordshift.design import ModelSpec
 from ordshift.exceptions import InvalidInputError, ThresholdOrderError
+from ordshift.fit import fit
 from ordshift.links import (
     LOGIT,
     Family,
+    Link,
     category_probs_adjacent,
     category_probs_cumulative,
-    get_link,
     link_eval,
     scaling_factor,
     scaling_factors,
@@ -71,8 +74,14 @@ class TestLinkEval:
         assert np.all(np.abs(back - grid) <= bound)
 
     def test_unknown_link(self):
+        # links are objects on the spec, not names: a link the model does not
+        # define is rejected when the fit first evaluates the family's map
+        class Cauchit(Link):
+            name = "cauchit"
+
+        data = OrdinalDataset(y=[1, 2, 3, 1, 2, 3], k=3, columns={})
         with pytest.raises(InvalidInputError):
-            get_link("cauchit")
+            fit(ModelSpec(Family("adjacent"), "global", link=Cauchit()), data)
 
 
 class TestCumulativeProbs:
@@ -184,7 +193,38 @@ class TestPinnedFormulas:
                               _differenced_cumulative_probs(eta))
 
 
+def _cumsum_adjacent_probs(eta):
+    """The adjacent map as concatenate + cumsum of the log-weights, with
+    numpy's max and sum along the category axis."""
+    eta = np.asarray(eta, dtype=float)
+    zeros = np.zeros(eta.shape[:-1] + (1,))
+    logw = np.concatenate([zeros, np.cumsum(eta, axis=-1)], axis=-1)
+    logw -= logw.max(axis=-1, keepdims=True)
+    w = np.exp(logw)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 class TestAdjacentProbs:
+    @pytest.mark.parametrize("q", [1, 2, 4, 9])
+    def test_matches_cumsum_form(self, q):
+        # per-threshold values of +-700 put log-weights thousands apart
+        # (overflow safety) and drive some probabilities into subnormals,
+        # where only an absolute bound of the smallest normal number holds
+        rng = np.random.default_rng(40 + q)
+        grid = np.concatenate([[-700.0, 700.0, -699.5, 699.5, -0.0, 0.0, 1e-300],
+                               np.linspace(-50.0, 50.0, 201)])
+        rows = rng.choice(grid, size=(3000, q))
+        rows[0], rows[1] = 700.0, -700.0
+        rows[2] = np.resize([700.0, -700.0], q)
+
+        def close(eta):
+            new, old = category_probs_adjacent(LOGIT, eta), _cumsum_adjacent_probs(eta)
+            bound = 1e-14 * old + np.finfo(float).tiny
+            return np.all(np.isfinite(new)) and np.all(np.abs(new - old) <= bound)
+
+        assert close(rows)
+        assert all(close(row) for row in rows[:3])  # vector inputs
+
     def test_uniform(self):
         probs = category_probs_adjacent(LOGIT, [0.0, 0.0, 0.0])
         assert probs == pytest.approx([0.25] * 4, abs=1e-15)
