@@ -12,7 +12,6 @@ from .design import (
     Term,
     VariableSpec,
     constraint_map,
-    encode_dummies,
     expand_design,
 )
 from .exceptions import (
@@ -55,7 +54,6 @@ from .links import (
     Link,
     category_probs_adjacent,
     category_probs_cumulative,
-    link_eval,
     scaling_factor,
     scaling_factors,
 )

@@ -43,8 +43,13 @@ class OrdinalDataset:
             self.k = int(self.y.max())
         if self.k < 2:
             raise DataError(f"need at least 2 response categories, got k={self.k}")
-        if self.y.min() < 1 or self.y.max() > self.k:
-            raise DataError(f"response categories must be 1..{self.k}")
+        outside = np.flatnonzero((self.y < 1) | (self.y > self.k))
+        if outside.size:
+            i = outside[0]
+            raise DataError(
+                f"response index {i}: value {self.y[i]}; "
+                f"response categories must be 1..{self.k}"
+            )
         for name, values in self.columns.items():
             if len(values) != self.n:
                 raise DataError(f"column {name!r} has {len(values)} rows, expected {self.n}")
@@ -156,8 +161,13 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
             ) from None
     y = np.array(y)
     k_eff = int(y.max()) if k is None else int(k)
-    if y.min() < 1 or y.max() > k_eff:
-        raise DataError(f"response categories must be 1..{k_eff}")
+    outside = np.flatnonzero((y < 1) | (y > k_eff))
+    if outside.size:
+        i = outside[0]
+        raise DataError(
+            f"column {formula.response!r} row {i + 2}: response {y[i]}; "
+            f"response categories must be 1..{k_eff}"
+        )
 
     declared = set(categorical)
     unknown = declared - set(header)

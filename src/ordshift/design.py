@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import OrdinalDataset, level_codes
+from .data import OrdinalDataset
 from .exceptions import DataError, SpecError
 from .links import LOGIT, Family, Link, scaling_factors
 from .splines import BasisDef, bspline_basis, center_basis, knot_sequence
@@ -60,6 +60,18 @@ class ModelSpec:
             )
         object.__setattr__(self, "location", tuple(self.location))
         object.__setattr__(self, "dispersion", tuple(self.dispersion))
+        # a variable listed twice on one side gives a singular design; the
+        # same variable on both sides is a location-shift effect
+        for side, terms in (("location", self.location), ("dispersion", self.dispersion)):
+            seen = {}
+            for t in terms:
+                first = seen.setdefault(t.name, t)
+                if first is not t:
+                    why = (" (a smooth term already spans the linear one)"
+                           if first.smooth != t.smooth else "")
+                    raise SpecError(
+                        f"variable {t.name!r} appears twice among the {side} terms{why}"
+                    )
         if self.structure == "catspec":
             for t in self.location + self.dispersion:
                 if t.smooth:
@@ -127,11 +139,6 @@ class ExpandedDesign:
     @property
     def z_names(self):
         return [c.name for c in self.z_cols]
-
-
-def encode_dummies(values, levels, name="variable") -> np.ndarray:
-    """0/1 dummy columns for levels[1:], reference = levels[0]."""
-    return _dummies(level_codes(values, levels), values, levels, name)
 
 
 def _dummies(codes, values, levels, name) -> np.ndarray:

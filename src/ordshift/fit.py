@@ -29,8 +29,10 @@ from .links import PROB_FLOOR, Family, LogitLink, category_probs, scaling_factor
 
 SEPARATION_BOUND = 30.0
 WEIGHT_FLOOR = 1e-12  # probability floor inside score/information weights
-# Rows per evaluation block of _Problem: a block's (rows, k-1) temporaries
-# (288 KB at k=10) stay in cache and are reused by the allocator.
+# Rows per evaluation block of _Problem. The score/information scratch of a
+# block, a few (k-1, rows) arrays (288 KB each at k=10), is allocated once per
+# problem and written in place: a fresh temporary of that size costs ~28 us
+# (its pages are mapped anew), against ~10 us to overwrite a kept one.
 BLOCK_ROWS = 4096
 
 
@@ -82,6 +84,21 @@ def _check_categories(data: OrdinalDataset) -> None:
         )
 
 
+class _Workspace:
+    """Threshold-major evaluation at one parameter vector: the (k-1, n)
+    predictors, the (k-1, n) unclipped F(eta) of the cumulative family (None
+    for the adjacent one) and the (k, n) category probabilities.
+    _Problem.evaluate rewrites all three in place, so the kept F always
+    belongs to the predictors beside it."""
+
+    __slots__ = ("eta", "cdf", "probs")
+
+    def __init__(self, q: int, n: int, cumulative: bool):
+        self.eta = np.empty((q, n))
+        self.cdf = np.empty((q, n)) if cumulative else None
+        self.probs = np.empty((q + 1, n))
+
+
 class _Problem:
     """One (spec, data) pair compiled once for likelihood, score and information.
 
@@ -97,13 +114,16 @@ class _Problem:
     bands for the cumulative family (_Tridiagonal), semiseparable factors for
     the adjacent family (_Semiseparable).
 
-    Predictors, probabilities, score and information are evaluated over
-    fixed blocks of BLOCK_ROWS rows, and the score and information are the
-    sums of the per-block contributions. A block's (rows, k-1) temporaries
-    stay in cache and the allocator recycles them from block to block, where
-    fresh (n, k-1) temporaries page-fault on every pass; only eta, the
-    probabilities and the cumulative logit's kept F(eta) are whole arrays.
-    With n <= BLOCK_ROWS there is a single block.
+    Every per-observation, per-threshold quantity is threshold-major, a
+    (k-1, rows) or (k, rows) array, so each step along the short threshold
+    axis is a few contiguous loops over observations. The predictors, the
+    kept F(eta) and the probabilities of a parameter vector live in a
+    _Workspace that evaluate() rewrites in place: ``workspace`` serves
+    one-shot calls and fit() adds a second one for its candidate steps.
+    Score and information are summed over fixed blocks of BLOCK_ROWS rows (a
+    single block when n <= BLOCK_ROWS), in block scratch that the family's
+    weights helper allocates, with its gather indices and response masks, on
+    the first score_info call. No step allocates an (n, k-1) temporary.
     """
 
     def __init__(self, data: OrdinalDataset, spec: ModelSpec):
@@ -121,34 +141,31 @@ class _Problem:
             _reverse_permutation(self.layout) if self.reverse
             else np.arange(self.layout.n_params)
         )
-        n, q = data.n, data.k - 1
+        n = data.n
         self.blocks = [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
-        self.ones = np.ones(self.blocks[0].stop)  # column sums of a block as ones @ block
-        # F(eta) of the latest probs() call and that eta (cumulative logit only)
-        keep_cdf = spec.family.kind == "cumulative" and isinstance(spec.link, LogitLink)
-        self._cdf = np.empty((n, q)) if keep_cdf else None
-        self._cdf_eta = None
-        if spec.family.kind == "cumulative":
-            self._weights = _Tridiagonal
-        else:
-            self._weights = _Semiseparable
-            r = np.arange(q)
-            # probs @ below_of = P(Y <= r); upto[s, r] = 1 when s <= r
-            self.below_of = (np.arange(data.k)[:, None] <= r).astype(float)
-            self.above_of = 1.0 - self.below_of
-            self.upto = np.triu(np.ones((q, q)))
-            self.after = 1.0 - self.upto
-            # response masks of the score: 1 where y_i > r, and its complement
-            self.y_above = (self.y0[:, None] > r).astype(float)
-            self.y_below = 1.0 - self.y_above
+        self.cumulative = spec.family.kind == "cumulative"
+        # flat index of (y_i, i) in a (k, n) array: each observation's own category
+        self.own = self.y0 * n + np.arange(n)
+        self._own = np.empty(n)
+        self.workspace = self.new_workspace()
+        self._weights = None
+        self._upper = np.triu_indices(self.layout.n_params, 1)
         if spec.structure == "catspec":
-            p = self.layout.p
+            p, q = self.layout.p, self.layout.q
             self._X1 = np.hstack([np.ones((n, 1)), self.X])
             self._X1X1 = (self._X1[:, :, None] * self._X1[:, None, :]).reshape(n, -1)
             # parameter slot of (threshold r, column j of [1, x])
             j = np.arange(p + 1)[None, :]
             r = np.arange(q)[:, None]
             self._slots = np.where(j == 0, r, q + r * p + j - 1).ravel()
+        else:
+            # c_i x_i' and c_i z_i' of one block, row-major, for the
+            # information's X' (C X) products. While a smooth block is
+            # rank-deficient the rounding of these products decides its fits:
+            # formed as (X' C) X from the columns as rows, 458 instead of 504
+            # of 512 smooth sim-small fits converged.
+            width = self.blocks[0].stop
+            self._cX, self._cZ = np.empty((width, self.layout.p)), np.empty((width, self.layout.m))
 
     def canonical(self, params) -> np.ndarray:
         params = np.asarray(params, dtype=float)
@@ -162,62 +179,67 @@ class _Problem:
         layout = self.layout
         counts = np.bincount(self.y0, minlength=layout.k).astype(float)
         theta = np.zeros(layout.n_params)
-        if self.spec.family.kind == "cumulative":
+        if self.cumulative:
             cum = np.cumsum(counts)[: layout.q] / counts.sum()
             theta[: layout.q] = self.spec.link.quantile(cum)
         else:
             theta[: layout.q] = np.log(counts[1:] / counts[:-1])
         return theta
 
-    def eta(self, theta: np.ndarray) -> np.ndarray:
-        """(n, k-1) linear predictors at canonical ``theta``."""
+    def new_workspace(self) -> _Workspace:
+        return _Workspace(self.layout.q, self.y0.size, self.cumulative)
+
+    def eta(self, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(k-1, n) linear predictors at canonical ``theta``, into ``out``."""
         layout = self.layout
         q = layout.q
-        out = np.empty((self.y0.size, q))
+        if out is None:
+            out = np.empty((q, self.y0.size))
         for rows in self.blocks:
-            block = out[rows]
+            block = out[:, rows]
             if layout.structure == "catspec":
-                np.add(theta[:q], self.X[rows] @ theta[q:].reshape(q, layout.p).T, out=block)
+                np.matmul(theta[q:].reshape(q, layout.p), self.X[rows].T, out=block)
+                block += theta[:q, None]
             else:
-                np.add(theta[:q], (self.X[rows] @ theta[layout.location])[:, None], out=block)
+                np.add(theta[:q, None], self.X[rows] @ theta[layout.location], out=block)
                 if layout.m:
-                    block += (self.Z[rows] @ theta[layout.dispersion])[:, None] * self.w
+                    spread = self.Z[rows] @ theta[layout.dispersion]
+                    for r in range(q):
+                        block[r] += spread * self.w[r]
         return out
 
-    def probs(self, eta: np.ndarray) -> np.ndarray:
-        """(n, k) category probabilities at ``eta``. For the cumulative logit
-        model the F(eta) of the latest call is kept, in one buffer per
-        problem, for the density of a score_info call at that same eta."""
-        out = np.empty((eta.shape[0], self.layout.k))
-        cdf = self._cdf
-        self._cdf_eta = None  # the buffer is rewritten block by block
+    def evaluate(self, theta: np.ndarray, workspace: _Workspace | None = None) -> _Workspace:
+        """Predictors, kept F and probabilities at canonical ``theta``, written
+        into ``workspace`` (by default the problem's own). Infeasible
+        cumulative thresholds raise ThresholdOrderError and leave the
+        workspace partly rewritten: it must not be read until the next
+        evaluate() into it succeeds."""
+        ws = self.workspace if workspace is None else workspace
+        family, link = self.spec.family, self.spec.link
+        self.eta(theta, ws.eta)
         for rows in self.blocks:
-            out[rows] = category_probs(
-                self.spec.family, self.spec.link, eta[rows],
-                None if cdf is None else cdf[rows],
-            )
-        if cdf is not None:
-            self._cdf_eta = eta
-        return out
-
-    def density(self, eta: np.ndarray, rows: slice) -> np.ndarray:
-        """Link density F'(eta) of one block of rows. When ``eta`` is the
-        array probs() was last called with (predictor arrays are never
-        modified in place), the logistic F' = F (1 - F) comes from the F kept
-        there, bit for bit LogitLink.density without a second evaluation."""
-        if self._cdf_eta is not eta:
-            return self.spec.link.density(eta[rows])
-        F = self._cdf[rows]
-        return F * (1.0 - F)
+            category_probs(family, link, ws.eta[:, rows], ws.probs[:, rows],
+                           None if ws.cdf is None else ws.cdf[:, rows])
+        return ws
 
     def picked(self, probs: np.ndarray) -> np.ndarray:
         """Probability of each observation's own response category."""
-        return probs[np.arange(self.y0.size), self.y0]
+        return probs.take(self.own)
 
     def loglik(self, probs: np.ndarray) -> float:
-        return float(np.log(np.maximum(self.picked(probs), PROB_FLOOR)).sum())
+        # the compiled indices are in range: mode="clip" gathers straight into
+        # out, where the default mode buffers it through a fresh (n,) array
+        own = np.take(probs, self.own, out=self._own, mode="clip")
+        np.maximum(own, PROB_FLOOR, out=own)
+        return float(np.log(own, out=own).sum())
 
-    def score_info(self, eta: np.ndarray, probs: np.ndarray):
+    def weights(self):
+        """The family's weights helper, compiled at the first call."""
+        if self._weights is None:
+            self._weights = (_Tridiagonal if self.cumulative else _Semiseparable)(self)
+        return self._weights
+
+    def score_info(self, ws: _Workspace):
         """Observed score and expected information in canonical order.
 
         u_i = d log pi_{y_i} / d eta_i and W_i = sum_c pi_c A_c A_c' with
@@ -229,10 +251,12 @@ class _Problem:
         against X and Z; the category-specific information contracts only
         the threshold pairs (r, s) where W_i[r, s] can be nonzero,
         (pairs, n) @ (n, (p+1)^2). No (n, k-1, k-1) array is formed, and
-        every sum over observations is accumulated block by block.
+        every sum over observations is accumulated block by block. Only the
+        upper triangle is assembled; it is mirrored at the end.
         """
         layout = self.layout
         q, size = layout.q, layout.n_params
+        weights = self.weights()
         s = np.zeros(size)
         info = np.zeros((size, size))
         if layout.structure == "catspec":
@@ -240,45 +264,45 @@ class _Problem:
             score_sum = np.zeros((q, p1))
             pair_sum = 0.0
             for rows in self.blocks:
-                weights = self._weights(self, rows, eta, probs)
-                score_sum += weights.score().T @ self._X1[rows]
-                pair_rows, pair_cols, pair_weights = weights.pairs()
-                pair_sum = pair_sum + pair_weights @ self._X1X1[rows]
+                weights.load(ws, rows)
+                score_sum += weights.score() @ self._X1[rows]
+                pair_sum = pair_sum + weights.pairs() @ self._X1X1[rows]
             s[self._slots] = score_sum.ravel()
             pair_blocks = pair_sum.reshape(-1, p1, p1)
+            pair_rows, pair_cols = weights.pair_rows, weights.pair_cols
             blocks = np.zeros((q, q, p1, p1))
             blocks[pair_rows, pair_cols] = pair_blocks
             blocks[pair_cols, pair_rows] = pair_blocks
             info[np.ix_(self._slots, self._slots)] = blocks.transpose(0, 2, 1, 3).reshape(size, size)
         else:
-            w, loc, disp = self.w, layout.location, layout.dispersion
-            ones = np.ones(q)
+            loc, disp = layout.location, layout.dispersion
+            top = info[:q, :q]
             for rows in self.blocks:
-                weights = self._weights(self, rows, eta, probs)
-                X = self.X[rows]
-                s_int, u1, uw = weights.score_sums(w)
-                W1 = weights.times(ones)
+                weights.load(ws, rows)
+                X, Z = self.X[rows], self.Z[rows]
+                cX, cZ = self._cX[:X.shape[0]], self._cZ[:X.shape[0]]
+                s_int, u1, uw = weights.score_sums()
+                weights.add_total(top)
+                # sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the quadratic
+                # forms 1'W_i 1, 1'W_i w, w'W_i w of each row
+                WX, WZ, forms = weights.forms(X, Z)
                 s[:q] += s_int
                 s[loc] += X.T @ u1
-                info[:q, :q] += weights.total()
-                info[:q, loc] += W1.T @ X
-                info[loc, loc] += X.T @ ((W1 @ ones)[:, None] * X)
+                info[:q, loc] += WX
+                info[loc, loc] += X.T @ np.multiply(forms[0][:, None], X, out=cX)
                 if layout.m:
-                    Z = self.Z[rows]
-                    Ww = weights.times(w)
                     s[disp] += Z.T @ uw
-                    info[:q, disp] += Ww.T @ Z
-                    info[loc, disp] += X.T @ ((Ww @ ones)[:, None] * Z)
-                    info[disp, disp] += Z.T @ ((Ww @ w)[:, None] * Z)
-        upper = np.triu_indices(size, 1)
-        info[upper[::-1]] = info[upper]
+                    info[:q, disp] += WZ
+                    info[loc, disp] += X.T @ np.multiply(forms[1][:, None], Z, out=cZ)
+                    info[disp, disp] += Z.T @ np.multiply(forms[2][:, None], Z, out=cZ)
+        info[self._upper[::-1]] = info[self._upper]
         return s, info
 
 
 class _Tridiagonal:
-    """Cumulative-family score and weights of one block of rows: W_i is
-    tridiagonal, so products with it are three-term band sums and only its
-    two bands are stored.
+    """Cumulative-family score and weights, one block of rows at a time:
+    W_i is tridiagonal, so products with it are three-term band sums and
+    only its two bands are stored.
 
     With f_r = F'(eta_r) and probabilities floored at WEIGHT_FLOOR (pi~),
     a_r = f_r / pi~_r = d log pi_r / d eta_r and b_r = f_r / pi~_{r+1} =
@@ -286,109 +310,220 @@ class _Tridiagonal:
     and the off-diagonal o_r = W[r, r+1] = -pi_{r+1} b_r a_{r+1}. The score
     u_i has at most two nonzeros, a_{y_i} at r = y_i and -b_{y_i - 1} at
     r = y_i - 1 (0-based categories), both over pi~ of the observed category.
+    load() rewrites the (k-1, rows) scratch for the next block.
     """
 
-    def __init__(self, problem, rows, eta, probs):
-        probs = probs[rows]
-        n, k = probs.shape
-        q = k - 1
-        y0 = problem.y0[rows]
-        self.y0, self.k, self.ones = y0, k, problem.ones[:n]
-        f = problem.density(eta, rows)
-        g = probs / np.maximum(probs, WEIGHT_FLOOR) ** 2  # pi_c / pi~_c^2
-        self.d = f * f * (g[:, :q] + g[:, 1:])
-        self.o = -f[:, :-1] * f[:, 1:] * g[:, 1:q]
-        index = np.arange(n)
-        picked = np.maximum(probs[index, y0], WEIGHT_FLOOR)
-        self.ua = np.where(y0 < q, f[index, np.minimum(y0, q - 1)], 0.0) / picked
-        self.ub = np.where(y0 > 0, f[index, np.maximum(y0 - 1, 0)], 0.0) / picked
+    def __init__(self, problem: _Problem):
+        layout, y0, w = problem.layout, problem.y0, problem.w
+        q, k, n = layout.q, layout.k, y0.size
+        width = problem.blocks[0].stop
+        # the helper keeps what it reads of the problem, not the problem: a
+        # reference back would make a cycle that holds every workspace of the
+        # problem until the garbage collector runs
+        self.link, self.y0_all, self.own_index = problem.spec.link, y0, problem.own
+        self.f = np.empty((q, width))
+        self.g = np.empty((k, width))
+        self.band = np.empty((2 * q - 1, width))  # d in rows 0..q-1, o after it
+        self._ua, self._ub, self._own = np.empty(width), np.empty(width), np.empty(width)
+        # f at (y_i, i) and (y_i - 1, i) as flat indices into the f scratch,
+        # clamped to the band; the masks zero the clamped entries
+        column = np.arange(n) % width
+        self.at_y = np.minimum(y0, q - 1) * width + column
+        self.below_y = np.maximum(y0 - 1, 0) * width + column
+        self.has_a = (y0 < q).astype(float)
+        self.has_b = (y0 > 0).astype(float)
+        self.w_a = np.append(w, 0.0)[y0]  # w at r = y_i
+        self.w_b = np.insert(w, 0, 0.0)[y0]  # w at r = y_i - 1
+        # the pairs r <= s where W_i[r, s] can be nonzero: the band's rows
+        index = np.arange(q)
+        self.pair_rows = np.concatenate([index, index[:-1]])
+        self.pair_cols = np.concatenate([index, index[1:]])
+        if layout.structure == "catspec":
+            self.padded = np.empty((k + 1, width))  # row r + 1 holds u[r]
+            self.to_a = (y0 + 1) * width + column
+            self.to_b = y0 * width + column
+            return
+        # W_i v = expand_v @ [d; o] for v = 1 and v = w, and the quadratic
+        # forms 1'W 1, 1'W w and w'W w are rows of quadratic @ [d; o]
+        ones = np.ones(q)
+        self.expand = np.stack([_band_expansion(v) for v in (ones, w)])
+        self.quadratic = np.array([_band_form(a, b) for a, b in ((ones, ones), (ones, w), (w, w))])
+        self._forms = np.empty((3, width))
 
-    def score_sums(self, w):
-        """(sum_i u_i, u_i . 1, u_i . w)."""
-        k, y0, ua, ub = self.k, self.y0, self.ua, self.ub
-        total = np.bincount(y0, ua, k)[:-1] - np.bincount(y0, ub, k)[1:]
-        weight_a = np.append(w, 0.0)[y0]  # w at r = y_i
-        weight_b = np.insert(w, 0, 0.0)[y0]  # w at r = y_i - 1
-        return total, ua - ub, ua * weight_a - ub * weight_b
+    def load(self, ws: _Workspace, rows: slice) -> None:
+        q = self.f.shape[0]
+        nb = rows.stop - rows.start
+        self.rows, self.y0 = rows, self.y0_all[rows]
+        f, g = self.f[:, :nb], self.g[:, :nb]
+        self.d, self.o = self.band[:q, :nb], self.band[q:, :nb]
+        probs = ws.probs[:, rows]
+        self.density(ws, rows, f)
+        np.maximum(probs, WEIGHT_FLOOR, out=g)
+        np.square(g, out=g)
+        np.divide(probs, g, out=g)  # pi_c / pi~_c^2
+        own = np.take(ws.probs, self.own_index[rows], out=self._own[:nb], mode="clip")
+        np.maximum(own, WEIGHT_FLOOR, out=own)
+        self.ua = np.take(self.f, self.at_y[rows], out=self._ua[:nb], mode="clip")
+        self.ua *= self.has_a[rows]
+        self.ua /= own
+        self.ub = np.take(self.f, self.below_y[rows], out=self._ub[:nb], mode="clip")
+        self.ub *= self.has_b[rows]
+        self.ub /= own
+        np.negative(f[:-1], out=self.o)
+        self.o *= f[1:]
+        self.o *= g[1:q]
+        np.multiply(f, f, out=f)
+        np.add(g[:q], g[1:], out=self.d)
+        self.d *= f
 
-    def score(self):
-        """Dense (rows, k-1) score, for the category-specific contraction."""
-        n = self.y0.size
-        index = np.arange(n)
-        padded = np.zeros((n, self.k + 1))  # column r + 1 holds u[:, r]
-        padded[index, self.y0 + 1] = self.ua
-        padded[index, self.y0] = -self.ub
-        return padded[:, 1:self.k]
-
-    def times(self, v):
-        """W_i v for every observation, (rows, k-1): a three-term band sum."""
-        out = self.d * v
-        out[:, 1:] += self.o * v[:-1]
-        out[:, :-1] += self.o * v[1:]
+    def density(self, ws: _Workspace, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Link density F'(eta) of one block of rows, into ``out``. For the
+        logistic, F' = F (1 - F) comes from the workspace's kept F, bit for
+        bit LogitLink.density without a second evaluation of the link."""
+        if isinstance(self.link, LogitLink):
+            F = ws.cdf[:, rows]
+            np.subtract(1.0, F, out=out)
+            return np.multiply(out, F, out=out)
+        out[...] = self.link.density(ws.eta[:, rows])
         return out
 
-    def total(self):
-        """sum_i W_i."""
-        off = self.ones @ self.o
-        return np.diag(self.ones @ self.d) + np.diag(off, 1) + np.diag(off, -1)
+    def score_sums(self):
+        """(sum_i u_i, u_i . 1, u_i . w)."""
+        rows, y0, ua, ub = self.rows, self.y0, self.ua, self.ub
+        k = self.g.shape[0]
+        total = np.bincount(y0, ua, k)[:-1] - np.bincount(y0, ub, k)[1:]
+        return total, ua - ub, ua * self.w_a[rows] - ub * self.w_b[rows]
 
-    def pairs(self):
-        """Threshold pairs r <= s with W_i[r, s] not identically zero and the
-        (pairs, rows) weights of each: the diagonal and the first superdiagonal."""
-        q = self.d.shape[1]
-        idx = np.arange(q)
-        rows = np.concatenate([idx, idx[:-1]])
-        cols = np.concatenate([idx, idx[1:]])
-        return rows, cols, np.concatenate([self.d, self.o], axis=1).T
+    def score(self) -> np.ndarray:
+        """Dense (k-1, rows) score, for the category-specific contraction."""
+        nb = self.ua.size
+        self.padded[:, :nb] = 0.0
+        np.put(self.padded, self.to_a[self.rows], self.ua)
+        np.put(self.padded, self.to_b[self.rows], -self.ub)
+        return self.padded[1:-1, :nb]
+
+    def forms(self, X: np.ndarray, Z: np.ndarray):
+        """sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the (3, rows) quadratic
+        forms of a block, from the two bands: W_i v is never formed."""
+        band = self.pairs()
+        forms = np.matmul(self.quadratic, band, out=self._forms[:, :band.shape[1]])
+        return self.expand[0] @ (band @ X), self.expand[1] @ (band @ Z), forms
+
+    def add_total(self, top: np.ndarray) -> None:
+        """Add the upper triangle of sum_i W_i to ``top``."""
+        top[self.pair_rows, self.pair_cols] += self.pairs().sum(axis=1)
+
+    def pairs(self) -> np.ndarray:
+        """(pairs, rows) weights of pair_rows/pair_cols: the two bands."""
+        return self.band[:, :self.d.shape[1]]
 
 
 class _Semiseparable:
-    """Adjacent-family score and weights of one block of rows:
+    """Adjacent-family score and weights, one block of rows at a time:
     W_i[r, s] = B_min(r,s) A_max(r,s), with B_r = P(Y <= r) and
     A_r = P(Y > r), the cancellation-free form of T_max(r,s) - T_r T_s with
-    T_r = P(Y > r). Only B and A are stored; the score is u_ir = B_r when
-    y_i > r and -A_r otherwise, taken with the problem's response masks.
+    T_r = P(Y > r). Only B and A are stored, as (k-1, rows) products of
+    triangular 0/1 matrices with the probabilities; the score is u_ir = B_r
+    when y_i > r and -A_r otherwise, taken with the (k-1, n) response masks.
     """
 
-    def __init__(self, problem, rows, eta, probs):
-        probs = probs[rows]
-        self.ones = problem.ones[:probs.shape[0]]
-        self.upto, self.after = problem.upto, problem.after
-        self.below = probs @ problem.below_of  # B, (rows, k-1)
-        self.above = probs @ problem.above_of  # A, (rows, k-1)
-        self.u = self.below * problem.y_above[rows] - self.above * problem.y_below[rows]
+    def __init__(self, problem: _Problem):
+        layout, y0, w = problem.layout, problem.y0, problem.w
+        q = layout.q
+        width = problem.blocks[0].stop
+        self.w = w  # not the problem: see _Tridiagonal
+        self.below, self.above, self._u, self._masked = (np.empty((q, width)) for _ in range(4))
+        # B = below_of @ probs and A = above_of @ probs: below_of[r, c] = 1 when c <= r
+        self.below_of = np.tril(np.ones((q, q + 1)))
+        self.above_of = 1.0 - self.below_of
+        # response masks of the score: 1 where y_i > r, and its complement
+        self.y_above = (y0 > np.arange(q)[:, None]).astype(float)
+        self.y_below = 1.0 - self.y_above
+        self.pair_rows, self.pair_cols = np.triu_indices(q)
+        if layout.structure == "catspec":
+            self.pair_weights = np.empty((self.pair_rows.size, width))
+            return
+        # W_i v for v = 1 and, with dispersion terms, v = w: one product for
+        # each of the two sums with the stacked triangular matrices
+        # prefix[r, s] = v_s [s <= r] and suffix[r, s] = v_s [s > r]
+        ones, zeros = np.ones(q), np.zeros(q)
+        vectors = (ones, w) if layout.m else (ones,)
+        upto = np.tril(np.ones((q, q)))
+        self.prefix = np.stack([upto * v for v in vectors])
+        self.suffix = np.stack([(1.0 - upto) * v for v in vectors])
+        self.products = np.empty((len(vectors), q, width))
+        self.product = np.empty_like(self.products)
+        # rows taking the stacked products to 1'W 1, 1'W w and w'W w
+        self.quadratic = (np.array([np.r_[ones, zeros], np.r_[zeros, ones], np.r_[zeros, w]])
+                          if layout.m else ones[None, :])
+        self._forms = np.empty((len(self.quadratic), width))
 
-    def score_sums(self, w):
+    def load(self, ws: _Workspace, rows: slice) -> None:
+        nb = rows.stop - rows.start
+        probs = ws.probs[:, rows]
+        B = np.matmul(self.below_of, probs, out=self.below[:, :nb])
+        A = np.matmul(self.above_of, probs, out=self.above[:, :nb])
+        self.B, self.A = B, A
+        self.u = np.multiply(B, self.y_above[:, rows], out=self._u[:, :nb])
+        self.u -= np.multiply(A, self.y_below[:, rows], out=self._masked[:, :nb])
+
+    def score_sums(self):
         """(sum_i u_i, u_i . 1, u_i . w)."""
         u = self.u
-        return self.ones @ u, u @ np.ones(u.shape[1]), u @ w
+        return u.sum(axis=1), u.sum(axis=0), self.w @ u
 
-    def score(self):
+    def score(self) -> np.ndarray:
         return self.u
 
-    def times(self, v):
-        """W_i v for every observation, (rows, k-1), from a prefix and a
-        suffix sum, each one product with a triangular 0/1 matrix:
+    def forms(self, X: np.ndarray, Z: np.ndarray):
+        """sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the (3, rows) quadratic
+        forms of a block. W_i 1 and W_i w are each a prefix and a suffix sum,
+        one product with a triangular matrix apiece:
         (W v)_r = A_r sum_{s <= r} B_s v_s + B_r sum_{s > r} A_s v_s."""
-        return (
-            self.above * (self.below @ (v[:, None] * self.upto))
-            + self.below * (self.above @ (v[:, None] * self.after))
-        )
+        B, A = self.B, self.A
+        nb = B.shape[1]
+        out, product = self.products[:, :, :nb], self.product[:, :, :nb]
+        np.matmul(self.prefix, B, out=out)
+        out *= A
+        np.matmul(self.suffix, A, out=product)
+        product *= B
+        out += product
+        forms = np.matmul(self.quadratic, out.reshape(-1, nb), out=self._forms[:, :nb])
+        return out[0] @ X, out[-1] @ Z, forms
 
-    def total(self):
-        """sum_i W_i: the upper triangle of B' A, mirrored."""
-        upper = np.triu(self.below.T @ self.above)
-        return upper + np.triu(upper, 1).T
+    def add_total(self, top: np.ndarray) -> None:
+        """Add the upper triangle of sum_i W_i = B' A to ``top``."""
+        pairs = self.pair_rows, self.pair_cols
+        top[pairs] += (self.B @ self.A.T)[pairs]
 
-    def pairs(self):
+    def pairs(self) -> np.ndarray:
         """Every threshold pair r <= s (row-major) and the (pairs, rows)
-        weights B_r A_s, built from contiguous rows of B' and A'."""
-        below_t = np.ascontiguousarray(self.below.T)
-        above_t = np.ascontiguousarray(self.above.T)
-        q = below_t.shape[0]
-        rows, cols = np.triu_indices(q)
-        weights = np.concatenate([below_t[r] * above_t[r:] for r in range(q)])
-        return rows, cols, weights
+        weights B_r A_s."""
+        B, A = self.B, self.A
+        q, nb = B.shape
+        weights = self.pair_weights[:, :nb]
+        start = 0
+        for r in range(q):
+            np.multiply(B[r], A[r:], out=weights[start:start + q - r])
+            start += q - r
+        return weights
+
+
+def _band_expansion(v: np.ndarray) -> np.ndarray:
+    """(k-1, 2k-3) matrix taking the stacked bands [d; o] of a tridiagonal
+    W to W v: (W v)_r = v_r d_r + v_{r-1} o_{r-1} + v_{r+1} o_r."""
+    q = v.size
+    index = np.arange(q - 1)
+    out = np.zeros((q, 2 * q - 1))
+    out[np.arange(q), np.arange(q)] = v
+    out[index + 1, q + index] = v[:-1]
+    out[index, q + index] = v[1:]
+    return out
+
+
+def _band_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row taking the stacked bands [d; o] of a tridiagonal W to a' W b."""
+    return np.concatenate([a * b, a[:-1] * b[1:] + a[1:] * b[:-1]])
 
 
 def _reverse_permutation(layout: ParamLayout) -> np.ndarray:
@@ -425,7 +560,7 @@ def log_likelihood(params, data: OrdinalDataset, spec: ModelSpec) -> float:
     cumulative specs raise ThresholdOrderError at infeasible parameters.
     """
     problem = _Problem(data, spec)
-    probs = problem.probs(problem.eta(problem.canonical(params)))
+    probs = problem.evaluate(problem.canonical(params)).probs
     if np.any(problem.picked(probs) <= PROB_FLOOR):
         warnings.warn(
             "observed categories with probability at the 1e-15 floor",
@@ -438,24 +573,22 @@ def log_likelihood(params, data: OrdinalDataset, spec: ModelSpec) -> float:
 def score(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Analytic gradient of log_likelihood with respect to ``params``."""
     problem = _Problem(data, spec)
-    eta = problem.eta(problem.canonical(params))
-    s, _ = problem.score_info(eta, problem.probs(eta))
+    s, _ = problem.score_info(problem.evaluate(problem.canonical(params)))
     return s[problem.perm]
 
 
 def fisher_info(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Expected information matrix at ``params``."""
     problem = _Problem(data, spec)
-    eta = problem.eta(problem.canonical(params))
-    _, info = problem.score_info(eta, problem.probs(eta))
+    _, info = problem.score_info(problem.evaluate(problem.canonical(params)))
     return info[np.ix_(problem.perm, problem.perm)]
 
 
 def category_probabilities(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Category probabilities (n, k) at ``params`` in the original labels."""
     problem = _Problem(data, spec)
-    probs = problem.probs(problem.eta(problem.canonical(params)))
-    return probs[:, ::-1] if problem.reverse else probs
+    probs = problem.evaluate(problem.canonical(params)).probs
+    return (probs[::-1] if problem.reverse else probs).T.copy()
 
 
 def fit(
@@ -482,23 +615,24 @@ def fit(
     problem = _Problem(data, spec)
     layout = problem.layout
 
+    # the accepted step's workspace and the candidates' (made at the first
+    # candidate); accepting a step swaps them
+    current, trial = problem.workspace, None
     if start is not None:
         theta = np.asarray(start, dtype=float)
         if theta.shape != (layout.n_params,):
             raise StartError(f"start has {theta.shape} entries, expected {layout.n_params}")
         theta = theta[problem.perm]
         try:
-            eta = problem.eta(theta)
-            probs = problem.probs(eta)
+            problem.evaluate(theta, current)
         except ThresholdOrderError as exc:
             raise StartError(f"infeasible start: {exc}") from exc
     else:
         theta = problem.initial_params()
-        eta = problem.eta(theta)
-        probs = problem.probs(eta)
+        problem.evaluate(theta, current)
 
-    deviance = -2.0 * problem.loglik(probs)
-    s, info = problem.score_info(eta, probs)
+    deviance = -2.0 * problem.loglik(current.probs)
+    s, info = problem.score_info(current)
     converged = False
     iterations = 0
     failures = 0
@@ -510,15 +644,16 @@ def fit(
             step = np.linalg.lstsq(info, s, rcond=None)[0]
         accepted = False
         lam = 1.0
+        if trial is None:
+            trial = problem.new_workspace()
         for _ in range(11):
             cand = theta + lam * step
             try:
-                cand_eta = problem.eta(cand)
-                cand_probs = problem.probs(cand_eta)
+                problem.evaluate(cand, trial)
             except ThresholdOrderError:
                 lam /= 2.0
                 continue
-            cand_dev = -2.0 * problem.loglik(cand_probs)
+            cand_dev = -2.0 * problem.loglik(trial.probs)
             if np.isfinite(cand_dev) and cand_dev <= deviance:
                 accepted = True
                 break
@@ -536,8 +671,9 @@ def fit(
             continue
         failures = 0
         rel_change = abs(deviance - cand_dev) / (abs(deviance) + 1e-10)
-        theta, eta, probs, deviance = cand, cand_eta, cand_probs, cand_dev
-        s, info = problem.score_info(eta, probs)
+        theta, deviance = cand, cand_dev
+        current, trial = trial, current
+        s, info = problem.score_info(current)
         if rel_change < tol and np.max(np.abs(s)) < score_tol * (1.0 + abs(deviance) / 2.0):
             converged = True
             break
@@ -561,8 +697,8 @@ def fit(
         notes.append("did not converge")
 
     monotone = None
-    if problem.spec.family.kind == "cumulative":
-        monotone = bool(np.all(np.diff(eta, axis=1) >= -1e-12))
+    if problem.cumulative:
+        monotone = bool(np.all(np.diff(current.eta, axis=0) >= -1e-12))
 
     perm = problem.perm
     return FitResult(

@@ -79,14 +79,19 @@ def nelder_mead_loglik(data, spec, start):
 
     Runs Nelder-Mead twice (restarting from the first optimum) with tight
     tolerances; infeasible cumulative parameters score -inf via a penalty.
+    The objective is log_likelihood's own evaluation, bit for bit, on one
+    problem compiled for (spec, data) instead of one per call.
     """
     from scipy.optimize import minimize
 
     from ordshift.exceptions import ThresholdOrderError
+    from ordshift.fit import _Problem
+
+    problem = _Problem(data, spec)
 
     def objective(theta):
         try:
-            return -log_likelihood(theta, data, spec)
+            return -problem.loglik(problem.evaluate(problem.canonical(theta)).probs)
         except ThresholdOrderError:
             return 1e10
 

@@ -133,6 +133,23 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "error[data]:" in proc.stderr
 
+    def test_data_error_response_beyond_k(self, tmp_path):
+        bad = tmp_path / "k.csv"
+        bad.write_text("y,age,group,score\n1,1.0,a,0.1\n2,2.0,b,0.2\n5,3.0,a,0.3\n")
+        proc = run_cli("--data", str(bad), "--formula", FORMULA, "--categorical", "group",
+                       "--k", "3")
+        assert proc.returncode == 2
+        message = proc.stderr.strip().splitlines()[-1]
+        assert message == "error[data]: column 'y' row 4: response 5; response categories must be 1..3"
+
+    def test_usage_error_variable_twice_on_one_side(self):
+        for formula in ("y ~ age + age | age", "y ~ age + s(age)"):
+            proc = run_cli("--data", str(DATA), "--formula", formula, "--structure", "global")
+            assert proc.returncode == 4, formula
+            message = proc.stderr.strip().splitlines()[-1]
+            assert message.startswith("error[usage]: variable 'age' appears twice among the "
+                                      "location terms"), message
+
     def test_data_error_non_finite_cell(self, tmp_path):
         lines = DATA.read_text().splitlines()
         fields = lines[3].split(",")

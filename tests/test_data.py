@@ -46,6 +46,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="1..2"):
             load_csv(path, FORMULA)
 
+    def test_out_of_range_response_names_the_cell(self, tmp_path):
+        path = write(tmp_path, "y,a,g\n1,0.5,m\n2,1.0,f\n5,1.5,m\n0,2.0,f\n")
+        with pytest.raises(DataError, match=r"column 'y' row 4: response 5; .*1\.\.3$"):
+            load_csv(path, FORMULA, k=3)
+
     def test_non_integer_response(self, tmp_path):
         path = write(tmp_path, "y,a,g\n1.5,0.5,m\n2,1.0,f\n")
         with pytest.raises(DataError, match="not an integer"):
@@ -109,6 +114,10 @@ class TestOrdinalDataset:
             OrdinalDataset(y=np.array([0, 1, 2]), k=2, columns={})
         with pytest.raises(DataError):
             OrdinalDataset(y=np.array([1, 5]), k=4, columns={})
+
+    def test_category_range_error_names_the_index(self):
+        with pytest.raises(DataError, match=r"response index 2: value 7; .*1\.\.4$"):
+            OrdinalDataset(y=np.array([1, 4, 7, 0]), k=4, columns={})
 
     def test_relabeled_flips(self):
         data = OrdinalDataset(y=np.array([1, 2, 4]), k=4, columns={})

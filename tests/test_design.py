@@ -5,13 +5,13 @@ import pytest
 
 from helpers import random_dataset
 
-from ordshift.data import OrdinalDataset
+from ordshift.data import OrdinalDataset, level_codes
 from ordshift.design import (
     ModelSpec,
     Term,
+    _dummies,
     build_design_tensor,
     constraint_map,
-    encode_dummies,
     expand_design,
     make_layout,
 )
@@ -29,8 +29,14 @@ def _dataset_with(columns, k=4, y=None, categorical=None):
     return OrdinalDataset(y=y, k=k, columns=columns, categorical_levels=categorical or {})
 
 
+def dummy_block(values, levels, name="variable"):
+    """Dummy block as expand_design builds it: the level codes of the data
+    module, then design._dummies."""
+    return _dummies(level_codes(values, levels), values, levels, name)
+
+
 def _loop_dummies(values, levels):
-    """Row-by-row dummy coding: the reference for encode_dummies."""
+    """Row-by-row dummy coding: the reference for the vectorised coding."""
     index = {lev: j for j, lev in enumerate(levels)}
     out = np.zeros((len(values), len(levels) - 1))
     for i, v in enumerate(values):
@@ -42,16 +48,16 @@ def _loop_dummies(values, levels):
 
 class TestDummies:
     def test_indicator_coding(self):
-        out = encode_dummies(["1", "2", "4", "1"], ["1", "2", "3", "4"])
+        out = dummy_block(["1", "2", "4", "1"], ["1", "2", "3", "4"])
         assert out.T.tolist() == [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
 
     def test_unseen_level(self):
         with pytest.raises(DataError, match=r"Residence.*'5'"):
-            encode_dummies(["1", "5"], ["1", "2"], name="Residence")
+            dummy_block(["1", "5"], ["1", "2"], name="Residence")
 
     def test_unseen_level_names_first_offender(self):
         with pytest.raises(DataError, match=r"variable 'Residence': unseen level '7'$"):
-            encode_dummies(["1", "7", "2", "5"], ["1", "2"], name="Residence")
+            dummy_block(["1", "7", "2", "5"], ["1", "2"], name="Residence")
 
     def test_matches_row_loop(self):
         # a column mixing every level, the reference first, in random order,
@@ -59,14 +65,14 @@ class TestDummies:
         rng = np.random.default_rng(12)
         levels = ("3", "1", "b", "20", "a")
         values = rng.choice(np.array(levels, dtype=object), size=500)
-        out = encode_dummies(values, levels, name="mixed")
+        out = dummy_block(values, levels, name="mixed")
         assert out.dtype == np.float64
         assert np.array_equal(out, _loop_dummies(values, levels))
-        assert np.array_equal(encode_dummies(list(values), levels), out)
+        assert np.array_equal(dummy_block(list(values), levels), out)
 
     def test_single_level_rejected(self):
         with pytest.raises(SpecError):
-            encode_dummies(["a", "a"], ["a"])
+            dummy_block(["a", "a"], ["a"])
 
     def test_expanded_names_match_levels(self):
         rng = np.random.default_rng(1)
@@ -163,7 +169,7 @@ class TestDesignRows:
             theta = rng.normal(size=layout.n_params)
             eta = _Problem(data, s).eta(theta)
             for i in range(0, 20, 7):
-                assert D[i] @ theta == pytest.approx(eta[i], abs=1e-14)
+                assert D[i] @ theta == pytest.approx(eta[:, i], abs=1e-14)
 
 
 class TestParameterCounts:
@@ -235,6 +241,25 @@ class TestGuards:
     def test_unknown_structure(self):
         with pytest.raises(SpecError):
             ModelSpec(Family("cumulative"), "partial", (Term("a"),))
+
+    @pytest.mark.parametrize(
+        "location, dispersion, side",
+        [
+            ((Term("a"), Term("a")), (Term("a"),), "location"),
+            ((Term("a"), Term("a", smooth=True)), (), "location"),
+            ((Term("a"),), (Term("b", smooth=True), Term("b", n_basis=5, smooth=True)), "dispersion"),
+        ],
+    )
+    def test_variable_twice_on_one_side_rejected(self, location, dispersion, side):
+        # a repeated column, or a linear term inside its own smooth's span,
+        # makes the design singular
+        with pytest.raises(SpecError, match=rf"variable '\w' appears twice among the {side} terms"):
+            ModelSpec(Family("cumulative"), "locshift", location, dispersion)
+
+    def test_variable_on_both_sides_accepted(self):
+        spec = ModelSpec(Family("cumulative"), "locshift", (Term("a"), Term("b", smooth=True)),
+                         (Term("a"), Term("b", smooth=True)))
+        assert [t.name for t in spec.dispersion] == ["a", "b"]
 
     def test_catspec_smooth_rejected(self):
         with pytest.raises(SpecError):

@@ -1,6 +1,7 @@
 """Likelihood, score, information, and the Fisher-scoring optimizer."""
 
 import importlib
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -141,8 +142,7 @@ class TestScore:
         data = OrdinalDataset(y=y, k=3, columns={"z": rng.normal(size=n)})
         problem = _Problem(data, ModelSpec(CUM, "locshift", (), (Term("z"),)))
         problem.w = np.zeros(2)
-        eta = problem.eta(np.array([-0.3, 0.4, 1.7]))
-        s, info = problem.score_info(eta, problem.probs(eta))
+        s, info = problem.score_info(problem.evaluate(np.array([-0.3, 0.4, 1.7])))
         assert s[2] == 0.0
         assert np.all(info[2, :] == 0.0)
         assert np.all(info[:, 2] == 0.0)
@@ -217,9 +217,9 @@ class TestFisherInfo:
             expected += D[i].T @ w @ D[i]
         assert fisher_info(params, data, spec) == pytest.approx(expected, rel=1e-8)
         problem = _Problem(data, spec)
-        kernel_eta = problem.eta(params)
-        assert kernel_eta == pytest.approx(eta, rel=1e-12)
-        _, info = problem.score_info(kernel_eta, problem.probs(kernel_eta))
+        kernel = problem.evaluate(params)
+        assert kernel.eta.T == pytest.approx(eta, rel=1e-12)
+        _, info = problem.score_info(kernel)
         assert info == pytest.approx(expected, rel=1e-8)
 
 
@@ -232,7 +232,7 @@ def _dense_score_info(problem, theta):
     """
     D, _ = build_design_tensor(problem.design, problem.spec, problem.layout.k)
     eta = D @ theta
-    probs = category_probs(problem.spec.family, LOGIT, eta)
+    probs = category_probs(problem.spec.family, LOGIT, eta.T).T
     n, k = probs.shape
     q = k - 1
     A = np.zeros((n, k, q))
@@ -321,7 +321,7 @@ class TestKernelParity:
             theta[problem.layout.catspec_block(3)] = [sign, 0.2]
         else:
             theta[problem.layout.location] = [sign, 0.3]
-        probs = problem.probs(problem.eta(theta))
+        probs = problem.evaluate(theta).probs
         assert probs.min() < WEIGHT_FLOOR
         self._check_at(problem, data, spec, theta)
 
@@ -352,9 +352,9 @@ class TestKernelParity:
     @staticmethod
     def _check_at(problem, data, spec, theta):
         eta, dense_s, dense_info = _dense_score_info(problem, theta)
-        kernel_eta = problem.eta(theta)
-        s, info = problem.score_info(kernel_eta, problem.probs(kernel_eta))
-        assert _max_rel(kernel_eta, eta) <= 1e-12
+        kernel = problem.evaluate(theta)
+        s, info = problem.score_info(kernel)
+        assert _max_rel(kernel.eta.T, eta) <= 1e-12
         assert _max_rel(s, dense_s) <= 1e-12
         assert _max_rel(info, dense_info) <= 1e-12
         assert np.array_equal(info, info.T)
@@ -408,9 +408,9 @@ class TestScoreInfoEvaluations:
         counts = {"score_info": 0, "deviances": []}
         score_info, loglik = _Problem.score_info, _Problem.loglik
 
-        def counted_score_info(self, eta, probs):
+        def counted_score_info(self, workspace):
             counts["score_info"] += 1
-            return score_info(self, eta, probs)
+            return score_info(self, workspace)
 
         def recorded_loglik(self, probs):
             value = loglik(self, probs)
@@ -466,12 +466,12 @@ class TestRowBlocks:
         rng = np.random.default_rng(91)
         data, spec, params = random_dataset(rng, n=40, k=5)
         problem = _Problem(data, spec)
-        eta = problem.eta(params)
-        problem.probs(eta)
+        workspace = problem.evaluate(params)
         for rows in problem.blocks:
-            expected = LOGIT.density(eta[rows])
-            assert np.array_equal(problem.density(eta, rows), expected)  # kept F
-            assert np.array_equal(problem.density(eta.copy(), rows), expected)  # evaluated
+            expected = LOGIT.density(workspace.eta[:, rows])
+            kept = problem.weights().density(workspace, rows, np.empty_like(expected))
+            assert np.array_equal(kept, expected)
+            assert np.array_equal(kept, LOGIT.density(problem.eta(params)[:, rows]))
 
     @staticmethod
     def _crossing_late():
@@ -490,25 +490,63 @@ class TestRowBlocks:
         problem = _Problem(data, spec)
         assert len(problem.blocks) == 5
         eta = problem.eta(np.array(start))
-        category_probs(CUM, LOGIT, eta[:32])  # the first four blocks are feasible
+        category_probs(CUM, LOGIT, eta[:, :32])  # the first four blocks are feasible
         with pytest.raises(StartError) as blocked:
             fit(spec, data, start=start)
         assert str(blocked.value) == str(whole.value)
         assert str(whole.value) == "infeasible start: thresholds out of order at index 1"
 
-    def test_kept_cdf_dropped_when_probs_raise(self, monkeypatch):
-        # a candidate that fails in its last block has already overwritten
-        # the kept F of the first four: the current eta's density must not
-        # be read from it
+    def test_kept_cdf_survives_a_failed_candidate(self, monkeypatch):
+        # a candidate that fails in its last block has already written the
+        # F of the first four into its own workspace: the current
+        # workspace's density, score and information must not read it
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 8)
         data, spec, crossing = self._crossing_late()
         problem = _Problem(data, spec)
-        eta = problem.eta(np.array([-1.0, 0.0, 1.0, 0.1, 0.2, 0.3]))
-        problem.probs(eta)
+        theta = np.array([-1.0, 0.0, 1.0, 0.1, 0.2, 0.3])
+        current = problem.evaluate(theta)
+        expected = problem.score_info(current)
         with pytest.raises(ThresholdOrderError):
-            problem.probs(problem.eta(np.array(crossing)))
+            problem.evaluate(np.array(crossing), problem.new_workspace())
         for rows in problem.blocks:
-            assert np.array_equal(problem.density(eta, rows), LOGIT.density(eta[rows]))
+            density = problem.weights().density(current, rows, np.empty((3, rows.stop - rows.start)))
+            assert np.array_equal(density, LOGIT.density(current.eta[:, rows]))
+        for new, old in zip(problem.score_info(current), expected):
+            assert np.array_equal(new, old)
+
+
+class TestWorkspaces:
+    """Candidate evaluations and score/information write into the problem's
+    two workspaces and its block scratch: once these exist, no step of the
+    fit loop allocates an (n, k-1) array."""
+
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    def test_fit_loop_allocates_no_whole_array(self, kind):
+        n, k = 20000, 10
+        rng = np.random.default_rng(93)
+        columns = {"x": rng.normal(size=n), "z": rng.normal(size=n)}
+        y = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, n - k)])
+        data = OrdinalDataset(y=y, k=k, columns=columns)
+        spec = ModelSpec(Family(kind), "locshift", (Term("x"), Term("z")), (Term("z"),))
+        problem = _Problem(data, spec)
+        theta = problem.initial_params()
+        step = np.zeros_like(theta)
+        step[problem.layout.location] = [0.3, -0.2]
+        step[problem.layout.dispersion] = 0.02
+        current, trial = problem.workspace, problem.new_workspace()
+        for workspace in (current, trial):  # warm up: workspaces and block scratch
+            problem.loglik(problem.evaluate(theta, workspace).probs)
+            problem.score_info(workspace)
+        whole = n * (k - 1) * 8  # one (n, k-1) float array, 1.44 MB
+        tracemalloc.start()
+        try:
+            for lam in (1.0, 0.5, 0.25):  # three candidates, then the accepted one's
+                problem.loglik(problem.evaluate(theta + lam * step, trial).probs)
+            problem.score_info(trial)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole
 
 
 class TestFit:

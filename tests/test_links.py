@@ -13,7 +13,6 @@ from ordshift.links import (
     Link,
     category_probs_adjacent,
     category_probs_cumulative,
-    link_eval,
     scaling_factor,
     scaling_factors,
 )
@@ -23,52 +22,61 @@ LOGISTIC_AT_1 = 0.7310585786300049
 LOGISTIC_AT_MINUS_1 = 0.2689414213699951
 
 
+def clipped_cdf(eta):
+    """F(eta) clamped to [1e-15, 1 - 1e-15], as the cumulative map uses it:
+    the first category's probability at a single threshold."""
+    eta = np.asarray(eta, dtype=float)
+    return category_probs_cumulative(LOGIT, eta[..., None])[..., 0]
+
+
 class TestLinkEval:
+    """The logistic F and the clamped F the cumulative map differences."""
+
     def test_symmetry_at_zero(self):
-        assert link_eval(LOGIT, 0.0) == 0.5
+        assert LOGIT.cdf(0.0) == 0.5
 
     def test_known_values(self):
-        assert link_eval(LOGIT, 1.0) == pytest.approx(LOGISTIC_AT_1, abs=1e-15)
-        assert link_eval(LOGIT, -1.0) == pytest.approx(LOGISTIC_AT_MINUS_1, abs=1e-15)
+        assert clipped_cdf(1.0) == pytest.approx(LOGISTIC_AT_1, abs=1e-15)
+        assert clipped_cdf(-1.0) == pytest.approx(LOGISTIC_AT_MINUS_1, abs=1e-15)
 
     def test_clamped_tails(self):
-        assert link_eval(LOGIT, 1000.0) == 1.0 - 1e-15
-        assert link_eval(LOGIT, -1000.0) == 1e-15
+        assert clipped_cdf(1000.0) == 1.0 - 1e-15
+        assert clipped_cdf(-1000.0) == 1e-15
 
     def test_monotone(self):
         grid = np.linspace(-20, 20, 201)
-        values = link_eval(LOGIT, grid)
+        values = clipped_cdf(grid)
         assert np.all(np.diff(values) > 0)
         assert np.all((values > 0) & (values < 1))
 
     def test_complement_symmetry(self):
         grid = np.linspace(-25, 25, 101)
-        total = link_eval(LOGIT, grid) + link_eval(LOGIT, -grid)
+        total = clipped_cdf(grid) + clipped_cdf(-grid)
         assert np.max(np.abs(total - 1.0)) < 1e-14
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
-            link_eval(LOGIT, np.nan)
+            clipped_cdf(np.nan)
         with pytest.raises(InvalidInputError):
-            link_eval(LOGIT, np.inf)
+            clipped_cdf(np.inf)
 
     def test_round_trip_core_range(self):
         # 1e-12 is attainable while 1-F(x) stays well above ulp(1)
         grid = np.linspace(-9.0, 9.0, 73)
-        back = LOGIT.quantile(link_eval(LOGIT, grid))
+        back = LOGIT.quantile(clipped_cdf(grid))
         assert np.max(np.abs(back - grid)) < 1e-12
 
     def test_round_trip_negative_branch(self):
         # the small-p side keeps full relative precision all the way down
         grid = np.linspace(-30.0, 0.0, 61)
-        back = LOGIT.quantile(link_eval(LOGIT, grid))
+        back = LOGIT.quantile(clipped_cdf(grid))
         assert np.max(np.abs(back - grid)) < 1e-12
 
     def test_round_trip_extreme_range(self):
         # storing F(x) as a double near 1 caps the attainable accuracy at
         # roughly ulp(1)/min(p, 1-p); assert against that principled bound
         grid = np.linspace(-30, 30, 121)
-        p = link_eval(LOGIT, grid)
+        p = clipped_cdf(grid)
         back = LOGIT.quantile(p)
         bound = 1e-12 + 2 * 2.3e-16 / np.minimum(p, 1 - p)
         assert np.all(np.abs(back - grid) <= bound)
@@ -236,7 +244,7 @@ class TestAdjacentProbs:
     def test_binary_reduction(self):
         for c in (-3.0, -0.2, 0.0, 1.7):
             probs = category_probs_adjacent(LOGIT, [c])
-            assert probs[1] == pytest.approx(link_eval(LOGIT, c), abs=1e-14)
+            assert probs[1] == pytest.approx(clipped_cdf(c), abs=1e-14)
 
     def test_reproduces_log_odds(self):
         rng = np.random.default_rng(5)
