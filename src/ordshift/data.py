@@ -20,7 +20,8 @@ class OrdinalDataset:
 
     ``columns`` maps names to float arrays (numeric, every value finite) or
     object arrays of strings (categorical); ``categorical_levels`` fixes the
-    level order of each categorical column (first level = dummy reference).
+    level order of each categorical column (first level = dummy reference)
+    and is copied, not kept. A column without declared levels must be numeric.
     Columns are not modified after construction: the integer codes of the
     categorical columns are computed once and kept (see level_codes).
     """
@@ -53,17 +54,19 @@ class OrdinalDataset:
         for name, values in self.columns.items():
             if len(values) != self.n:
                 raise DataError(f"column {name!r} has {len(values)} rows, expected {self.n}")
-            values = np.asarray(values)
-            if name not in self.categorical_levels and values.dtype.kind == "f":
+            if name not in self.categorical_levels:
+                values = _numeric(name, values)
                 bad = np.flatnonzero(~np.isfinite(values))
                 if bad.size:
                     raise DataError(
                         f"column {name!r} index {bad[0]}: value {values[bad[0]]} is not finite"
                     )
-        for name, levels in self.categorical_levels.items():
+        for name in self.categorical_levels:
             if name not in self.columns:
                 raise DataError(f"categorical column {name!r} not present")
-            self.categorical_levels[name] = tuple(levels)
+        self.categorical_levels = {
+            name: tuple(levels) for name, levels in self.categorical_levels.items()
+        }
 
     @property
     def n(self) -> int:
@@ -89,10 +92,27 @@ class OrdinalDataset:
             y=self.k + 1 - self.y,
             k=self.k,
             columns=self.columns,
-            categorical_levels=dict(self.categorical_levels),
+            categorical_levels=self.categorical_levels,
         )
         flipped._codes = self._codes
         return flipped
+
+
+def _numeric(name: str, values) -> np.ndarray:
+    """``values`` as floats, or a DataError naming the first index that is
+    not a number: a text column must have its levels declared."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        for i, value in enumerate(values):
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"column {name!r} index {i}: value {value!r} is not a number "
+                    "(declare the levels of a categorical column)"
+                ) from None
+        raise
 
 
 def level_codes(values, levels) -> np.ndarray:

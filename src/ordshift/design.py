@@ -11,13 +11,13 @@ spells them out as a dense (n, k-1, n_params) tensor, as a reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import OrdinalDataset
 from .exceptions import DataError, SpecError
-from .links import LOGIT, Family, Link, scaling_factors
+from .links import Family, scaling_factors
 from .splines import BasisDef, bspline_basis, center_basis, knot_sequence
 
 STRUCTURES = ("global", "locshift", "catspec")
@@ -50,7 +50,6 @@ class ModelSpec:
     structure: str
     location: tuple = ()
     dispersion: tuple = ()
-    link: Link = LOGIT
     n_basis_default: int = DEFAULT_N_BASIS
 
     def __post_init__(self):
@@ -80,26 +79,7 @@ class ModelSpec:
                     )
 
     def with_structure(self, structure: str) -> "ModelSpec":
-        return ModelSpec(
-            family=self.family,
-            structure=structure,
-            location=self.location,
-            dispersion=self.dispersion,
-            link=self.link,
-            n_basis_default=self.n_basis_default,
-        )
-
-
-@dataclass(frozen=True)
-class VariableSpec:
-    """Per-variable summary of how a covariate enters the model."""
-
-    name: str
-    role: str  # location | dispersion | both
-    form: str  # linear | smooth
-    n_basis: int | None = None
-    kind: str = "numeric"  # numeric | categorical
-    levels: tuple | None = None
+        return replace(self, structure=structure)
 
 
 @dataclass(frozen=True)
@@ -130,15 +110,6 @@ class ExpandedDesign:
     x_cols: list = field(default_factory=list)
     z_cols: list = field(default_factory=list)
     smooths: dict = field(default_factory=dict)  # (side, name) -> SmoothInfo
-    variables: list = field(default_factory=list)
-
-    @property
-    def x_names(self):
-        return [c.name for c in self.x_cols]
-
-    @property
-    def z_names(self):
-        return [c.name for c in self.z_cols]
 
 
 def _dummies(codes, values, levels, name) -> np.ndarray:
@@ -164,7 +135,7 @@ def _expand_side(data: OrdinalDataset, terms, side, n_basis_default, smooths, co
             blocks.append(_dummies(data.level_codes(term.name), values, levels, term.name))
             cols.extend(ColumnInfo(f"{term.name}{lev}", term.name) for lev in levels[1:])
         elif term.smooth:
-            m = term.n_basis or n_basis_default
+            m = n_basis_default if term.n_basis is None else term.n_basis
             basis = knot_sequence(values, m, SPLINE_DEGREE)
             centered, means = center_basis(bspline_basis(values, basis))
             blocks.append(centered)
@@ -176,27 +147,6 @@ def _expand_side(data: OrdinalDataset, terms, side, n_basis_default, smooths, co
         else:
             blocks.append(np.asarray(values, dtype=float).reshape(-1, 1))
             cols.append(ColumnInfo(term.name, term.name))
-
-
-def _variable_specs(spec: ModelSpec, data: OrdinalDataset):
-    loc = {t.name: t for t in spec.location}
-    disp = {t.name: t for t in spec.dispersion}
-    out = []
-    for name in dict.fromkeys(list(loc) + list(disp)):
-        role = "both" if name in loc and name in disp else ("location" if name in loc else "dispersion")
-        term = loc.get(name) or disp.get(name)
-        levels = data.categorical_levels.get(name)
-        out.append(
-            VariableSpec(
-                name=name,
-                role=role,
-                form="smooth" if term.smooth else "linear",
-                n_basis=(term.n_basis or spec.n_basis_default) if term.smooth else None,
-                kind="categorical" if levels is not None else "numeric",
-                levels=levels,
-            )
-        )
-    return out
 
 
 def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
@@ -228,10 +178,7 @@ def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
             "dispersion terms are not identified for k=2 "
             "(the scaling factor is a single constant)"
         )
-    return ExpandedDesign(
-        X=X, Z=Z, x_cols=x_cols, z_cols=z_cols, smooths=smooths,
-        variables=_variable_specs(spec, data),
-    )
+    return ExpandedDesign(X=X, Z=Z, x_cols=x_cols, z_cols=z_cols, smooths=smooths)
 
 
 @dataclass
@@ -327,9 +274,9 @@ def build_design_tensor(design: ExpandedDesign, spec: ModelSpec, k: int):
 def constraint_map(beta, alpha, k: int, family: Family = Family("cumulative")) -> np.ndarray:
     """Category-specific coefficients implied by a location-shift fit.
 
-    Returns the (k-1, p) array with row r equal to
-    beta + scaling_factor(family, r, k) * alpha; the default family gives the
-    canonical beta_r = beta + (r - k/2) * alpha.
+    Returns the (k-1, p) array with row r equal to beta + w_r * alpha, w the
+    family's scaling_factors; the default family gives the canonical
+    beta_r = beta + (r - k/2) * alpha.
     """
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))

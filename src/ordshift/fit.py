@@ -25,9 +25,11 @@ from .exceptions import (
     ThresholdOrderError,
     ZeroProbabilityWarning,
 )
-from .links import PROB_FLOOR, Family, LogitLink, category_probs, scaling_factors
+from .links import PROB_FLOOR, Family, category_probs, logit, scaling_factors
 
 SEPARATION_BOUND = 30.0
+DEVIANCE_TOL = 1e-8  # convergence tolerances of fit(): see its docstring
+SCORE_TOL = 1e-4
 WEIGHT_FLOOR = 1e-12  # probability floor inside score/information weights
 # Rows per evaluation block of _Problem. The score/information scratch of a
 # block, a few (k-1, rows) arrays (288 KB each at k=10), is allocated once per
@@ -54,7 +56,6 @@ class FitResult:
     se_unavailable: np.ndarray
     warnings: list = field(default_factory=list)
     smooths: dict = field(default_factory=dict)
-    variables: list = field(default_factory=list)
 
     @property
     def names(self):
@@ -181,7 +182,7 @@ class _Problem:
         theta = np.zeros(layout.n_params)
         if self.cumulative:
             cum = np.cumsum(counts)[: layout.q] / counts.sum()
-            theta[: layout.q] = self.spec.link.quantile(cum)
+            theta[: layout.q] = logit(cum)
         else:
             theta[: layout.q] = np.log(counts[1:] / counts[:-1])
         return theta
@@ -215,10 +216,10 @@ class _Problem:
         workspace partly rewritten: it must not be read until the next
         evaluate() into it succeeds."""
         ws = self.workspace if workspace is None else workspace
-        family, link = self.spec.family, self.spec.link
+        family = self.spec.family
         self.eta(theta, ws.eta)
         for rows in self.blocks:
-            category_probs(family, link, ws.eta[:, rows], ws.probs[:, rows],
+            category_probs(family, ws.eta[:, rows], ws.probs[:, rows],
                            None if ws.cdf is None else ws.cdf[:, rows])
         return ws
 
@@ -320,7 +321,7 @@ class _Tridiagonal:
         # the helper keeps what it reads of the problem, not the problem: a
         # reference back would make a cycle that holds every workspace of the
         # problem until the garbage collector runs
-        self.link, self.y0_all, self.own_index = problem.spec.link, y0, problem.own
+        self.y0_all, self.own_index = y0, problem.own
         self.f = np.empty((q, width))
         self.g = np.empty((k, width))
         self.band = np.empty((2 * q - 1, width))  # d in rows 0..q-1, o after it
@@ -377,15 +378,11 @@ class _Tridiagonal:
         self.d *= f
 
     def density(self, ws: _Workspace, rows: slice, out: np.ndarray) -> np.ndarray:
-        """Link density F'(eta) of one block of rows, into ``out``. For the
-        logistic, F' = F (1 - F) comes from the workspace's kept F, bit for
-        bit LogitLink.density without a second evaluation of the link."""
-        if isinstance(self.link, LogitLink):
-            F = ws.cdf[:, rows]
-            np.subtract(1.0, F, out=out)
-            return np.multiply(out, F, out=out)
-        out[...] = self.link.density(ws.eta[:, rows])
-        return out
+        """Logistic density F'(eta) = F (1 - F) of one block of rows, into
+        ``out``, from the workspace's kept F: no second evaluation of F."""
+        F = ws.cdf[:, rows]
+        np.subtract(1.0, F, out=out)
+        return np.multiply(out, F, out=out)
 
     def score_sums(self):
         """(sum_i u_i, u_i . 1, u_i . w)."""
@@ -596,8 +593,6 @@ def fit(
     data: OrdinalDataset,
     *,
     max_iter: int = 100,
-    tol: float = 1e-8,
-    score_tol: float = 1e-4,
     start=None,
 ) -> FitResult:
     """Fisher scoring with step halving until the deviance stabilizes.
@@ -605,11 +600,12 @@ def fit(
     A step is halved (up to 10 times) when it would increase the deviance or,
     for cumulative specs, cross any observation's thresholds; two consecutive
     iterations without an accepted step stop the fit with converged=False.
-    Convergence requires relative deviance change < tol and max |score| <
-    score_tol * (1 + |loglik|) at the same iteration. The covariance is the
-    inverse expected information at the optimum. Score and information are
-    evaluated once at the start and once after each accepted step; that one
-    evaluation serves the convergence test, the next step and the covariance.
+    Convergence requires relative deviance change < DEVIANCE_TOL and
+    max |score| < SCORE_TOL * (1 + |loglik|) at the same iteration. The
+    covariance is the inverse expected information at the optimum. Score
+    and information are evaluated once at the start and once after each
+    accepted step; that one evaluation serves the convergence test, the next
+    step and the covariance.
     """
     _check_categories(data)
     problem = _Problem(data, spec)
@@ -662,7 +658,7 @@ def fit(
             # a rejected step at a stationary point is convergence, not
             # failure: the deviance is already flat to rounding and the
             # score is below tolerance
-            if np.max(np.abs(s)) < score_tol * (1.0 + abs(deviance) / 2.0):
+            if np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0):
                 converged = True
                 break
             failures += 1
@@ -674,7 +670,8 @@ def fit(
         theta, deviance = cand, cand_dev
         current, trial = trial, current
         s, info = problem.score_info(current)
-        if rel_change < tol and np.max(np.abs(s)) < score_tol * (1.0 + abs(deviance) / 2.0):
+        if (rel_change < DEVIANCE_TOL
+                and np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0)):
             converged = True
             break
 
@@ -716,7 +713,6 @@ def fit(
         se_unavailable=bad[perm],
         warnings=notes,
         smooths=problem.design.smooths,
-        variables=problem.design.variables,
     )
 
 

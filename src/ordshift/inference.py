@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import OrdinalDataset
-from .design import ModelSpec, Term
+from .design import ModelSpec, Term, constraint_map
 from .exceptions import InvalidInputError, NestingError, OrdshiftError, SpecError
 from .fit import FitResult, fit, standard_errors
-from .links import scaling_factors
 
 _GAMMA_EPS = 1e-15
 _GAMMA_ITMAX = 500
@@ -171,29 +170,22 @@ class ComparisonTable:
         raise KeyError(structure)
 
 
-def _catspec_start(locshift_fit: FitResult, data: OrdinalDataset, spec: ModelSpec):
+def _catspec_start(locshift_fit: FitResult, spec: ModelSpec):
     """Warm start for the category-specific fit via the constraint map.
 
     The category-specific location columns are the location-shift fit's
     location columns followed by the dispersion columns of variables without
-    a location term, the order in which expand_design folds them.
+    a location term, the order in which expand_design folds them; a column
+    without a term on one side has a zero coefficient there.
     """
     ls = locshift_fit.layout
     have = {c.source for c in ls.x_cols}
-    cols = ls.x_cols + [c for c in ls.z_cols if c.source not in have]
-    beta = {
-        c.name: locshift_fit.params[ls.location.start + i]
-        for i, c in enumerate(ls.x_cols)
-    }
-    alpha = {
-        c.name: locshift_fit.params[ls.dispersion.start + i]
-        for i, c in enumerate(ls.z_cols)
-    }
-    w = scaling_factors(spec.family, data.k)
-    q = ls.q
-    slopes = [[beta.get(c.name, 0.0) + w[r] * alpha.get(c.name, 0.0) for c in cols]
-              for r in range(q)]
-    return np.concatenate([locshift_fit.params[:q], np.ravel(slopes)])
+    cols = [c.name for c in ls.x_cols + [c for c in ls.z_cols if c.source not in have]]
+    beta = dict(zip((c.name for c in ls.x_cols), locshift_fit.params[ls.location]))
+    alpha = dict(zip((c.name for c in ls.z_cols), locshift_fit.params[ls.dispersion]))
+    slopes = constraint_map([beta.get(c, 0.0) for c in cols], [alpha.get(c, 0.0) for c in cols],
+                            locshift_fit.k, spec.family)
+    return np.concatenate([locshift_fit.params[:ls.q], slopes.ravel()])
 
 
 def model_ladder(data: OrdinalDataset, base_spec: ModelSpec, **fit_options) -> ComparisonTable:
@@ -216,7 +208,7 @@ def model_ladder(data: OrdinalDataset, base_spec: ModelSpec, **fit_options) -> C
             spec = base_spec.with_structure(structure)
             start = None
             if structure == "catspec" and "locshift" in fits and fits["locshift"].converged:
-                start = _catspec_start(fits["locshift"], data, spec)
+                start = _catspec_start(fits["locshift"], spec)
             result = fit(spec, data, start=start, **fit_options)
             if structure == "catspec" and start is not None and not result.converged:
                 cold = fit(spec, data, **fit_options)
@@ -355,13 +347,7 @@ def smooth_term_tests(
         raise SpecError(f"no smooth {side} term for variable {name!r}")
 
     def rebuild(new_terms):
-        kwargs = dict(
-            family=spec.family, structure=spec.structure, link=spec.link,
-            n_basis_default=spec.n_basis_default,
-        )
-        if side == "location":
-            return ModelSpec(location=tuple(new_terms), dispersion=spec.dispersion, **kwargs)
-        return ModelSpec(location=spec.location, dispersion=tuple(new_terms), **kwargs)
+        return replace(spec, **{side: tuple(new_terms)})
 
     full = fit(spec, data, **fit_options)
     dropped = fit(rebuild([t for t in terms if t is not target]), data, **fit_options)

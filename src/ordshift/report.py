@@ -30,13 +30,11 @@ def _num(value, decimals, width=0):
 def _family_line(fit_or_table) -> str:
     if isinstance(fit_or_table, ComparisonTable):
         family, reverse = fit_or_table.family, fit_or_table.reverse
-        link = "logit"
     else:
         family = fit_or_table.spec.family.kind
         reverse = fit_or_table.spec.family.reverse
-        link = fit_or_table.spec.link.name
     tag = ", reverse representation" if reverse else ""
-    return f"({family} family, {link} link{tag})"
+    return f"({family} family, logit link{tag})"
 
 
 def _ladder_cells(table: ComparisonTable):

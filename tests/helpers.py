@@ -4,8 +4,14 @@ import numpy as np
 
 from ordshift.design import ModelSpec, Term
 from ordshift.fit import FitResult, log_likelihood
-from ordshift.links import Family
+from ordshift.links import Family, logistic
 from ordshift.simulate import simulate_dataset
+
+
+def logistic_density(eta):
+    """F'(eta) = F (1 - F) of the logistic F."""
+    f = logistic(eta)
+    return f * (1.0 - f)
 
 
 def random_dataset(rng, n=50, k=4, n_cov=2, family=Family("cumulative"), dual=True):

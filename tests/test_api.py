@@ -1,0 +1,50 @@
+"""The package's top-level exports."""
+
+import ast
+import pathlib
+import re
+
+import ordshift
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# internal or removed names that the package once exported
+NOT_EXPORTED = (
+    "Link",
+    "LOGIT",
+    "LogitLink",
+    "VariableSpec",
+    "ExpandedDesign",
+    "center_basis",
+    "category_probs_cumulative",
+    "category_probs_adjacent",
+    "scaling_factor",
+)
+
+
+def _top_level_imports(source: str) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "ordshift" and node.level == 0:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_exported_name_resolves():
+    assert len(set(ordshift.__all__)) == len(ordshift.__all__)
+    for name in ordshift.__all__:
+        assert getattr(ordshift, name) is not None, name
+
+
+def test_readme_and_demo_imports_are_exported():
+    sources = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "demos").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources += re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    imported = set().union(*(_top_level_imports(source) for source in sources))
+    assert {"fit", "ModelSpec", "render_report"} <= imported
+    assert imported <= set(ordshift.__all__)
+
+
+def test_removed_and_internal_names_not_exported():
+    for name in NOT_EXPORTED:
+        assert name not in ordshift.__all__
+        assert not hasattr(ordshift, name), name

@@ -196,6 +196,13 @@ class TestExitCodes:
         )
         assert proc.returncode == 4
 
+    def test_usage_error_zero_basis_smooth(self):
+        proc = run_cli(
+            "--data", str(DATA), "--formula", "y ~ s(age, 0)", "--structure", "global",
+        )
+        assert proc.returncode == 4
+        assert "n_basis=0" in proc.stderr
+
     def test_star_without_locshift_fit(self, tmp_path):
         proc = run_cli(
             "--data", str(DATA), "--formula", FORMULA,

@@ -166,6 +166,20 @@ class TestOrdinalDataset:
         with pytest.raises(DataError, match=r"column 'a' index 2"):
             OrdinalDataset(y=np.array([1, 2, 1, 2]), k=2, columns={"a": a})
 
+    def test_text_column_without_levels_rejected(self):
+        g = np.array(["1.5", "2", "a", "b"], dtype=object)
+        with pytest.raises(DataError, match=r"column 'g' index 2: value 'a' is not a number"):
+            OrdinalDataset(y=np.array([1, 2, 1, 2]), k=2, columns={"g": g})
+
+    def test_declared_levels_not_mutated(self):
+        levels = {"g": ["a", "b"]}
+        data = OrdinalDataset(
+            y=np.array([1, 2, 1, 2]), k=2,
+            columns={"g": np.array(list("abba"), dtype=object)}, categorical_levels=levels,
+        )
+        assert levels == {"g": ["a", "b"]}
+        assert data.categorical_levels == {"g": ("a", "b")}
+
     def test_float_integers_accepted(self):
         data = OrdinalDataset(y=np.array([1.0, 2.0]), k=2, columns={})
         assert data.y.dtype.kind == "i"

@@ -88,7 +88,7 @@ class TestDummies:
             location=(Term("Residence"), Term("EduDegree")),
         )
         design = expand_design(data, spec)
-        assert design.x_names == [
+        assert [c.name for c in design.x_cols] == [
             "Residence2", "Residence3", "Residence4",
             "EduDegree2", "EduDegree3", "EduDegree4", "EduDegree5",
         ]
@@ -274,6 +274,13 @@ class TestGuards:
         with pytest.raises(SpecError):
             expand_design(data, spec)
 
+    def test_zero_basis_smooth_rejected(self):
+        # n_basis=0 is a request, not "unset": it must not fall back to the default
+        data = _dataset_with({"a": np.linspace(0, 1, 40)})
+        spec = ModelSpec(Family("cumulative"), "global", (Term("a", smooth=True, n_basis=0),))
+        with pytest.raises(SpecError, match="n_basis=0"):
+            expand_design(data, spec)
+
     def test_k2_dispersion_rejected_at_expansion(self):
         data = _dataset_with({"a": np.linspace(0, 1, 12)}, k=2, y=np.tile([1, 2], 6))
         spec = ModelSpec(Family("cumulative"), "locshift", (Term("a"),), (Term("a"),))
@@ -290,8 +297,8 @@ class TestGuards:
         data = _dataset_with({"a": np.linspace(0, 1, 12), "b": np.linspace(1, 2, 12)})
         spec = ModelSpec(Family("cumulative"), "catspec", (Term("a"),), (Term("b"),))
         design = expand_design(data, spec)
-        assert design.x_names == ["a", "b"]
-        assert design.z_names == []
+        assert [c.name for c in design.x_cols] == ["a", "b"]
+        assert design.z_cols == []
 
     def test_smooth_block_centered(self):
         rng = np.random.default_rng(2)

@@ -12,6 +12,7 @@ from helpers import (
     fd_gradient,
     fd_hessian,
     feasible_params,
+    logistic_density,
     nelder_mead_loglik,
     random_dataset,
     stub_fit,
@@ -37,7 +38,7 @@ from ordshift.fit import (
     smooth_values,
     standard_errors,
 )
-from ordshift.links import LOGIT, Family, category_probs
+from ordshift.links import Family, category_probs, logistic
 
 CUM = Family("cumulative")
 ADJ = Family("adjacent")
@@ -196,8 +197,8 @@ class TestFisherInfo:
         design = expand_design(data, spec)
         D, layout = build_design_tensor(design, spec, data.k)
         eta = D @ params
-        f = LOGIT.density(eta)
-        gamma = LOGIT.cdf(eta)
+        f = logistic_density(eta)
+        gamma = logistic(eta)
         probs = np.diff(
             np.concatenate(
                 [np.zeros((40, 1)), gamma, np.ones((40, 1))], axis=1
@@ -232,12 +233,12 @@ def _dense_score_info(problem, theta):
     """
     D, _ = build_design_tensor(problem.design, problem.spec, problem.layout.k)
     eta = D @ theta
-    probs = category_probs(problem.spec.family, LOGIT, eta.T).T
+    probs = category_probs(problem.spec.family, eta.T).T
     n, k = probs.shape
     q = k - 1
     A = np.zeros((n, k, q))
     if problem.spec.family.kind == "cumulative":
-        f = LOGIT.density(eta)
+        f = logistic_density(eta)
         floored = np.maximum(probs, WEIGHT_FLOOR)
         for r in range(q):
             A[:, r, r] = f[:, r] / floored[:, r]
@@ -468,10 +469,10 @@ class TestRowBlocks:
         problem = _Problem(data, spec)
         workspace = problem.evaluate(params)
         for rows in problem.blocks:
-            expected = LOGIT.density(workspace.eta[:, rows])
+            expected = logistic_density(workspace.eta[:, rows])
             kept = problem.weights().density(workspace, rows, np.empty_like(expected))
             assert np.array_equal(kept, expected)
-            assert np.array_equal(kept, LOGIT.density(problem.eta(params)[:, rows]))
+            assert np.array_equal(kept, logistic_density(problem.eta(params)[:, rows]))
 
     @staticmethod
     def _crossing_late():
@@ -490,7 +491,7 @@ class TestRowBlocks:
         problem = _Problem(data, spec)
         assert len(problem.blocks) == 5
         eta = problem.eta(np.array(start))
-        category_probs(CUM, LOGIT, eta[:, :32])  # the first four blocks are feasible
+        category_probs(CUM, eta[:, :32])  # the first four blocks are feasible
         with pytest.raises(StartError) as blocked:
             fit(spec, data, start=start)
         assert str(blocked.value) == str(whole.value)
@@ -510,7 +511,7 @@ class TestRowBlocks:
             problem.evaluate(np.array(crossing), problem.new_workspace())
         for rows in problem.blocks:
             density = problem.weights().density(current, rows, np.empty((3, rows.stop - rows.start)))
-            assert np.array_equal(density, LOGIT.density(current.eta[:, rows]))
+            assert np.array_equal(density, logistic_density(current.eta[:, rows]))
         for new, old in zip(problem.score_info(current), expected):
             assert np.array_equal(new, old)
 

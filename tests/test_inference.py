@@ -235,7 +235,7 @@ class TestModelLadder:
         spec = ModelSpec(family, "locshift", (Term("a"), Term("g")), (Term("g"), Term("b")))
         ls = fit(spec, data)
         catspec = spec.with_structure("catspec")
-        start = _catspec_start(ls, data, catspec)
+        start = _catspec_start(ls, catspec)
         layout = make_layout(expand_design(data, catspec), catspec, data.k)
         assert start.shape == (layout.n_params,)
         assert start[:3] == pytest.approx(ls.params[:3], abs=0)

@@ -1,21 +1,13 @@
-"""Link functions, category-probability maps, and scaling factors."""
+"""The logistic F, category-probability maps, and scaling factors."""
 
 import numpy as np
 import pytest
 
-from ordshift.data import OrdinalDataset
-from ordshift.design import ModelSpec
 from ordshift.exceptions import InvalidInputError, ThresholdOrderError
-from ordshift.fit import fit
-from ordshift.links import (
-    LOGIT,
-    Family,
-    Link,
-    category_probs_adjacent,
-    category_probs_cumulative,
-    scaling_factor,
-    scaling_factors,
-)
+from ordshift.links import Family, category_probs, logistic, logit, scaling_factors
+
+CUM = Family("cumulative")
+ADJ = Family("adjacent")
 
 # frozen from high-precision evaluation of 1/(1+e^-x)
 LOGISTIC_AT_1 = 0.7310585786300049
@@ -26,14 +18,14 @@ def clipped_cdf(eta):
     """F(eta) clamped to [1e-15, 1 - 1e-15], as the cumulative map uses it:
     the first category's probability at a single threshold."""
     eta = np.asarray(eta, dtype=float)
-    return category_probs_cumulative(LOGIT, eta[..., None])[..., 0]
+    return category_probs(CUM, eta[None])[0]
 
 
 class TestLinkEval:
     """The logistic F and the clamped F the cumulative map differences."""
 
     def test_symmetry_at_zero(self):
-        assert LOGIT.cdf(0.0) == 0.5
+        assert logistic(0.0) == 0.5
 
     def test_known_values(self):
         assert clipped_cdf(1.0) == pytest.approx(LOGISTIC_AT_1, abs=1e-15)
@@ -63,13 +55,13 @@ class TestLinkEval:
     def test_round_trip_core_range(self):
         # 1e-12 is attainable while 1-F(x) stays well above ulp(1)
         grid = np.linspace(-9.0, 9.0, 73)
-        back = LOGIT.quantile(clipped_cdf(grid))
+        back = logit(clipped_cdf(grid))
         assert np.max(np.abs(back - grid)) < 1e-12
 
     def test_round_trip_negative_branch(self):
         # the small-p side keeps full relative precision all the way down
         grid = np.linspace(-30.0, 0.0, 61)
-        back = LOGIT.quantile(clipped_cdf(grid))
+        back = logit(clipped_cdf(grid))
         assert np.max(np.abs(back - grid)) < 1e-12
 
     def test_round_trip_extreme_range(self):
@@ -77,34 +69,29 @@ class TestLinkEval:
         # roughly ulp(1)/min(p, 1-p); assert against that principled bound
         grid = np.linspace(-30, 30, 121)
         p = clipped_cdf(grid)
-        back = LOGIT.quantile(p)
+        back = logit(p)
         bound = 1e-12 + 2 * 2.3e-16 / np.minimum(p, 1 - p)
         assert np.all(np.abs(back - grid) <= bound)
 
-    def test_unknown_link(self):
-        # links are objects on the spec, not names: a link the model does not
-        # define is rejected when the fit first evaluates the family's map
-        class Cauchit(Link):
-            name = "cauchit"
-
-        data = OrdinalDataset(y=[1, 2, 3, 1, 2, 3], k=3, columns={})
-        with pytest.raises(InvalidInputError):
-            fit(ModelSpec(Family("adjacent"), "global", link=Cauchit()), data)
+    def test_logit_domain(self):
+        for p in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(InvalidInputError):
+                logit(p)
 
 
 class TestCumulativeProbs:
     def test_zero_width_band(self):
-        probs = category_probs_cumulative(LOGIT, [0.0, 0.0])
+        probs = category_probs(CUM, [0.0, 0.0])
         assert probs == pytest.approx([0.5, 0.0, 0.5], abs=1e-15)
 
     def test_known_values(self):
-        probs = category_probs_cumulative(LOGIT, [-1.0, 1.0])
+        probs = category_probs(CUM, [-1.0, 1.0])
         expected = [LOGISTIC_AT_MINUS_1, LOGISTIC_AT_1 - LOGISTIC_AT_MINUS_1, LOGISTIC_AT_MINUS_1]
         assert probs == pytest.approx(expected, abs=1e-14)
 
     def test_ordering_violation(self):
         with pytest.raises(ThresholdOrderError) as err:
-            category_probs_cumulative(LOGIT, [1.0, -1.0])
+            category_probs(CUM, [1.0, -1.0])
         assert err.value.index == 1
 
     def test_simplex_property(self):
@@ -112,7 +99,7 @@ class TestCumulativeProbs:
         for _ in range(200):
             k = rng.integers(2, 12)
             eta = np.sort(rng.normal(scale=3.0, size=k - 1))
-            probs = category_probs_cumulative(LOGIT, eta)
+            probs = category_probs(CUM, eta)
             assert probs.shape == (k,)
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) < 1e-12
@@ -123,24 +110,24 @@ class TestCumulativeProbs:
             eta = np.sort(rng.uniform(-13, 13, size=5))
             eta[np.diff(eta, prepend=-20) < 1e-3] += 1e-3  # keep bands non-degenerate
             eta = np.sort(eta)
-            probs = category_probs_cumulative(LOGIT, eta)
-            back = LOGIT.quantile(np.cumsum(probs[:-1]))
+            probs = category_probs(CUM, eta)
+            back = logit(np.cumsum(probs[:-1]))
             assert np.max(np.abs(back - eta)) < 1e-9
 
     def test_batched_rows(self):
         eta = np.array([[-1.0, 1.0], [0.0, 0.5]])
-        probs = category_probs_cumulative(LOGIT, eta)
-        assert probs.shape == (2, 3)
-        assert np.allclose(probs.sum(axis=1), 1.0)
+        probs = category_probs(CUM, eta.T)
+        assert probs.shape == (3, 2)
+        assert np.allclose(probs.sum(axis=0), 1.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
-            category_probs_cumulative(LOGIT, [0.0, np.inf])
+            category_probs(CUM, [0.0, np.inf])
 
 
 def _masked_logistic(eta):
     """The two-branch logistic written with boolean-masked gathers and
-    scatters, the reference the single-pass LogitLink.cdf must reproduce."""
+    scatters, the reference the single-pass logistic must reproduce."""
     eta = np.asarray(eta, dtype=float)
     out = np.empty_like(eta)
     pos = eta >= 0
@@ -178,26 +165,26 @@ class TestPinnedFormulas:
     for bit the formulas they replaced."""
 
     def test_logistic_grid(self):
-        assert _bitwise_equal(LOGIT.cdf(ETA_GRID), _masked_logistic(ETA_GRID))
+        assert _bitwise_equal(logistic(ETA_GRID), _masked_logistic(ETA_GRID))
 
     def test_logistic_batched_and_scalar(self):
         batch = ETA_GRID[:2016].reshape(224, 9)
-        assert _bitwise_equal(LOGIT.cdf(batch), _masked_logistic(batch))
+        assert _bitwise_equal(logistic(batch), _masked_logistic(batch))
         for x in (-0.0, 0.0, 40.0, -40.0, _FLOOR_ETA):
-            assert _bitwise_equal(LOGIT.cdf(x), _masked_logistic(x))
+            assert _bitwise_equal(logistic(x), _masked_logistic(x))
 
     def test_cumulative_probs_batched(self):
         rng = np.random.default_rng(12)
         rows = np.sort(rng.choice(ETA_GRID, size=(500, 9)), axis=1)
         rows[0] = [-40.0, _FLOOR_ETA, _FLOOR_ETA + 1e-9, -0.0, 0.0, 0.0,
                    -_FLOOR_ETA - 1e-9, -_FLOOR_ETA, 40.0]
-        assert _bitwise_equal(category_probs_cumulative(LOGIT, rows),
+        assert _bitwise_equal(category_probs(CUM, rows.T).T,
                               _differenced_cumulative_probs(rows))
 
     @pytest.mark.parametrize("eta", [[0.0], [-0.0], [-40.0, 40.0], [_FLOOR_ETA, -_FLOOR_ETA]])
     def test_cumulative_probs_vector(self, eta):
         eta = np.array(eta)
-        assert _bitwise_equal(category_probs_cumulative(LOGIT, eta),
+        assert _bitwise_equal(category_probs(CUM, eta),
                               _differenced_cumulative_probs(eta))
 
 
@@ -226,7 +213,7 @@ class TestAdjacentProbs:
         rows[2] = np.resize([700.0, -700.0], q)
 
         def close(eta):
-            new, old = category_probs_adjacent(LOGIT, eta), _cumsum_adjacent_probs(eta)
+            new, old = category_probs(ADJ, eta.T).T, _cumsum_adjacent_probs(eta)
             bound = 1e-14 * old + np.finfo(float).tiny
             return np.all(np.isfinite(new)) and np.all(np.abs(new - old) <= bound)
 
@@ -234,26 +221,26 @@ class TestAdjacentProbs:
         assert all(close(row) for row in rows[:3])  # vector inputs
 
     def test_uniform(self):
-        probs = category_probs_adjacent(LOGIT, [0.0, 0.0, 0.0])
+        probs = category_probs(ADJ, [0.0, 0.0, 0.0])
         assert probs == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_doubling_odds(self):
-        probs = category_probs_adjacent(LOGIT, [np.log(2), np.log(2)])
+        probs = category_probs(ADJ, [np.log(2), np.log(2)])
         assert probs == pytest.approx([1 / 7, 2 / 7, 4 / 7], abs=1e-14)
 
     def test_binary_reduction(self):
         for c in (-3.0, -0.2, 0.0, 1.7):
-            probs = category_probs_adjacent(LOGIT, [c])
+            probs = category_probs(ADJ, [c])
             assert probs[1] == pytest.approx(clipped_cdf(c), abs=1e-14)
 
     def test_reproduces_log_odds(self):
         rng = np.random.default_rng(5)
         eta = rng.normal(size=6)
-        probs = category_probs_adjacent(LOGIT, eta)
+        probs = category_probs(ADJ, eta)
         assert np.log(probs[1:] / probs[:-1]) == pytest.approx(eta, abs=1e-12)
 
     def test_overflow_guard(self):
-        probs = category_probs_adjacent(LOGIT, [400.0, 400.0, -800.0])
+        probs = category_probs(ADJ, [400.0, 400.0, -800.0])
         assert np.all(np.isfinite(probs))
         assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -264,36 +251,24 @@ class TestAdjacentProbs:
             eta = rng.normal(scale=scale, size=7)
             direct = np.exp(np.concatenate([[0.0], np.cumsum(eta)]))
             direct /= direct.sum()
-            probs = category_probs_adjacent(LOGIT, eta)
+            probs = category_probs(ADJ, eta)
             assert probs == pytest.approx(direct, abs=1e-12)
-
-    def test_logit_only(self):
-        class Fake:
-            name = "probit"
-
-        with pytest.raises(InvalidInputError):
-            category_probs_adjacent(Fake(), [0.0])
 
 
 class TestScalingFactor:
     def test_paper_threshold_diagram(self):
-        cum = Family("cumulative")
-        assert scaling_factor(cum, 1, 6) == -2.0
-        assert scaling_factor(cum, 3, 6) == 0.0
-        assert scaling_factor(cum, 5, 6) == 2.0
+        # w_r = r - k/2 at thresholds r = 1..5 of k = 6
+        assert list(scaling_factors(CUM, 6)) == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
     def test_adjacent_diagram(self):
-        adj = Family("adjacent")
-        assert scaling_factor(adj, 1, 6) == 2.0
-        assert scaling_factor(adj, 5, 6) == -2.0
+        assert list(scaling_factors(ADJ, 6)) == [2.0, 1.0, 0.0, -1.0, -2.0]
 
     def test_reverse_flips_sign(self):
         for kind in ("cumulative", "adjacent"):
             for k in (3, 6, 9):
-                for r in range(1, k):
-                    fwd = scaling_factor(Family(kind), r, k)
-                    rev = scaling_factor(Family(kind, reverse=True), r, k)
-                    assert rev == -fwd
+                fwd = scaling_factors(Family(kind), k)
+                rev = scaling_factors(Family(kind, reverse=True), k)
+                assert np.array_equal(rev, -fwd)
 
     def test_centered_weights(self):
         for kind in ("cumulative", "adjacent"):
@@ -304,11 +279,7 @@ class TestScalingFactor:
 
     def test_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            scaling_factor(Family("cumulative"), 0, 6)
-        with pytest.raises(InvalidInputError):
-            scaling_factor(Family("cumulative"), 6, 6)
-        with pytest.raises(InvalidInputError):
-            scaling_factor(Family("cumulative"), 1, 1)
+            scaling_factors(Family("cumulative"), 1)
 
     def test_unknown_family(self):
         with pytest.raises(InvalidInputError):
