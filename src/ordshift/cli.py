@@ -22,7 +22,7 @@ from .exceptions import (
     OrdshiftError,
     SpecError,
 )
-from .fit import fit
+from .fit import MAX_ITER, fit
 from .formula import parse_formula
 from .inference import model_ladder, star_data
 from .links import Family
@@ -100,7 +100,7 @@ def _write(flag: str, path: str, text: str) -> None:
 def _max_iter_from_env() -> int:
     raw = os.environ.get("ORDSHIFT_MAX_ITER")
     if raw is None:
-        return 100
+        return MAX_ITER
     try:
         value = int(raw)
         if value < 1:

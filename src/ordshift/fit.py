@@ -30,6 +30,7 @@ from .links import PROB_FLOOR, Family, category_probs, logit, scaling_factors
 SEPARATION_BOUND = 30.0
 DEVIANCE_TOL = 1e-8  # convergence tolerances of fit(): see its docstring
 SCORE_TOL = 1e-4
+MAX_ITER = 100  # default iteration cap of fit()
 WEIGHT_FLOOR = 1e-12  # probability floor inside score/information weights
 # Rows per evaluation block of _Problem. The score/information scratch of a
 # block, a few (k-1, rows) arrays (288 KB each at k=10), is allocated once per
@@ -123,8 +124,9 @@ class _Problem:
     one-shot calls and fit() adds a second one for its candidate steps.
     Score and information are summed over fixed blocks of BLOCK_ROWS rows (a
     single block when n <= BLOCK_ROWS), in block scratch that the family's
-    weights helper allocates, with its gather indices and response masks, on
-    the first score_info call. No step allocates an (n, k-1) temporary.
+    weights helper allocates once per problem, with the response mask from
+    which it builds each block's dense (k-1, rows) score. No step allocates
+    an (n, k-1) temporary.
     """
 
     def __init__(self, data: OrdinalDataset, spec: ModelSpec):
@@ -247,10 +249,13 @@ class _Problem:
         A_c = d log pi_c / d eta are each observation's score and information
         in predictor space, in the closed forms of the multinomial GLM
         (Fahrmeir & Tutz, Multivariate Statistical Modelling Based on GLMs).
-        Global and location-shift blocks need only sum_i u_i, u_i 1, u_i w,
-        sum_i W_i, W_i 1 and W_i w, and the quadratic forms of the last two
-        against X and Z; the category-specific information contracts only
-        the threshold pairs (r, s) where W_i[r, s] can be nonzero,
+        The weights helper's load() returns a block's scores as one dense
+        (k-1, rows) array u, from which every structure's score is summed:
+        sum_i u_i, X'(1'u) and Z'(w'u), or u @ [1, X] for category-specific
+        blocks. Global and location-shift information needs only sum_i W_i,
+        W_i 1 and W_i w, and the quadratic forms of the last two against X
+        and Z; the category-specific information contracts only the
+        threshold pairs (r, s) where W_i[r, s] can be nonzero,
         (pairs, n) @ (n, (p+1)^2). No (n, k-1, k-1) array is formed, and
         every sum over observations is accumulated block by block. Only the
         upper triangle is assembled; it is mirrored at the end.
@@ -265,8 +270,7 @@ class _Problem:
             score_sum = np.zeros((q, p1))
             pair_sum = 0.0
             for rows in self.blocks:
-                weights.load(ws, rows)
-                score_sum += weights.score() @ self._X1[rows]
+                score_sum += weights.load(ws, rows) @ self._X1[rows]
                 pair_sum = pair_sum + weights.pairs() @ self._X1X1[rows]
             s[self._slots] = score_sum.ravel()
             pair_blocks = pair_sum.reshape(-1, p1, p1)
@@ -279,20 +283,19 @@ class _Problem:
             loc, disp = layout.location, layout.dispersion
             top = info[:q, :q]
             for rows in self.blocks:
-                weights.load(ws, rows)
+                u = weights.load(ws, rows)
                 X, Z = self.X[rows], self.Z[rows]
                 cX, cZ = self._cX[:X.shape[0]], self._cZ[:X.shape[0]]
-                s_int, u1, uw = weights.score_sums()
                 weights.add_total(top)
                 # sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the quadratic
                 # forms 1'W_i 1, 1'W_i w, w'W_i w of each row
                 WX, WZ, forms = weights.forms(X, Z)
-                s[:q] += s_int
-                s[loc] += X.T @ u1
+                s[:q] += u.sum(axis=1)
+                s[loc] += X.T @ u.sum(axis=0)
                 info[:q, loc] += WX
                 info[loc, loc] += X.T @ np.multiply(forms[0][:, None], X, out=cX)
                 if layout.m:
-                    s[disp] += Z.T @ uw
+                    s[disp] += Z.T @ (self.w @ u)
                     info[:q, disp] += WZ
                     info[loc, disp] += X.T @ np.multiply(forms[1][:, None], Z, out=cZ)
                     info[disp, disp] += Z.T @ np.multiply(forms[2][:, None], Z, out=cZ)
@@ -309,40 +312,31 @@ class _Tridiagonal:
     a_r = f_r / pi~_r = d log pi_r / d eta_r and b_r = f_r / pi~_{r+1} =
     -d log pi_{r+1} / d eta_r, the diagonal is d_r = pi_r a_r^2 + pi_{r+1} b_r^2
     and the off-diagonal o_r = W[r, r+1] = -pi_{r+1} b_r a_{r+1}. The score
-    u_i has at most two nonzeros, a_{y_i} at r = y_i and -b_{y_i - 1} at
-    r = y_i - 1 (0-based categories), both over pi~ of the observed category.
-    load() rewrites the (k-1, rows) scratch for the next block.
+    is u_ir = f_r S_ir / pi~_{y_i} with the response mask S_ir = [y_i = r] -
+    [y_i = r + 1] (0-based categories): a_{y_i} at r = y_i and -b_{y_i - 1}
+    at r = y_i - 1, zero elsewhere. load() rewrites the (k-1, rows) scratch
+    for the next block.
     """
 
     def __init__(self, problem: _Problem):
         layout, y0, w = problem.layout, problem.y0, problem.w
-        q, k, n = layout.q, layout.k, y0.size
+        q, k = layout.q, layout.k
         width = problem.blocks[0].stop
         # the helper keeps what it reads of the problem, not the problem: a
         # reference back would make a cycle that holds every workspace of the
         # problem until the garbage collector runs
-        self.y0_all, self.own_index = y0, problem.own
-        self.f = np.empty((q, width))
+        self.own_index = problem.own
+        self.f, self.u = np.empty((q, width)), np.empty((q, width))
         self.g = np.empty((k, width))
         self.band = np.empty((2 * q - 1, width))  # d in rows 0..q-1, o after it
-        self._ua, self._ub, self._own = np.empty(width), np.empty(width), np.empty(width)
-        # f at (y_i, i) and (y_i - 1, i) as flat indices into the f scratch,
-        # clamped to the band; the masks zero the clamped entries
-        column = np.arange(n) % width
-        self.at_y = np.minimum(y0, q - 1) * width + column
-        self.below_y = np.maximum(y0 - 1, 0) * width + column
-        self.has_a = (y0 < q).astype(float)
-        self.has_b = (y0 > 0).astype(float)
-        self.w_a = np.append(w, 0.0)[y0]  # w at r = y_i
-        self.w_b = np.insert(w, 0, 0.0)[y0]  # w at r = y_i - 1
-        # the pairs r <= s where W_i[r, s] can be nonzero: the band's rows
+        self._own = np.empty(width)
         index = np.arange(q)
+        # S as int8: a float mask would be eight times the memory
+        self.sign = (y0 == index[:, None]).astype(np.int8) - (y0 == index[:, None] + 1)
+        # the pairs r <= s where W_i[r, s] can be nonzero: the band's rows
         self.pair_rows = np.concatenate([index, index[:-1]])
         self.pair_cols = np.concatenate([index, index[1:]])
         if layout.structure == "catspec":
-            self.padded = np.empty((k + 1, width))  # row r + 1 holds u[r]
-            self.to_a = (y0 + 1) * width + column
-            self.to_b = y0 * width + column
             return
         # W_i v = expand_v @ [d; o] for v = 1 and v = w, and the quadratic
         # forms 1'W 1, 1'W w and w'W w are rows of quadratic @ [d; o]
@@ -351,11 +345,11 @@ class _Tridiagonal:
         self.quadratic = np.array([_band_form(a, b) for a, b in ((ones, ones), (ones, w), (w, w))])
         self._forms = np.empty((3, width))
 
-    def load(self, ws: _Workspace, rows: slice) -> None:
+    def load(self, ws: _Workspace, rows: slice) -> np.ndarray:
+        """Bands of the next block of rows; returns its (k-1, rows) score."""
         q = self.f.shape[0]
         nb = rows.stop - rows.start
-        self.rows, self.y0 = rows, self.y0_all[rows]
-        f, g = self.f[:, :nb], self.g[:, :nb]
+        f, g, u = self.f[:, :nb], self.g[:, :nb], self.u[:, :nb]
         self.d, self.o = self.band[:q, :nb], self.band[q:, :nb]
         probs = ws.probs[:, rows]
         self.density(ws, rows, f)
@@ -364,18 +358,15 @@ class _Tridiagonal:
         np.divide(probs, g, out=g)  # pi_c / pi~_c^2
         own = np.take(ws.probs, self.own_index[rows], out=self._own[:nb], mode="clip")
         np.maximum(own, WEIGHT_FLOOR, out=own)
-        self.ua = np.take(self.f, self.at_y[rows], out=self._ua[:nb], mode="clip")
-        self.ua *= self.has_a[rows]
-        self.ua /= own
-        self.ub = np.take(self.f, self.below_y[rows], out=self._ub[:nb], mode="clip")
-        self.ub *= self.has_b[rows]
-        self.ub /= own
+        np.multiply(f, self.sign[:, rows], out=u)
+        u /= own
         np.negative(f[:-1], out=self.o)
         self.o *= f[1:]
         self.o *= g[1:q]
         np.multiply(f, f, out=f)
         np.add(g[:q], g[1:], out=self.d)
         self.d *= f
+        return u
 
     def density(self, ws: _Workspace, rows: slice, out: np.ndarray) -> np.ndarray:
         """Logistic density F'(eta) = F (1 - F) of one block of rows, into
@@ -383,21 +374,6 @@ class _Tridiagonal:
         F = ws.cdf[:, rows]
         np.subtract(1.0, F, out=out)
         return np.multiply(out, F, out=out)
-
-    def score_sums(self):
-        """(sum_i u_i, u_i . 1, u_i . w)."""
-        rows, y0, ua, ub = self.rows, self.y0, self.ua, self.ub
-        k = self.g.shape[0]
-        total = np.bincount(y0, ua, k)[:-1] - np.bincount(y0, ub, k)[1:]
-        return total, ua - ub, ua * self.w_a[rows] - ub * self.w_b[rows]
-
-    def score(self) -> np.ndarray:
-        """Dense (k-1, rows) score, for the category-specific contraction."""
-        nb = self.ua.size
-        self.padded[:, :nb] = 0.0
-        np.put(self.padded, self.to_a[self.rows], self.ua)
-        np.put(self.padded, self.to_b[self.rows], -self.ub)
-        return self.padded[1:-1, :nb]
 
     def forms(self, X: np.ndarray, Z: np.ndarray):
         """sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the (3, rows) quadratic
@@ -421,21 +397,18 @@ class _Semiseparable:
     A_r = P(Y > r), the cancellation-free form of T_max(r,s) - T_r T_s with
     T_r = P(Y > r). Only B and A are stored, as (k-1, rows) products of
     triangular 0/1 matrices with the probabilities; the score is u_ir = B_r
-    when y_i > r and -A_r otherwise, taken with the (k-1, n) response masks.
+    when y_i > r and -A_r otherwise, taken with the (k-1, n) response mask.
     """
 
     def __init__(self, problem: _Problem):
         layout, y0, w = problem.layout, problem.y0, problem.w
         q = layout.q
         width = problem.blocks[0].stop
-        self.w = w  # not the problem: see _Tridiagonal
-        self.below, self.above, self._u, self._masked = (np.empty((q, width)) for _ in range(4))
+        self.below, self.above, self.u = (np.empty((q, width)) for _ in range(3))
         # B = below_of @ probs and A = above_of @ probs: below_of[r, c] = 1 when c <= r
         self.below_of = np.tril(np.ones((q, q + 1)))
         self.above_of = 1.0 - self.below_of
-        # response masks of the score: 1 where y_i > r, and its complement
-        self.y_above = (y0 > np.arange(q)[:, None]).astype(float)
-        self.y_below = 1.0 - self.y_above
+        self.y_above = y0 > np.arange(q)[:, None]  # response mask of the score
         self.pair_rows, self.pair_cols = np.triu_indices(q)
         if layout.structure == "catspec":
             self.pair_weights = np.empty((self.pair_rows.size, width))
@@ -455,22 +428,16 @@ class _Semiseparable:
                           if layout.m else ones[None, :])
         self._forms = np.empty((len(self.quadratic), width))
 
-    def load(self, ws: _Workspace, rows: slice) -> None:
+    def load(self, ws: _Workspace, rows: slice) -> np.ndarray:
+        """B and A of the next block of rows; returns its (k-1, rows) score."""
         nb = rows.stop - rows.start
         probs = ws.probs[:, rows]
         B = np.matmul(self.below_of, probs, out=self.below[:, :nb])
         A = np.matmul(self.above_of, probs, out=self.above[:, :nb])
         self.B, self.A = B, A
-        self.u = np.multiply(B, self.y_above[:, rows], out=self._u[:, :nb])
-        self.u -= np.multiply(A, self.y_below[:, rows], out=self._masked[:, :nb])
-
-    def score_sums(self):
-        """(sum_i u_i, u_i . 1, u_i . w)."""
-        u = self.u
-        return u.sum(axis=1), u.sum(axis=0), self.w @ u
-
-    def score(self) -> np.ndarray:
-        return self.u
+        u = np.negative(A, out=self.u[:, :nb])
+        np.copyto(u, B, where=self.y_above[:, rows])
+        return u
 
     def forms(self, X: np.ndarray, Z: np.ndarray):
         """sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the (3, rows) quadratic
@@ -538,15 +505,10 @@ def _reverse_permutation(layout: ParamLayout) -> np.ndarray:
 def _covariance(info: np.ndarray):
     """Inverse information with honest flags for numerically singular slots."""
     eigval, eigvec = np.linalg.eigh(info)
-    lam_max = float(eigval.max(initial=0.0))
-    null = eigval <= max(lam_max, 1.0) * 1e-10
-    if null.any():
-        inv = np.where(null, 0.0, 1.0 / np.where(null, 1.0, eigval))
-        cov = (eigvec * inv) @ eigvec.T
-        bad = (np.abs(eigvec[:, null]) > 1e-8).any(axis=1)
-    else:
-        cov = (eigvec / eigval) @ eigvec.T
-        bad = np.zeros(info.shape[0], dtype=bool)
+    null = eigval <= max(float(eigval.max(initial=0.0)), 1.0) * 1e-10
+    # null directions get a zero inverse eigenvalue; without any, bad is all False
+    cov = (eigvec / np.where(null, np.inf, eigval)) @ eigvec.T
+    bad = (np.abs(eigvec[:, null]) > 1e-8).any(axis=1)
     return cov, bad
 
 
@@ -592,7 +554,7 @@ def fit(
     spec: ModelSpec,
     data: OrdinalDataset,
     *,
-    max_iter: int = 100,
+    max_iter: int = MAX_ITER,
     start=None,
 ) -> FitResult:
     """Fisher scoring with step halving until the deviance stabilizes.
@@ -611,9 +573,8 @@ def fit(
     problem = _Problem(data, spec)
     layout = problem.layout
 
-    # the accepted step's workspace and the candidates' (made at the first
-    # candidate); accepting a step swaps them
-    current, trial = problem.workspace, None
+    # the accepted step's workspace and the candidates': accepting a step swaps them
+    current, trial = problem.workspace, problem.new_workspace()
     if start is not None:
         theta = np.asarray(start, dtype=float)
         if theta.shape != (layout.n_params,):
@@ -640,8 +601,6 @@ def fit(
             step = np.linalg.lstsq(info, s, rcond=None)[0]
         accepted = False
         lam = 1.0
-        if trial is None:
-            trial = problem.new_workspace()
         for _ in range(11):
             cand = theta + lam * step
             try:

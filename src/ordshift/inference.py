@@ -17,7 +17,7 @@ import numpy as np
 from .data import OrdinalDataset
 from .design import ModelSpec, Term, constraint_map
 from .exceptions import InvalidInputError, NestingError, OrdshiftError, SpecError
-from .fit import FitResult, fit, standard_errors
+from .fit import MAX_ITER, FitResult, fit, standard_errors
 
 _GAMMA_EPS = 1e-15
 _GAMMA_ITMAX = 500
@@ -188,11 +188,14 @@ def _catspec_start(locshift_fit: FitResult, spec: ModelSpec):
     return np.concatenate([locshift_fit.params[:ls.q], slopes.ravel()])
 
 
-def model_ladder(data: OrdinalDataset, base_spec: ModelSpec, **fit_options) -> ComparisonTable:
+def model_ladder(
+    data: OrdinalDataset, base_spec: ModelSpec, *, max_iter: int = MAX_ITER
+) -> ComparisonTable:
     """Fit the three nested structures and the two adjacent deviance tests.
 
-    A row whose fit raises or does not converge is marked failed; the
-    remaining comparisons are still produced.
+    A row whose fit raises or does not converge within ``max_iter``
+    iterations is marked failed; the remaining comparisons are still
+    produced.
     """
     if not base_spec.dispersion:
         raise SpecError("the model ladder needs dispersion terms (y ~ x... | z...)")
@@ -209,9 +212,9 @@ def model_ladder(data: OrdinalDataset, base_spec: ModelSpec, **fit_options) -> C
             start = None
             if structure == "catspec" and "locshift" in fits and fits["locshift"].converged:
                 start = _catspec_start(fits["locshift"], spec)
-            result = fit(spec, data, start=start, **fit_options)
+            result = fit(spec, data, max_iter=max_iter, start=start)
             if structure == "catspec" and start is not None and not result.converged:
-                cold = fit(spec, data, **fit_options)
+                cold = fit(spec, data, max_iter=max_iter)
                 if cold.converged:
                     result = cold
             row.fit = result
@@ -332,12 +335,15 @@ def star_data(result: FitResult, level: float = 0.95):
 
 
 def smooth_term_tests(
-    data: OrdinalDataset, spec: ModelSpec, name: str, side: str = "location", **fit_options
+    data: OrdinalDataset, spec: ModelSpec, name: str, side: str = "location", *,
+    max_iter: int = MAX_ITER,
 ):
     """LRTs for one smooth term: against dropping it and against a linear fit.
 
     Returns {"drop": TestResult, "linear": TestResult}; both baselines are
-    exposed because either comparison can be the relevant one.
+    exposed because either comparison can be the relevant one. The three
+    fits stop after ``max_iter`` iterations; lrt rejects any that did not
+    converge with a NestingError.
     """
     if side not in ("location", "dispersion"):
         raise InvalidInputError(f"side must be location or dispersion, got {side!r}")
@@ -349,9 +355,9 @@ def smooth_term_tests(
     def rebuild(new_terms):
         return replace(spec, **{side: tuple(new_terms)})
 
-    full = fit(spec, data, **fit_options)
-    dropped = fit(rebuild([t for t in terms if t is not target]), data, **fit_options)
+    full = fit(spec, data, max_iter=max_iter)
+    dropped = fit(rebuild([t for t in terms if t is not target]), data, max_iter=max_iter)
     linear = fit(
-        rebuild([Term(t.name) if t is target else t for t in terms]), data, **fit_options
+        rebuild([Term(t.name) if t is target else t for t in terms]), data, max_iter=max_iter
     )
     return {"drop": lrt(dropped, full), "linear": lrt(linear, full)}

@@ -18,6 +18,12 @@ from .exceptions import SpecError
 from .fit import FitResult, smooth_values
 
 _GRID_POINTS = 200
+# star plot: canvas size and axis labels
+_STAR_WIDTH, _STAR_HEIGHT = 640, 480
+_STAR_X_LABEL = "dispersion  exp(alpha)"
+_STAR_Y_LABEL = "location  exp(beta)"
+# smooth plot: size of one panel, placed side by side
+_PANEL_WIDTH, _PANEL_HEIGHT = 360, 300
 
 
 def _c(value: float) -> str:
@@ -85,18 +91,13 @@ def _log_range(values):
     return lo - pad, hi + pad
 
 
-def render_star_svg(
-    points,
-    x_label: str = "dispersion  exp(alpha)",
-    y_label: str = "location  exp(beta)",
-    width: int = 640,
-    height: int = 480,
-) -> str:
+def render_star_svg(points) -> str:
     """Star plot of (e^alpha, e^beta) points with CI cross-arms.
 
     An empty point list still yields a well-formed plot with the two
     reference lines.
     """
+    width, height = _STAR_WIDTH, _STAR_HEIGHT
     left, right, top, bottom = 70, 24, 24, 56
     plot_w, plot_h = width - left - right, height - top - bottom
 
@@ -122,8 +123,8 @@ def render_star_svg(
         svg.line(left - 4, py(ly), left, py(ly))
         svg.text(left - 6, py(ly) + 4, f"{ly:.2f}", anchor="end")
 
-    svg.text(left + plot_w / 2, height - 14, x_label, anchor="middle")
-    svg.text(16, top + plot_h / 2, y_label, anchor="middle", rotate=-90)
+    svg.text(left + plot_w / 2, height - 14, _STAR_X_LABEL, anchor="middle")
+    svg.text(16, top + plot_h / 2, _STAR_Y_LABEL, anchor="middle", rotate=-90)
 
     svg.line(px(1.0), top, px(1.0), top + plot_h, stroke="grey", dash="4 3", cls="ref")
     svg.line(left, py(1.0), left + plot_w, py(1.0), stroke="grey", dash="4 3", cls="ref")
@@ -137,12 +138,7 @@ def render_star_svg(
     return svg.render()
 
 
-def render_smooth_svg(
-    result: FitResult,
-    variable: str,
-    panel_width: int = 360,
-    height: int = 300,
-) -> str:
+def render_smooth_svg(result: FitResult, variable: str) -> str:
     """Fitted smooth functions of one variable on a 200-point grid.
 
     One panel per smooth term (location and/or dispersion); curves are
@@ -152,6 +148,7 @@ def render_smooth_svg(
     if not sides:
         raise SpecError(f"variable {variable!r} has no smooth term in this fit")
 
+    panel_width, height = _PANEL_WIDTH, _PANEL_HEIGHT
     left, right, top, bottom = 56, 16, 28, 44
     plot_w, plot_h = panel_width - left - right, height - top - bottom
     svg = _Canvas(panel_width * len(sides), height)

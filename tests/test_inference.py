@@ -255,6 +255,14 @@ class TestModelLadder:
         # the constraint map reproduces the location-shift fit exactly
         assert log_likelihood(start, data, catspec) == pytest.approx(ls.loglik, abs=1e-9)
 
+    def test_max_iter_caps_every_fit(self):
+        rng = np.random.default_rng(8)
+        data, spec, _ = random_dataset(rng, n=200, k=4)
+        table = model_ladder(data, spec, max_iter=1)
+        for row in table.rows:
+            assert row.fit.iterations == 1
+            assert row.error == "fit failed (did not converge)"
+
     def test_needs_dispersion_terms(self):
         rng = np.random.default_rng(5)
         data, spec, _ = random_dataset(rng, n=100, k=4)
@@ -438,6 +446,24 @@ class TestSmoothTermTests:
         assert tests["linear"].df == 3
         assert tests["drop"].p_value < 0.01
         assert tests["linear"].p_value < 0.05
+
+    def test_max_iter_reaches_each_fit(self, monkeypatch):
+        fits = []
+
+        def recorded_fit(spec, data, **options):
+            fits.append((options, fit(spec, data, **options)))
+            return fits[-1][1]
+
+        monkeypatch.setattr("ordshift.inference.fit", recorded_fit)
+        rng = np.random.default_rng(14)
+        data, _, _ = random_dataset(rng, n=300, k=4)
+        spec = ModelSpec(CUM, "locshift", (Term("v1", smooth=True, n_basis=4), Term("v2")),
+                         (Term("v2"),))
+        # one iteration converges none of the three fits, so lrt rejects them
+        with pytest.raises(NestingError):
+            smooth_term_tests(data, spec, "v1", max_iter=1)
+        assert [options for options, _ in fits] == [{"max_iter": 1}] * 3
+        assert [(r.iterations, r.converged) for _, r in fits] == [(1, False)] * 3
 
     def test_requires_smooth_term(self):
         rng = np.random.default_rng(13)
