@@ -53,7 +53,6 @@ class FitResult:
     k: int
     iterations: int
     converged: bool
-    monotonicity_ok: bool | None
     se_unavailable: np.ndarray
     warnings: list = field(default_factory=list)
     smooths: dict = field(default_factory=dict)
@@ -88,15 +87,15 @@ def _check_categories(data: OrdinalDataset) -> None:
 
 class _Workspace:
     """Threshold-major evaluation at one parameter vector: the (k-1, n)
-    predictors, the (k-1, n) unclipped F(eta) of the cumulative family (None
-    for the adjacent one) and the (k, n) category probabilities.
-    _Problem.evaluate rewrites all three in place, so the kept F always
-    belongs to the predictors beside it."""
+    unclipped F(eta) of the cumulative family (None for the adjacent one) and
+    the (k, n) category probabilities. _Problem.evaluate rewrites both in
+    place, block by block, so the kept F always belongs to the probabilities
+    beside it. The predictors themselves are not kept: nothing reads them
+    once a block's F and probabilities are made."""
 
-    __slots__ = ("eta", "cdf", "probs")
+    __slots__ = ("cdf", "probs")
 
     def __init__(self, q: int, n: int, cumulative: bool):
-        self.eta = np.empty((q, n))
         self.cdf = np.empty((q, n)) if cumulative else None
         self.probs = np.empty((q + 1, n))
 
@@ -118,15 +117,18 @@ class _Problem:
 
     Every per-observation, per-threshold quantity is threshold-major, a
     (k-1, rows) or (k, rows) array, so each step along the short threshold
-    axis is a few contiguous loops over observations. The predictors, the
-    kept F(eta) and the probabilities of a parameter vector live in a
-    _Workspace that evaluate() rewrites in place: ``workspace`` serves
-    one-shot calls and fit() adds a second one for its candidate steps.
-    Score and information are summed over fixed blocks of BLOCK_ROWS rows (a
-    single block when n <= BLOCK_ROWS), in block scratch that the family's
-    weights helper allocates once per problem, with the response mask from
-    which it builds each block's dense (k-1, rows) score. No step allocates
-    an (n, k-1) temporary.
+    axis is a few contiguous loops over observations. The kept F(eta) and
+    the probabilities of a parameter vector live in the problem's one
+    _Workspace, which evaluate() rewrites in place for every parameter
+    vector, fit()'s candidate steps included; the predictors exist only a
+    block at a time, in block scratch. Score and information are summed over
+    fixed blocks of BLOCK_ROWS rows (a single block when n <= BLOCK_ROWS), in
+    block scratch that the family's weights helper allocates once per
+    problem, with the response mask from which it builds each block's dense
+    (k-1, rows) score. A category-specific problem compiles the distinct
+    products x~_j x~_l (j <= l) of x~ = [1, x] once, as an (n, (p+1)(p+2)/2)
+    array whose first p+1 columns are x~ itself. No step allocates an
+    (n, k-1) temporary.
     """
 
     def __init__(self, data: OrdinalDataset, spec: ModelSpec):
@@ -150,13 +152,30 @@ class _Problem:
         # flat index of (y_i, i) in a (k, n) array: each observation's own category
         self.own = self.y0 * n + np.arange(n)
         self._own = np.empty(n)
-        self.workspace = self.new_workspace()
+        q, width = self.layout.q, self.blocks[0].stop
+        self.workspace = _Workspace(q, n, self.cumulative)
+        self._eta = np.empty((q, width))  # one block's predictors
         self._weights = None
         self._upper = np.triu_indices(self.layout.n_params, 1)
         if spec.structure == "catspec":
-            p, q = self.layout.p, self.layout.q
-            self._X1 = np.hstack([np.ones((n, 1)), self.X])
-            self._X1X1 = (self._X1[:, :, None] * self._X1[:, None, :]).reshape(n, -1)
+            p = self.layout.p
+            # x~_j x~_l of x~ = [1, x] for j <= l, row-major over the upper
+            # triangle, one column at a time: its first p+1 columns, (0, l),
+            # are x~ itself, so [1, x] and x are views of it
+            pair_j, pair_l = np.triu_indices(p + 1)
+            products = np.empty((n, pair_j.size))
+            products[:, 0] = 1.0
+            products[:, 1:p + 1] = self.X
+            for col in range(p + 1, pair_j.size):
+                np.multiply(products[:, pair_j[col]], products[:, pair_l[col]], out=products[:, col])
+            self._products = products
+            # column of products holding x~_j x~_l, for (j, l) row-major over
+            # the whole (p+1, p+1) block
+            mirror = np.empty((p + 1, p + 1), dtype=np.intp)
+            mirror[pair_j, pair_l] = mirror[pair_l, pair_j] = np.arange(pair_j.size)
+            self._mirror = mirror.ravel()
+            self._X1 = products[:, :p + 1]
+            self.X = self._X1[:, 1:]
             # parameter slot of (threshold r, column j of [1, x])
             j = np.arange(p + 1)[None, :]
             r = np.arange(q)[:, None]
@@ -167,7 +186,6 @@ class _Problem:
             # rank-deficient the rounding of these products decides its fits:
             # formed as (X' C) X from the columns as rows, 458 instead of 504
             # of 512 smooth sim-small fits converged.
-            width = self.blocks[0].stop
             self._cX, self._cZ = np.empty((width, self.layout.p)), np.empty((width, self.layout.m))
 
     def canonical(self, params) -> np.ndarray:
@@ -189,39 +207,34 @@ class _Problem:
             theta[: layout.q] = np.log(counts[1:] / counts[:-1])
         return theta
 
-    def new_workspace(self) -> _Workspace:
-        return _Workspace(self.layout.q, self.y0.size, self.cumulative)
-
-    def eta(self, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(k-1, n) linear predictors at canonical ``theta``, into ``out``."""
+    def predictors(self, theta: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
+        """(k-1, rows) linear predictors of one block at canonical ``theta``,
+        into ``out``."""
         layout = self.layout
         q = layout.q
-        if out is None:
-            out = np.empty((q, self.y0.size))
-        for rows in self.blocks:
-            block = out[:, rows]
-            if layout.structure == "catspec":
-                np.matmul(theta[q:].reshape(q, layout.p), self.X[rows].T, out=block)
-                block += theta[:q, None]
-            else:
-                np.add(theta[:q, None], self.X[rows] @ theta[layout.location], out=block)
-                if layout.m:
-                    spread = self.Z[rows] @ theta[layout.dispersion]
-                    for r in range(q):
-                        block[r] += spread * self.w[r]
+        if layout.structure == "catspec":
+            np.matmul(theta[q:].reshape(q, layout.p), self.X[rows].T, out=out)
+            out += theta[:q, None]
+        else:
+            np.add(theta[:q, None], self.X[rows] @ theta[layout.location], out=out)
+            if layout.m:
+                spread = self.Z[rows] @ theta[layout.dispersion]
+                for r in range(q):
+                    out[r] += spread * self.w[r]
         return out
 
-    def evaluate(self, theta: np.ndarray, workspace: _Workspace | None = None) -> _Workspace:
-        """Predictors, kept F and probabilities at canonical ``theta``, written
-        into ``workspace`` (by default the problem's own). Infeasible
-        cumulative thresholds raise ThresholdOrderError and leave the
-        workspace partly rewritten: it must not be read until the next
-        evaluate() into it succeeds."""
-        ws = self.workspace if workspace is None else workspace
+    def evaluate(self, theta: np.ndarray) -> _Workspace:
+        """Kept F and probabilities at canonical ``theta``, written into the
+        problem's workspace and returned. Each block's predictors go to block
+        scratch and become that block's F and probabilities at once.
+        Infeasible cumulative thresholds raise ThresholdOrderError and leave
+        the workspace partly rewritten: it must not be read until the next
+        evaluate() succeeds."""
+        ws = self.workspace
         family = self.spec.family
-        self.eta(theta, ws.eta)
         for rows in self.blocks:
-            category_probs(family, ws.eta[:, rows], ws.probs[:, rows],
+            eta = self.predictors(theta, rows, self._eta[:, :rows.stop - rows.start])
+            category_probs(family, eta, ws.probs[:, rows],
                            None if ws.cdf is None else ws.cdf[:, rows])
         return ws
 
@@ -255,10 +268,12 @@ class _Problem:
         blocks. Global and location-shift information needs only sum_i W_i,
         W_i 1 and W_i w, and the quadratic forms of the last two against X
         and Z; the category-specific information contracts only the
-        threshold pairs (r, s) where W_i[r, s] can be nonzero,
-        (pairs, n) @ (n, (p+1)^2). No (n, k-1, k-1) array is formed, and
-        every sum over observations is accumulated block by block. Only the
-        upper triangle is assembled; it is mirrored at the end.
+        threshold pairs (r, s) where W_i[r, s] can be nonzero with the
+        distinct products x~_j x~_l (j <= l), (pairs, n) @ (n, (p+1)(p+2)/2),
+        and mirrors each pair's triangle into its (p+1, p+1) block. No
+        (n, k-1, k-1) array is formed, and every sum over observations is
+        accumulated block by block. Only the upper triangle is assembled; it
+        is mirrored at the end.
         """
         layout = self.layout
         q, size = layout.q, layout.n_params
@@ -271,10 +286,10 @@ class _Problem:
             pair_sum = 0.0
             for rows in self.blocks:
                 score_sum += weights.load(ws, rows) @ self._X1[rows]
-                pair_sum = pair_sum + weights.pairs() @ self._X1X1[rows]
+                pair_sum = pair_sum + weights.pairs() @ self._products[rows]
             s[self._slots] = score_sum.ravel()
-            pair_blocks = pair_sum.reshape(-1, p1, p1)
             pair_rows, pair_cols = weights.pair_rows, weights.pair_cols
+            pair_blocks = pair_sum[:, self._mirror].reshape(-1, p1, p1)
             blocks = np.zeros((q, q, p1, p1))
             blocks[pair_rows, pair_cols] = pair_blocks
             blocks[pair_cols, pair_rows] = pair_blocks
@@ -560,39 +575,38 @@ def fit(
     """Fisher scoring with step halving until the deviance stabilizes.
 
     A step is halved (up to 10 times) when it would increase the deviance or,
-    for cumulative specs, cross any observation's thresholds; two consecutive
-    iterations without an accepted step stop the fit with converged=False.
-    Convergence requires relative deviance change < DEVIANCE_TOL and
-    max |score| < SCORE_TOL * (1 + |loglik|) at the same iteration. The
-    covariance is the inverse expected information at the optimum. Score
-    and information are evaluated once at the start and once after each
-    accepted step; that one evaluation serves the convergence test, the next
-    step and the covariance.
+    for cumulative specs, cross any observation's thresholds. An iteration
+    without an accepted step stops the fit: converged when max |score| is
+    already below tolerance, converged=False otherwise (retrying would solve
+    for the same step). Convergence requires relative deviance change <
+    DEVIANCE_TOL and max |score| < SCORE_TOL * (1 + |loglik|) at the same
+    iteration. The covariance is the inverse expected information at the
+    optimum. Every candidate is evaluated into the problem's one workspace.
+    Score and information are evaluated once at the start and once after
+    each accepted step, right after its evaluation; that one evaluation
+    serves the convergence test, the next step and the covariance.
     """
     _check_categories(data)
     problem = _Problem(data, spec)
     layout = problem.layout
 
-    # the accepted step's workspace and the candidates': accepting a step swaps them
-    current, trial = problem.workspace, problem.new_workspace()
     if start is not None:
         theta = np.asarray(start, dtype=float)
         if theta.shape != (layout.n_params,):
             raise StartError(f"start has {theta.shape} entries, expected {layout.n_params}")
         theta = theta[problem.perm]
         try:
-            problem.evaluate(theta, current)
+            ws = problem.evaluate(theta)
         except ThresholdOrderError as exc:
             raise StartError(f"infeasible start: {exc}") from exc
     else:
         theta = problem.initial_params()
-        problem.evaluate(theta, current)
+        ws = problem.evaluate(theta)
 
-    deviance = -2.0 * problem.loglik(current.probs)
-    s, info = problem.score_info(current)
+    deviance = -2.0 * problem.loglik(ws.probs)
+    s, info = problem.score_info(ws)
     converged = False
     iterations = 0
-    failures = 0
     for iteration in range(1, max_iter + 1):
         iterations = iteration
         try:
@@ -604,11 +618,11 @@ def fit(
         for _ in range(11):
             cand = theta + lam * step
             try:
-                problem.evaluate(cand, trial)
+                ws = problem.evaluate(cand)
             except ThresholdOrderError:
                 lam /= 2.0
                 continue
-            cand_dev = -2.0 * problem.loglik(trial.probs)
+            cand_dev = -2.0 * problem.loglik(ws.probs)
             if np.isfinite(cand_dev) and cand_dev <= deviance:
                 accepted = True
                 break
@@ -616,19 +630,13 @@ def fit(
         if not accepted:
             # a rejected step at a stationary point is convergence, not
             # failure: the deviance is already flat to rounding and the
-            # score is below tolerance
-            if np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0):
-                converged = True
-                break
-            failures += 1
-            if failures >= 2:
-                break
-            continue
-        failures = 0
+            # score is below tolerance. Elsewhere it stops the fit: a retry
+            # would solve for the same step from the same score and information
+            converged = bool(np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0))
+            break
         rel_change = abs(deviance - cand_dev) / (abs(deviance) + 1e-10)
         theta, deviance = cand, cand_dev
-        current, trial = trial, current
-        s, info = problem.score_info(current)
+        s, info = problem.score_info(ws)
         if (rel_change < DEVIANCE_TOL
                 and np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0)):
             converged = True
@@ -652,10 +660,6 @@ def fit(
     if not converged:
         notes.append("did not converge")
 
-    monotone = None
-    if problem.cumulative:
-        monotone = bool(np.all(np.diff(current.eta, axis=0) >= -1e-12))
-
     perm = problem.perm
     return FitResult(
         spec=spec,
@@ -668,7 +672,6 @@ def fit(
         k=data.k,
         iterations=iterations,
         converged=converged,
-        monotonicity_ok=monotone,
         se_unavailable=bad[perm],
         warnings=notes,
         smooths=problem.design.smooths,

@@ -14,6 +14,16 @@ def logistic_density(eta):
     return f * (1.0 - f)
 
 
+def kernel_predictors(problem, theta):
+    """(k-1, n) linear predictors of a compiled fit._Problem at canonical
+    ``theta``, made block by block as evaluate() makes them; the kernel
+    itself keeps only one block's."""
+    out = np.empty((problem.layout.q, problem.y0.size))
+    for rows in problem.blocks:
+        problem.predictors(theta, rows, out[:, rows])
+    return out
+
+
 def random_dataset(rng, n=50, k=4, n_cov=2, family=Family("cumulative"), dual=True):
     """Dataset simulated from a modest location-shift model, x = z."""
     columns = {f"v{j + 1}": rng.normal(size=n) * 0.8 for j in range(n_cov)}
@@ -140,6 +150,5 @@ def stub_fit(n_params, deviance=100.0, n=100, k=3, converged=True, family=Family
         k=k,
         iterations=1,
         converged=converged,
-        monotonicity_ok=True,
         se_unavailable=np.zeros(n_params, dtype=bool),
     )

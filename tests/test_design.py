@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_dataset
+from helpers import kernel_predictors, random_dataset
 
 from ordshift.data import OrdinalDataset, level_codes
 from ordshift.design import (
@@ -167,7 +167,7 @@ class TestDesignRows:
             D, layout = build_design_tensor(design, s, data.k)
             assert D.shape == (20, 4, layout.n_params)
             theta = rng.normal(size=layout.n_params)
-            eta = _Problem(data, s).eta(theta)
+            eta = kernel_predictors(_Problem(data, s), theta)
             for i in range(0, 20, 7):
                 assert D[i] @ theta == pytest.approx(eta[:, i], abs=1e-14)
 

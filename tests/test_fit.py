@@ -12,6 +12,7 @@ from helpers import (
     fd_gradient,
     fd_hessian,
     feasible_params,
+    kernel_predictors,
     logistic_density,
     nelder_mead_loglik,
     random_dataset,
@@ -30,6 +31,7 @@ from ordshift.exceptions import (
 from ordshift.fit import (
     WEIGHT_FLOOR,
     _Problem,
+    _Workspace,
     category_probabilities,
     fisher_info,
     fit,
@@ -218,9 +220,8 @@ class TestFisherInfo:
             expected += D[i].T @ w @ D[i]
         assert fisher_info(params, data, spec) == pytest.approx(expected, rel=1e-8)
         problem = _Problem(data, spec)
-        kernel = problem.evaluate(params)
-        assert kernel.eta.T == pytest.approx(eta, rel=1e-12)
-        _, info = problem.score_info(kernel)
+        assert kernel_predictors(problem, params).T == pytest.approx(eta, rel=1e-12)
+        _, info = problem.score_info(problem.evaluate(params))
         assert info == pytest.approx(expected, rel=1e-8)
 
 
@@ -353,9 +354,8 @@ class TestKernelParity:
     @staticmethod
     def _check_at(problem, data, spec, theta):
         eta, dense_s, dense_info = _dense_score_info(problem, theta)
-        kernel = problem.evaluate(theta)
-        s, info = problem.score_info(kernel)
-        assert _max_rel(kernel.eta.T, eta) <= 1e-12
+        s, info = problem.score_info(problem.evaluate(theta))
+        assert _max_rel(kernel_predictors(problem, theta).T, eta) <= 1e-12
         assert _max_rel(s, dense_s) <= 1e-12
         assert _max_rel(info, dense_info) <= 1e-12
         assert np.array_equal(info, info.T)
@@ -454,13 +454,36 @@ class TestRowBlocks:
         assert len(_Problem(data, spec).blocks) == 10
         assert blocked.iterations == whole.iterations
         assert blocked.converged == whole.converged
-        # the reverse cumulative catspec case stops without converging (no
-        # accepted step twice in a row, as its forward fit does); its last
+        # the reverse cumulative catspec case stops without converging (an
+        # iteration without an accepted step, as its forward fit does); its last
         # iterate moves by 8e-10 under any reordering of the row sums, a row
         # permutation included, so it gets test_permutation_invariance's bound
         tol = 1e-10 if whole.converged else 1e-8
         assert np.max(np.abs(blocked.params - whole.params)) <= tol
         assert blocked.deviance == pytest.approx(whole.deviance, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 6])
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    def test_distinct_products_match_single_block(self, monkeypatch, kind, p):
+        # the category-specific information contracts the threshold pairs
+        # with the (p+1)(p+2)/2 distinct products of [1, x] and mirrors them:
+        # in blocks of 16 rows it agrees with one block and the dense oracle
+        rng = _case_rng("products", kind, p)
+        data, base, _ = random_dataset(rng, n=150, k=5, n_cov=p, family=Family(kind))
+        spec = base.with_structure("catspec")
+        whole = _Problem(data, spec)
+        assert whole._products.shape == (150, (p + 1) * (p + 2) // 2)
+        assert np.array_equal(whole._X1, np.column_stack([np.ones(150), whole.design.X]))
+        assert np.shares_memory(whole._X1, whole._products)
+        assert np.shares_memory(whole.X, whole._products)
+        theta = feasible_params(rng, whole.layout, spec, data, scale=0.1)
+        expected = whole.score_info(whole.evaluate(theta))
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
+        blocked = _Problem(data, spec)
+        assert len(blocked.blocks) == 10
+        for new, old in zip(blocked.score_info(blocked.evaluate(theta)), expected):
+            assert _max_rel(new, old) <= 1e-12
+        TestKernelParity._check_at(blocked, data, spec, theta)
 
     def test_kept_cdf_gives_the_link_density(self, monkeypatch):
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
@@ -468,11 +491,11 @@ class TestRowBlocks:
         data, spec, params = random_dataset(rng, n=40, k=5)
         problem = _Problem(data, spec)
         workspace = problem.evaluate(params)
+        eta = kernel_predictors(problem, params)
         for rows in problem.blocks:
-            expected = logistic_density(workspace.eta[:, rows])
+            expected = logistic_density(eta[:, rows])
             kept = problem.weights().density(workspace, rows, np.empty_like(expected))
             assert np.array_equal(kept, expected)
-            assert np.array_equal(kept, logistic_density(problem.eta(params)[:, rows]))
 
     @staticmethod
     def _crossing_late():
@@ -490,35 +513,59 @@ class TestRowBlocks:
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 8)
         problem = _Problem(data, spec)
         assert len(problem.blocks) == 5
-        eta = problem.eta(np.array(start))
+        eta = kernel_predictors(problem, np.array(start))
         category_probs(CUM, eta[:, :32])  # the first four blocks are feasible
         with pytest.raises(StartError) as blocked:
             fit(spec, data, start=start)
         assert str(blocked.value) == str(whole.value)
         assert str(whole.value) == "infeasible start: thresholds out of order at index 1"
 
-    def test_kept_cdf_survives_a_failed_candidate(self, monkeypatch):
-        # a candidate that fails in its last block has already written the
-        # F of the first four into its own workspace: the current
-        # workspace's density, score and information must not read it
+    def test_one_workspace_serves_every_candidate(self, monkeypatch):
+        # from this start, step halving meets candidates whose thresholds
+        # cross only in the last block, after they have rewritten the first
+        # four blocks of the problem's one workspace: nothing may read it
+        # after a rejected candidate, so evaluating every candidate into a
+        # fresh workspace gives the same fit bit for bit
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 8)
-        data, spec, crossing = self._crossing_late()
-        problem = _Problem(data, spec)
-        theta = np.array([-1.0, 0.0, 1.0, 0.1, 0.2, 0.3])
-        current = problem.evaluate(theta)
-        expected = problem.score_info(current)
-        with pytest.raises(ThresholdOrderError):
-            problem.evaluate(np.array(crossing), problem.new_workspace())
-        for rows in problem.blocks:
-            density = problem.weights().density(current, rows, np.empty((3, rows.stop - rows.start)))
-            assert np.array_equal(density, logistic_density(current.eta[:, rows]))
-        for new, old in zip(problem.score_info(current), expected):
-            assert np.array_equal(new, old)
+        data, spec, _ = self._crossing_late()
+        start = [-1.0, 0.0, 1.0, -0.16, 0.73, 0.98]
+        blocks, crossed = [], []
+        predictors, probs = _Problem.predictors, FIT_MODULE.category_probs
+
+        def traced_predictors(self, theta, rows, out):
+            blocks.append(rows.start)
+            return predictors(self, theta, rows, out)
+
+        def traced_probs(*args):
+            try:
+                return probs(*args)
+            except ThresholdOrderError:
+                crossed.append(blocks[-1])
+                raise
+
+        monkeypatch.setattr(_Problem, "predictors", traced_predictors)
+        monkeypatch.setattr(FIT_MODULE, "category_probs", traced_probs)
+        shared = fit(spec, data, start=start)
+        assert shared.converged
+        assert crossed == [32, 32]  # two candidates crossed, each in the last block
+
+        evaluate = _Problem.evaluate
+
+        def fresh_workspace(self, theta):
+            self.workspace = _Workspace(self.layout.q, self.y0.size, self.cumulative)
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(_Problem, "evaluate", fresh_workspace)
+        separate = fit(spec, data, start=start)
+        assert separate.iterations == shared.iterations
+        assert np.array_equal(separate.params, shared.params)
+        assert separate.deviance == shared.deviance
+        assert np.array_equal(separate.covariance, shared.covariance)
 
 
 class TestWorkspaces:
     """Candidate evaluations and score/information write into the problem's
-    two workspaces and its block scratch: once these exist, no step of the
+    one workspace and its block scratch: once these exist, no step of the
     fit loop allocates an (n, k-1) array."""
 
     @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
@@ -534,20 +581,43 @@ class TestWorkspaces:
         step = np.zeros_like(theta)
         step[problem.layout.location] = [0.3, -0.2]
         step[problem.layout.dispersion] = 0.02
-        current, trial = problem.workspace, problem.new_workspace()
-        for workspace in (current, trial):  # warm up: workspaces and block scratch
-            problem.loglik(problem.evaluate(theta, workspace).probs)
-            problem.score_info(workspace)
+        # warm up: the block scratch of evaluate() and of the weights helper
+        problem.score_info(problem.evaluate(theta))
         whole = n * (k - 1) * 8  # one (n, k-1) float array, 1.44 MB
         tracemalloc.start()
         try:
             for lam in (1.0, 0.5, 0.25):  # three candidates, then the accepted one's
-                problem.loglik(problem.evaluate(theta + lam * step, trial).probs)
-            problem.score_info(trial)
+                workspace = problem.evaluate(theta + lam * step)
+                assert workspace is problem.workspace
+                problem.loglik(workspace.probs)
+            problem.score_info(workspace)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < whole
+
+    def test_catspec_fit_peak_memory(self):
+        # traced peak of a whole cumulative category-specific fit at n=20000,
+        # k=10, p=6: 22.6 MB while the fit kept a second (candidate)
+        # workspace, whole-array predictors and all (p+1)^2 products of
+        # [1, x]; 11.4 MB with one workspace, per-block predictors and the
+        # 28 distinct products
+        n, k = 20000, 10
+        rng = np.random.default_rng(94)
+        columns = {f"x{j}": rng.normal(size=n) for j in range(6)}
+        latent = sum(0.2 * (j - 2.5) * c for j, c in enumerate(columns.values()))
+        latent = latent + rng.logistic(size=n)
+        cuts = np.quantile(latent, np.arange(1, k) / k)
+        data = OrdinalDataset(y=1 + (latent[:, None] > cuts).sum(axis=1), k=k, columns=columns)
+        spec = ModelSpec(CUM, "catspec", tuple(Term(name) for name in columns))
+        tracemalloc.start()
+        try:
+            result = fit(spec, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < 16e6
 
 
 class TestFit:
@@ -647,6 +717,27 @@ class TestFit:
         result = fit(spec, data, max_iter=1)
         assert not result.converged
         assert any("converge" in w for w in result.warnings)
+
+    def test_no_candidate_evaluated_twice(self, monkeypatch):
+        # TestRowBlocks' reverse cumulative catspec case stops, unconverged,
+        # at an iteration where no halving of the step is accepted; a retry
+        # would solve for the same step and evaluate the same candidates
+        rng = _case_rng("fit-blocks", "cumulative", True, "catspec")
+        data, base, _ = random_dataset(rng, n=150, k=5)
+        spec = ModelSpec(Family("cumulative", True), "catspec", base.location, base.dispersion)
+        evaluated = []
+        evaluate = _Problem.evaluate
+
+        def recorded(self, theta):
+            evaluated.append(theta.tobytes())
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(_Problem, "evaluate", recorded)
+        result = fit(spec, data)
+        assert not result.converged
+        assert result.iterations < FIT_MODULE.MAX_ITER
+        assert len(evaluated) > 11  # the start, then at least one iteration
+        assert len(set(evaluated)) == len(evaluated)
 
     def test_unobserved_category_rejected(self):
         from ordshift.exceptions import DataError
