@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,16 +123,30 @@ def level_codes(values, levels) -> np.ndarray:
     return codes
 
 
-def _parse_float(value: str, column: str, row: int) -> float:
-    try:
-        number = float(value)
-    except ValueError:
+def _numeric_column(values: list, column: str):
+    """The cells of a CSV column as floats, each converted once, or None when
+    none of them is a number (a categorical column). A column mixing numbers
+    with text, or holding a non-finite number (nan, inf), is a DataError
+    naming its first offending cell."""
+    numbers, bad = [], None
+    for i, value in enumerate(values):
+        try:
+            numbers.append(float(value))
+        except ValueError:
+            if bad is None:
+                bad = i
+    if bad is not None:
+        if not numbers:
+            return None
         raise DataError(
-            f"column {column!r} row {row}: could not parse {value!r} as a number"
-        ) from None
-    if not math.isfinite(number):
-        raise DataError(f"column {column!r} row {row}: {value!r} is not a finite number")
-    return number
+            f"column {column!r} row {bad + 2}: could not parse {values[bad]!r} as a number"
+        )
+    array = np.array(numbers)
+    nonfinite = np.flatnonzero(~np.isfinite(array))
+    if nonfinite.size:
+        i = nonfinite[0]
+        raise DataError(f"column {column!r} row {i + 2}: {values[i]!r} is not a finite number")
+    return array
 
 
 def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
@@ -199,37 +212,12 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
         if name == formula.response:
             continue
         values = raw[name]
-        if name in declared:
-            is_cat = True
-        else:
-            numeric_flags = []
-            for v in values:
-                try:
-                    float(v)
-                    numeric_flags.append(True)
-                except ValueError:
-                    numeric_flags.append(False)
-            if all(numeric_flags):
-                is_cat = False
-            elif not any(numeric_flags):
-                is_cat = True
-            else:
-                first_bad = numeric_flags.index(False) + 2
-                raise DataError(
-                    f"column {name!r} row {first_bad}: could not parse "
-                    f"{values[first_bad - 2]!r} as a number"
-                )
-        if is_cat:
+        numbers = None if name in declared else _numeric_column(values, name)
+        if numbers is None:
             columns[name] = np.array(values, dtype=object)
-            ordered = []
-            for v in values:
-                if v not in ordered:
-                    ordered.append(v)
-            levels[name] = tuple(ordered)
+            levels[name] = tuple(dict.fromkeys(values))
         else:
-            columns[name] = np.array(
-                [_parse_float(v, name, i) for i, v in enumerate(values, start=2)]
-            )
+            columns[name] = numbers
 
     data = OrdinalDataset(y=y, k=k_eff, columns=columns, categorical_levels=levels)
     counts = ", ".join(f"{c}" for c in data.category_counts())

@@ -32,10 +32,10 @@ DEVIANCE_TOL = 1e-8  # convergence tolerances of fit(): see its docstring
 SCORE_TOL = 1e-4
 MAX_ITER = 100  # default iteration cap of fit()
 WEIGHT_FLOOR = 1e-12  # probability floor inside score/information weights
-# Rows per evaluation block of _Problem. The score/information scratch of a
-# block, a few (k-1, rows) arrays (288 KB each at k=10), is allocated once per
-# problem and written in place: a fresh temporary of that size costs ~28 us
-# (its pages are mapped anew), against ~10 us to overwrite a kept one.
+# Rows per block of _Problem's pass. The block scratch, a few (k-1, rows)
+# arrays (288 KB each at k=10), is allocated once per problem and written in
+# place: a fresh temporary of that size costs ~28 us (its pages are mapped
+# anew), against ~10 us to overwrite a kept one.
 BLOCK_ROWS = 4096
 
 
@@ -85,21 +85,6 @@ def _check_categories(data: OrdinalDataset) -> None:
         )
 
 
-class _Workspace:
-    """Threshold-major evaluation at one parameter vector: the (k-1, n)
-    unclipped F(eta) of the cumulative family (None for the adjacent one) and
-    the (k, n) category probabilities. _Problem.evaluate rewrites both in
-    place, block by block, so the kept F always belongs to the probabilities
-    beside it. The predictors themselves are not kept: nothing reads them
-    once a block's F and probabilities are made."""
-
-    __slots__ = ("cdf", "probs")
-
-    def __init__(self, q: int, n: int, cumulative: bool):
-        self.cdf = np.empty((q, n)) if cumulative else None
-        self.probs = np.empty((q + 1, n))
-
-
 class _Problem:
     """One (spec, data) pair compiled once for likelihood, score and information.
 
@@ -116,19 +101,17 @@ class _Problem:
     the adjacent family (_Semiseparable).
 
     Every per-observation, per-threshold quantity is threshold-major, a
-    (k-1, rows) or (k, rows) array, so each step along the short threshold
-    axis is a few contiguous loops over observations. The kept F(eta) and
-    the probabilities of a parameter vector live in the problem's one
-    _Workspace, which evaluate() rewrites in place for every parameter
-    vector, fit()'s candidate steps included; the predictors exist only a
-    block at a time, in block scratch. Score and information are summed over
-    fixed blocks of BLOCK_ROWS rows (a single block when n <= BLOCK_ROWS), in
-    block scratch that the family's weights helper allocates once per
-    problem, with the response mask from which it builds each block's dense
-    (k-1, rows) score. A category-specific problem compiles the distinct
-    products x~_j x~_l (j <= l) of x~ = [1, x] once, as an (n, (p+1)(p+2)/2)
-    array whose first p+1 columns are x~ itself. No step allocates an
-    (n, k-1) temporary.
+    (k-1, rows) or (k, rows) array of one block of BLOCK_ROWS rows (a single
+    block when n <= BLOCK_ROWS), so each step along the short threshold axis
+    is a few contiguous loops over observations, and none outlives its
+    block. evaluate() is one pass over the blocks: a block's predictors, F
+    and probabilities, its log-likelihood, and then its score and
+    information, all in block scratch allocated once per problem. The part
+    of a block that depends on the data alone is block scratch too: the
+    weights helper's response mask and, for a category-specific problem,
+    the (p+1)(p+2)/2 distinct products x~_j x~_l (j <= l) of x~ = [1, x],
+    refilled for each block in turn and filled once when the problem is a
+    single block. No step allocates an (n, k-1) array.
     """
 
     def __init__(self, data: OrdinalDataset, spec: ModelSpec):
@@ -149,33 +132,33 @@ class _Problem:
         n = data.n
         self.blocks = [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
         self.cumulative = spec.family.kind == "cumulative"
-        # flat index of (y_i, i) in a (k, n) array: each observation's own category
-        self.own = self.y0 * n + np.arange(n)
-        self._own = np.empty(n)
         q, width = self.layout.q, self.blocks[0].stop
-        self.workspace = _Workspace(q, n, self.cumulative)
-        self._eta = np.empty((q, width))  # one block's predictors
+        # flat index of (y_i, i) in the (k, width) probability scratch of i's block
+        self.own_index = self.y0 * width + np.arange(n) % width
+        self._eta = np.empty((q, width))
+        self._cdf = np.empty((q, width)) if self.cumulative else None
+        self._probs = np.empty((q + 1, width))
+        self._own, self._logs = np.empty(width), np.empty(width)
+        self._loaded = None  # first row of the block whose data-only scratch is filled
         self._weights = None
         self._upper = np.triu_indices(self.layout.n_params, 1)
         if spec.structure == "catspec":
             p = self.layout.p
             # x~_j x~_l of x~ = [1, x] for j <= l, row-major over the upper
-            # triangle, one column at a time: its first p+1 columns, (0, l),
-            # are x~ itself, so [1, x] and x are views of it
+            # triangle: rows 0..p, (0, l), are x~ itself, and the pairs
+            # (j, l >= j) of each j >= 1 are one run of rows after them. One
+            # row per product keeps each product one contiguous loop: as
+            # columns of a (rows, pairs) array they took five times as long
             pair_j, pair_l = np.triu_indices(p + 1)
-            products = np.empty((n, pair_j.size))
-            products[:, 0] = 1.0
-            products[:, 1:p + 1] = self.X
-            for col in range(p + 1, pair_j.size):
-                np.multiply(products[:, pair_j[col]], products[:, pair_l[col]], out=products[:, col])
-            self._products = products
-            # column of products holding x~_j x~_l, for (j, l) row-major over
+            self._products = np.empty((pair_j.size, width))
+            self._products[0] = 1.0
+            first = np.searchsorted(pair_j, np.arange(p + 2))
+            self._runs = [(j, slice(first[j], first[j + 1])) for j in range(1, p + 1)]
+            # row of products holding x~_j x~_l, for (j, l) row-major over
             # the whole (p+1, p+1) block
             mirror = np.empty((p + 1, p + 1), dtype=np.intp)
             mirror[pair_j, pair_l] = mirror[pair_l, pair_j] = np.arange(pair_j.size)
             self._mirror = mirror.ravel()
-            self._X1 = products[:, :p + 1]
-            self.X = self._X1[:, 1:]
             # parameter slot of (threshold r, column j of [1, x])
             j = np.arange(p + 1)[None, :]
             r = np.arange(q)[:, None]
@@ -223,31 +206,36 @@ class _Problem:
                     out[r] += spread * self.w[r]
         return out
 
-    def evaluate(self, theta: np.ndarray) -> _Workspace:
-        """Kept F and probabilities at canonical ``theta``, written into the
-        problem's workspace and returned. Each block's predictors go to block
-        scratch and become that block's F and probabilities at once.
-        Infeasible cumulative thresholds raise ThresholdOrderError and leave
-        the workspace partly rewritten: it must not be read until the next
-        evaluate() succeeds."""
-        ws = self.workspace
-        family = self.spec.family
-        for rows in self.blocks:
-            eta = self.predictors(theta, rows, self._eta[:, :rows.stop - rows.start])
-            category_probs(family, eta, ws.probs[:, rows],
-                           None if ws.cdf is None else ws.cdf[:, rows])
-        return ws
-
-    def picked(self, probs: np.ndarray) -> np.ndarray:
-        """Probability of each observation's own response category."""
-        return probs.take(self.own)
-
-    def loglik(self, probs: np.ndarray) -> float:
+    def probabilities(self, theta: np.ndarray, rows: slice):
+        """One block at canonical ``theta``, in block scratch: its (k, rows)
+        probabilities, its (k-1, rows) kept F (None for the adjacent family)
+        and each observation's own-category probability. The predictors go
+        to block scratch and become F and the probabilities at once.
+        Infeasible cumulative thresholds raise ThresholdOrderError."""
+        nb = rows.stop - rows.start
+        eta = self.predictors(theta, rows, self._eta[:, :nb])
+        cdf = None if self._cdf is None else self._cdf[:, :nb]
+        probs = category_probs(self.spec.family, eta, self._probs[:, :nb], cdf)
         # the compiled indices are in range: mode="clip" gathers straight into
-        # out, where the default mode buffers it through a fresh (n,) array
-        own = np.take(probs, self.own, out=self._own, mode="clip")
-        np.maximum(own, PROB_FLOOR, out=own)
-        return float(np.log(own, out=own).sum())
+        # out, where the default mode buffers it through a fresh array
+        own = np.take(self._probs, self.own_index[rows], out=self._own[:nb], mode="clip")
+        return probs, cdf, own
+
+    def _block_loglik(self, own: np.ndarray) -> float:
+        logs = np.maximum(own, PROB_FLOOR, out=self._logs[:own.size])
+        return float(np.log(logs, out=logs).sum())
+
+    def loglik(self, theta: np.ndarray):
+        """Log-likelihood at canonical ``theta`` and whether any observation's
+        own category sits at the PROB_FLOOR floor: evaluate()'s walk over the
+        blocks without its derivative work, so -2 times it is bit for bit
+        evaluate()'s deviance."""
+        total, floored = 0.0, False
+        for rows in self.blocks:
+            own = self.probabilities(theta, rows)[2]
+            floored = floored or bool(own.min() <= PROB_FLOOR)
+            total += self._block_loglik(own)
+        return total, floored
 
     def weights(self):
         """The family's weights helper, compiled at the first call."""
@@ -255,8 +243,32 @@ class _Problem:
             self._weights = (_Tridiagonal if self.cumulative else _Semiseparable)(self)
         return self._weights
 
-    def score_info(self, ws: _Workspace):
-        """Observed score and expected information in canonical order.
+    def _load_data(self, rows: slice) -> None:
+        """Fill the block scratch that depends on the data alone, the response
+        mask and the category-specific products, unless it already holds this
+        block: a one-block problem fills it once."""
+        if self._loaded == rows.start:
+            return
+        self._loaded = rows.start
+        self.weights().mask(self.y0[rows])
+        if self.layout.structure == "catspec":
+            products = self._products[:, :rows.stop - rows.start]
+            products[1:self.layout.p + 1] = self.X[rows].T
+            for j, run in self._runs:
+                np.multiply(products[j], products[j:self.layout.p + 1], out=products[run])
+
+    def evaluate(self, theta: np.ndarray, bound: float = np.inf):
+        """Deviance, score and information at canonical ``theta`` in one pass
+        over the blocks, or None once the deviance exceeds ``bound``.
+
+        Each block's probabilities are made in block scratch and its
+        log-likelihood is added first. Every block adds a nonpositive one, so
+        the running deviance never falls: the pass returns None as soon as it
+        exceeds ``bound``, exactly when the full deviance would, and before
+        any derivative work on that block. Only then does the weights helper
+        load the block's weights from its probabilities, and the block's
+        score and information are added. Infeasible cumulative thresholds
+        raise ThresholdOrderError.
 
         u_i = d log pi_{y_i} / d eta_i and W_i = sum_c pi_c A_c A_c' with
         A_c = d log pi_c / d eta are each observation's score and information
@@ -269,24 +281,54 @@ class _Problem:
         W_i 1 and W_i w, and the quadratic forms of the last two against X
         and Z; the category-specific information contracts only the
         threshold pairs (r, s) where W_i[r, s] can be nonzero with the
-        distinct products x~_j x~_l (j <= l), (pairs, n) @ (n, (p+1)(p+2)/2),
-        and mirrors each pair's triangle into its (p+1, p+1) block. No
-        (n, k-1, k-1) array is formed, and every sum over observations is
-        accumulated block by block. Only the upper triangle is assembled; it
-        is mirrored at the end.
+        block's distinct products x~_j x~_l (j <= l),
+        (pairs, rows) @ (rows, (p+1)(p+2)/2), and mirrors each pair's
+        triangle into its (p+1, p+1) block. No (n, k-1, k-1) array is
+        formed. Only the upper triangle is assembled; it is mirrored at the
+        end. Score and information are in canonical order.
         """
         layout = self.layout
         q, size = layout.q, layout.n_params
+        catspec = layout.structure == "catspec"
         weights = self.weights()
         s = np.zeros(size)
         info = np.zeros((size, size))
-        if layout.structure == "catspec":
+        if catspec:
             p1 = layout.p + 1
             score_sum = np.zeros((q, p1))
             pair_sum = 0.0
-            for rows in self.blocks:
-                score_sum += weights.load(ws, rows) @ self._X1[rows]
-                pair_sum = pair_sum + weights.pairs() @ self._products[rows]
+        else:
+            loc, disp = layout.location, layout.dispersion
+            top = info[:q, :q]
+        loglik = 0.0
+        for rows in self.blocks:
+            probs, cdf, own = self.probabilities(theta, rows)
+            loglik += self._block_loglik(own)
+            if not -2.0 * loglik <= bound:
+                return None
+            self._load_data(rows)
+            u = weights.load(probs, cdf, own)
+            if catspec:
+                products = self._products[:, :own.size].T
+                score_sum += u @ products[:, :p1]
+                pair_sum = pair_sum + weights.pairs() @ products
+                continue
+            X, Z = self.X[rows], self.Z[rows]
+            cX, cZ = self._cX[:X.shape[0]], self._cZ[:X.shape[0]]
+            weights.add_total(top)
+            # sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the quadratic
+            # forms 1'W_i 1, 1'W_i w, w'W_i w of each row
+            WX, WZ, forms = weights.forms(X, Z)
+            s[:q] += u.sum(axis=1)
+            s[loc] += X.T @ u.sum(axis=0)
+            info[:q, loc] += WX
+            info[loc, loc] += X.T @ np.multiply(forms[0][:, None], X, out=cX)
+            if layout.m:
+                s[disp] += Z.T @ (self.w @ u)
+                info[:q, disp] += WZ
+                info[loc, disp] += X.T @ np.multiply(forms[1][:, None], Z, out=cZ)
+                info[disp, disp] += Z.T @ np.multiply(forms[2][:, None], Z, out=cZ)
+        if catspec:
             s[self._slots] = score_sum.ravel()
             pair_rows, pair_cols = weights.pair_rows, weights.pair_cols
             pair_blocks = pair_sum[:, self._mirror].reshape(-1, p1, p1)
@@ -294,28 +336,8 @@ class _Problem:
             blocks[pair_rows, pair_cols] = pair_blocks
             blocks[pair_cols, pair_rows] = pair_blocks
             info[np.ix_(self._slots, self._slots)] = blocks.transpose(0, 2, 1, 3).reshape(size, size)
-        else:
-            loc, disp = layout.location, layout.dispersion
-            top = info[:q, :q]
-            for rows in self.blocks:
-                u = weights.load(ws, rows)
-                X, Z = self.X[rows], self.Z[rows]
-                cX, cZ = self._cX[:X.shape[0]], self._cZ[:X.shape[0]]
-                weights.add_total(top)
-                # sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the quadratic
-                # forms 1'W_i 1, 1'W_i w, w'W_i w of each row
-                WX, WZ, forms = weights.forms(X, Z)
-                s[:q] += u.sum(axis=1)
-                s[loc] += X.T @ u.sum(axis=0)
-                info[:q, loc] += WX
-                info[loc, loc] += X.T @ np.multiply(forms[0][:, None], X, out=cX)
-                if layout.m:
-                    s[disp] += Z.T @ (self.w @ u)
-                    info[:q, disp] += WZ
-                    info[loc, disp] += X.T @ np.multiply(forms[1][:, None], Z, out=cZ)
-                    info[disp, disp] += Z.T @ np.multiply(forms[2][:, None], Z, out=cZ)
         info[self._upper[::-1]] = info[self._upper]
-        return s, info
+        return -2.0 * loglik, s, info
 
 
 class _Tridiagonal:
@@ -329,25 +351,27 @@ class _Tridiagonal:
     and the off-diagonal o_r = W[r, r+1] = -pi_{r+1} b_r a_{r+1}. The score
     is u_ir = f_r S_ir / pi~_{y_i} with the response mask S_ir = [y_i = r] -
     [y_i = r + 1] (0-based categories): a_{y_i} at r = y_i and -b_{y_i - 1}
-    at r = y_i - 1, zero elsewhere. load() rewrites the (k-1, rows) scratch
-    for the next block.
+    at r = y_i - 1, zero elsewhere. mask() and load() rewrite the helper's
+    block scratch for the next block.
     """
 
     def __init__(self, problem: _Problem):
-        layout, y0, w = problem.layout, problem.y0, problem.w
+        layout, w = problem.layout, problem.w
         q, k = layout.q, layout.k
         width = problem.blocks[0].stop
         # the helper keeps what it reads of the problem, not the problem: a
-        # reference back would make a cycle that holds every workspace of the
-        # problem until the garbage collector runs
-        self.own_index = problem.own
+        # reference back would make a cycle that holds the problem's block
+        # scratch until the garbage collector runs
         self.f, self.u = np.empty((q, width)), np.empty((q, width))
         self.g = np.empty((k, width))
         self.band = np.empty((2 * q - 1, width))  # d in rows 0..q-1, o after it
         self._own = np.empty(width)
+        # [y_i = c] for c = 0..k-1 and S as int8: a float mask would be eight
+        # times the memory
+        self.categories = np.arange(k)[:, None]
+        self.is_y = np.empty((k, width), dtype=bool)
+        self.sign = np.empty((q, width), dtype=np.int8)
         index = np.arange(q)
-        # S as int8: a float mask would be eight times the memory
-        self.sign = (y0 == index[:, None]).astype(np.int8) - (y0 == index[:, None] + 1)
         # the pairs r <= s where W_i[r, s] can be nonzero: the band's rows
         self.pair_rows = np.concatenate([index, index[:-1]])
         self.pair_cols = np.concatenate([index, index[1:]])
@@ -360,20 +384,24 @@ class _Tridiagonal:
         self.quadratic = np.array([_band_form(a, b) for a, b in ((ones, ones), (ones, w), (w, w))])
         self._forms = np.empty((3, width))
 
-    def load(self, ws: _Workspace, rows: slice) -> np.ndarray:
-        """Bands of the next block of rows; returns its (k-1, rows) score."""
-        q = self.f.shape[0]
-        nb = rows.stop - rows.start
+    def mask(self, y0: np.ndarray) -> None:
+        """Response mask S of the block whose 0-based responses are ``y0``."""
+        nb = y0.size
+        is_y = np.equal(y0, self.categories, out=self.is_y[:, :nb]).view(np.int8)
+        np.subtract(is_y[:-1], is_y[1:], out=self.sign[:, :nb])
+
+    def load(self, probs: np.ndarray, cdf: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """Bands of a block from its probabilities, kept F and own-category
+        probabilities, after mask(); returns its (k-1, rows) score."""
+        q, nb = cdf.shape
         f, g, u = self.f[:, :nb], self.g[:, :nb], self.u[:, :nb]
         self.d, self.o = self.band[:q, :nb], self.band[q:, :nb]
-        probs = ws.probs[:, rows]
-        self.density(ws, rows, f)
+        self.density(cdf, f)
         np.maximum(probs, WEIGHT_FLOOR, out=g)
         np.square(g, out=g)
         np.divide(probs, g, out=g)  # pi_c / pi~_c^2
-        own = np.take(ws.probs, self.own_index[rows], out=self._own[:nb], mode="clip")
-        np.maximum(own, WEIGHT_FLOOR, out=own)
-        np.multiply(f, self.sign[:, rows], out=u)
+        own = np.maximum(own, WEIGHT_FLOOR, out=self._own[:nb])
+        np.multiply(f, self.sign[:, :nb], out=u)
         u /= own
         np.negative(f[:-1], out=self.o)
         self.o *= f[1:]
@@ -383,12 +411,12 @@ class _Tridiagonal:
         self.d *= f
         return u
 
-    def density(self, ws: _Workspace, rows: slice, out: np.ndarray) -> np.ndarray:
-        """Logistic density F'(eta) = F (1 - F) of one block of rows, into
-        ``out``, from the workspace's kept F: no second evaluation of F."""
-        F = ws.cdf[:, rows]
-        np.subtract(1.0, F, out=out)
-        return np.multiply(out, F, out=out)
+    @staticmethod
+    def density(cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Logistic density F'(eta) = F (1 - F) into ``out``, from a block's
+        kept F: no second evaluation of F."""
+        np.subtract(1.0, cdf, out=out)
+        return np.multiply(out, cdf, out=out)
 
     def forms(self, X: np.ndarray, Z: np.ndarray):
         """sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the (3, rows) quadratic
@@ -412,18 +440,19 @@ class _Semiseparable:
     A_r = P(Y > r), the cancellation-free form of T_max(r,s) - T_r T_s with
     T_r = P(Y > r). Only B and A are stored, as (k-1, rows) products of
     triangular 0/1 matrices with the probabilities; the score is u_ir = B_r
-    when y_i > r and -A_r otherwise, taken with the (k-1, n) response mask.
+    when y_i > r and -A_r otherwise, taken with the block's response mask.
     """
 
     def __init__(self, problem: _Problem):
-        layout, y0, w = problem.layout, problem.y0, problem.w
+        layout, w = problem.layout, problem.w
         q = layout.q
         width = problem.blocks[0].stop
         self.below, self.above, self.u = (np.empty((q, width)) for _ in range(3))
         # B = below_of @ probs and A = above_of @ probs: below_of[r, c] = 1 when c <= r
         self.below_of = np.tril(np.ones((q, q + 1)))
         self.above_of = 1.0 - self.below_of
-        self.y_above = y0 > np.arange(q)[:, None]  # response mask of the score
+        self.thresholds = np.arange(q)[:, None]
+        self.y_above = np.empty((q, width), dtype=bool)  # response mask of the score
         self.pair_rows, self.pair_cols = np.triu_indices(q)
         if layout.structure == "catspec":
             self.pair_weights = np.empty((self.pair_rows.size, width))
@@ -443,15 +472,19 @@ class _Semiseparable:
                           if layout.m else ones[None, :])
         self._forms = np.empty((len(self.quadratic), width))
 
-    def load(self, ws: _Workspace, rows: slice) -> np.ndarray:
-        """B and A of the next block of rows; returns its (k-1, rows) score."""
-        nb = rows.stop - rows.start
-        probs = ws.probs[:, rows]
+    def mask(self, y0: np.ndarray) -> None:
+        """Response mask [y_i > r] of the block whose 0-based responses are ``y0``."""
+        np.greater(y0, self.thresholds, out=self.y_above[:, :y0.size])
+
+    def load(self, probs: np.ndarray, cdf, own) -> np.ndarray:
+        """B and A of a block from its probabilities, after mask(); returns
+        its (k-1, rows) score."""
+        nb = probs.shape[1]
         B = np.matmul(self.below_of, probs, out=self.below[:, :nb])
         A = np.matmul(self.above_of, probs, out=self.above[:, :nb])
         self.B, self.A = B, A
         u = np.negative(A, out=self.u[:, :nb])
-        np.copyto(u, B, where=self.y_above[:, rows])
+        np.copyto(u, B, where=self.y_above[:, :nb])
         return u
 
     def forms(self, X: np.ndarray, Z: np.ndarray):
@@ -534,35 +567,39 @@ def log_likelihood(params, data: OrdinalDataset, spec: ModelSpec) -> float:
     cumulative specs raise ThresholdOrderError at infeasible parameters.
     """
     problem = _Problem(data, spec)
-    probs = problem.evaluate(problem.canonical(params)).probs
-    if np.any(problem.picked(probs) <= PROB_FLOOR):
+    loglik, floored = problem.loglik(problem.canonical(params))
+    if floored:
         warnings.warn(
             "observed categories with probability at the 1e-15 floor",
             ZeroProbabilityWarning,
             stacklevel=2,
         )
-    return problem.loglik(probs)
+    return loglik
 
 
 def score(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Analytic gradient of log_likelihood with respect to ``params``."""
     problem = _Problem(data, spec)
-    s, _ = problem.score_info(problem.evaluate(problem.canonical(params)))
+    _, s, _ = problem.evaluate(problem.canonical(params))
     return s[problem.perm]
 
 
 def fisher_info(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Expected information matrix at ``params``."""
     problem = _Problem(data, spec)
-    _, info = problem.score_info(problem.evaluate(problem.canonical(params)))
+    _, _, info = problem.evaluate(problem.canonical(params))
     return info[np.ix_(problem.perm, problem.perm)]
 
 
 def category_probabilities(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Category probabilities (n, k) at ``params`` in the original labels."""
     problem = _Problem(data, spec)
-    probs = problem.evaluate(problem.canonical(params)).probs
-    return (probs[::-1] if problem.reverse else probs).T.copy()
+    theta = problem.canonical(params)
+    out = np.empty((data.n, data.k))
+    for rows in problem.blocks:
+        probs = problem.probabilities(theta, rows)[0]
+        out[rows] = (probs[::-1] if problem.reverse else probs).T
+    return out
 
 
 def fit(
@@ -578,13 +615,16 @@ def fit(
     for cumulative specs, cross any observation's thresholds. An iteration
     without an accepted step stops the fit: converged when max |score| is
     already below tolerance, converged=False otherwise (retrying would solve
-    for the same step). Convergence requires relative deviance change <
-    DEVIANCE_TOL and max |score| < SCORE_TOL * (1 + |loglik|) at the same
+    for the same step); an unconverged stop at an iteration in which some
+    candidate crossed thresholds is noted in ``warnings`` as a stop at the
+    threshold-order boundary. Convergence requires relative deviance change
+    < DEVIANCE_TOL and max |score| < SCORE_TOL * (1 + |loglik|) at the same
     iteration. The covariance is the inverse expected information at the
-    optimum. Every candidate is evaluated into the problem's one workspace.
-    Score and information are evaluated once at the start and once after
-    each accepted step, right after its evaluation; that one evaluation
-    serves the convergence test, the next step and the covariance.
+    optimum. Each candidate is evaluated in one pass bounded by the current
+    deviance, so a rejected candidate stops at the first block of rows that
+    takes its deviance past that bound; the score and information of an
+    accepted step come from the pass that accepted it and serve the
+    convergence test, the next step and the covariance.
     """
     _check_categories(data)
     problem = _Problem(data, spec)
@@ -596,16 +636,15 @@ def fit(
             raise StartError(f"start has {theta.shape} entries, expected {layout.n_params}")
         theta = theta[problem.perm]
         try:
-            ws = problem.evaluate(theta)
+            deviance, s, info = problem.evaluate(theta)
         except ThresholdOrderError as exc:
             raise StartError(f"infeasible start: {exc}") from exc
     else:
         theta = problem.initial_params()
-        ws = problem.evaluate(theta)
+        deviance, s, info = problem.evaluate(theta)
 
-    deviance = -2.0 * problem.loglik(ws.probs)
-    s, info = problem.score_info(ws)
     converged = False
+    boundary = False
     iterations = 0
     for iteration in range(1, max_iter + 1):
         iterations = iteration
@@ -613,30 +652,29 @@ def fit(
             step = np.linalg.solve(info, s)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(info, s, rcond=None)[0]
-        accepted = False
+        accepted = None
+        crossed = False
         lam = 1.0
         for _ in range(11):
             cand = theta + lam * step
             try:
-                ws = problem.evaluate(cand)
+                accepted = problem.evaluate(cand, deviance)
             except ThresholdOrderError:
-                lam /= 2.0
-                continue
-            cand_dev = -2.0 * problem.loglik(ws.probs)
-            if np.isfinite(cand_dev) and cand_dev <= deviance:
-                accepted = True
+                crossed = True
+            if accepted is not None:
                 break
             lam /= 2.0
-        if not accepted:
+        if accepted is None:
             # a rejected step at a stationary point is convergence, not
             # failure: the deviance is already flat to rounding and the
             # score is below tolerance. Elsewhere it stops the fit: a retry
             # would solve for the same step from the same score and information
             converged = bool(np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0))
+            boundary = crossed and not converged
             break
-        rel_change = abs(deviance - cand_dev) / (abs(deviance) + 1e-10)
-        theta, deviance = cand, cand_dev
-        s, info = problem.score_info(ws)
+        rel_change = abs(deviance - accepted[0]) / (abs(deviance) + 1e-10)
+        theta = cand
+        deviance, s, info = accepted
         if (rel_change < DEVIANCE_TOL
                 and np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0)):
             converged = True
@@ -659,6 +697,8 @@ def fit(
         )
     if not converged:
         notes.append("did not converge")
+    if boundary:
+        notes.append("stopped at the threshold-order boundary")
 
     perm = problem.perm
     return FitResult(

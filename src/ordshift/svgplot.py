@@ -10,7 +10,6 @@ effect, one crossing x=1 a non-significant dispersion effect.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -28,6 +27,11 @@ _PANEL_WIDTH, _PANEL_HEIGHT = 360, 300
 
 def _c(value: float) -> str:
     return f"{value:.2f}"
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML character entities, ampersands first."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class _Canvas:
@@ -62,7 +66,7 @@ class _Canvas:
             attrs += f' transform="rotate({rotate:g} {_c(x)} {_c(y)})"'
         if cls:
             attrs += f' class="{cls}"'
-        self.parts.append(f"<text {attrs}>{escape(content)}</text>")
+        self.parts.append(f"<text {attrs}>{_escape(content)}</text>")
 
     def polyline(self, xs, ys, stroke="black", width=1.5, cls=None):
         pts = " ".join(f"{_c(x)},{_c(y)}" for x, y in zip(xs, ys))

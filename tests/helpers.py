@@ -95,8 +95,8 @@ def nelder_mead_loglik(data, spec, start):
 
     Runs Nelder-Mead twice (restarting from the first optimum) with tight
     tolerances; infeasible cumulative parameters score -inf via a penalty.
-    The objective is log_likelihood's own evaluation, bit for bit, on one
-    problem compiled for (spec, data) instead of one per call.
+    The objective is log_likelihood's own walk over the row blocks, bit for
+    bit, on one problem compiled for (spec, data) instead of one per call.
     """
     from scipy.optimize import minimize
 
@@ -107,7 +107,7 @@ def nelder_mead_loglik(data, spec, start):
 
     def objective(theta):
         try:
-            return -problem.loglik(problem.evaluate(problem.canonical(theta)).probs)
+            return -problem.loglik(problem.canonical(theta))[0]
         except ThresholdOrderError:
             return 1e10
 

@@ -1,8 +1,11 @@
 """The package's top-level exports."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import ordshift
 
@@ -19,6 +22,8 @@ NOT_EXPORTED = (
     "category_probs_adjacent",
     "scaling_factor",
 )
+# xml.sax.saxutils, imported once for its escape(), pulled in all of these
+NETWORK_STACK = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
 
 
 def _top_level_imports(source: str) -> set:
@@ -48,3 +53,16 @@ def test_removed_and_internal_names_not_exported():
     for name in NOT_EXPORTED:
         assert name not in ordshift.__all__
         assert not hasattr(ordshift, name), name
+
+
+def test_import_loads_no_network_stack():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, ordshift; print(ordshift.__file__); print(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    where, modules = proc.stdout.splitlines()
+    assert pathlib.Path(where).resolve().parent == ROOT / "src" / "ordshift"
+    loaded = set(modules.split())
+    assert "ordshift.svgplot" in loaded
+    assert [name for name in NETWORK_STACK if name in loaded] == []

@@ -61,6 +61,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"'a' row 3.*'oops'"):
             load_csv(path, FORMULA)
 
+    def test_mixed_column_names_its_first_text_cell(self, tmp_path):
+        # a non-finite number before the text does not hide it, and text
+        # before the numbers is named as well: the column is not categorical
+        for cells, row, value in ((["nan", "1.0", "oops"], 4, "oops"),
+                                  (["oops", "1.0", "no"], 2, "oops")):
+            body = "".join(f"{y},{a},m\n" for y, a in zip((1, 2, 3), cells))
+            path = write(tmp_path, "y,a,g\n" + body)
+            message = f"column 'a' row {row}: could not parse '{value}' as a number"
+            with pytest.raises(DataError) as error:
+                load_csv(path, FORMULA)
+            assert str(error.value) == message
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_numeric_cell(self, tmp_path, value):
         path = write(tmp_path, f"y,a,g\n1,0.5,m\n2,{value},f\n3,1.0,m\n")

@@ -1,5 +1,6 @@
 """Likelihood, score, information, and the Fisher-scoring optimizer."""
 
+import functools
 import importlib
 import tracemalloc
 import zlib
@@ -31,7 +32,6 @@ from ordshift.exceptions import (
 from ordshift.fit import (
     WEIGHT_FLOOR,
     _Problem,
-    _Workspace,
     category_probabilities,
     fisher_info,
     fit,
@@ -145,7 +145,7 @@ class TestScore:
         data = OrdinalDataset(y=y, k=3, columns={"z": rng.normal(size=n)})
         problem = _Problem(data, ModelSpec(CUM, "locshift", (), (Term("z"),)))
         problem.w = np.zeros(2)
-        s, info = problem.score_info(problem.evaluate(np.array([-0.3, 0.4, 1.7])))
+        _, s, info = problem.evaluate(np.array([-0.3, 0.4, 1.7]))
         assert s[2] == 0.0
         assert np.all(info[2, :] == 0.0)
         assert np.all(info[:, 2] == 0.0)
@@ -221,7 +221,7 @@ class TestFisherInfo:
         assert fisher_info(params, data, spec) == pytest.approx(expected, rel=1e-8)
         problem = _Problem(data, spec)
         assert kernel_predictors(problem, params).T == pytest.approx(eta, rel=1e-12)
-        _, info = problem.score_info(problem.evaluate(params))
+        _, _, info = problem.evaluate(params)
         assert info == pytest.approx(expected, rel=1e-8)
 
 
@@ -323,8 +323,7 @@ class TestKernelParity:
             theta[problem.layout.catspec_block(3)] = [sign, 0.2]
         else:
             theta[problem.layout.location] = [sign, 0.3]
-        probs = problem.evaluate(theta).probs
-        assert probs.min() < WEIGHT_FLOOR
+        assert category_probabilities(theta, data, spec).min() < WEIGHT_FLOOR
         self._check_at(problem, data, spec, theta)
 
     @pytest.mark.parametrize("structure", ["global", "locshift", "catspec"])
@@ -354,7 +353,8 @@ class TestKernelParity:
     @staticmethod
     def _check_at(problem, data, spec, theta):
         eta, dense_s, dense_info = _dense_score_info(problem, theta)
-        s, info = problem.score_info(problem.evaluate(theta))
+        deviance, s, info = problem.evaluate(theta)
+        assert deviance == -2.0 * problem.loglik(theta)[0]
         assert _max_rel(kernel_predictors(problem, theta).T, eta) <= 1e-12
         assert _max_rel(s, dense_s) <= 1e-12
         assert _max_rel(info, dense_info) <= 1e-12
@@ -365,8 +365,9 @@ class TestKernelParity:
 
 
 class TestScoreInfoEvaluations:
-    """Fisher scoring evaluates score and information once at the start and
-    once after each accepted step, and at no other point."""
+    """Fisher scoring makes a whole derivative pass once at the start and once
+    for each accepted step, the pass that accepted it, and at no other point;
+    a rejected candidate of a one-block problem costs no derivative work."""
 
     @pytest.mark.parametrize(
         "kind, structure, options",
@@ -396,7 +397,7 @@ class TestScoreInfoEvaluations:
 
     @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
     def test_once_per_accepted_step_in_row_blocks(self, monkeypatch, kind):
-        # one evaluation per accepted step, not one per block of rows
+        # one derivative pass per accepted step, not one per block of rows
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
         rng = np.random.default_rng(90)
         data, spec, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
@@ -404,36 +405,64 @@ class TestScoreInfoEvaluations:
         fit(spec, data)
         self._assert_once_per_accepted(counts)
 
+    @pytest.mark.parametrize("block_rows", [4096, 16])
+    def test_rejected_candidates(self, monkeypatch, block_rows):
+        # from this start two steps overshoot and are rejected on their
+        # deviance: in one block that costs no derivative work, in ten blocks
+        # only that of the blocks before the bound was passed
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(88)
+        data, base, _ = random_dataset(rng, n=150, k=5, family=ADJ)
+        counts = self._instrument(monkeypatch)
+        fit(base, data, start=[0.3, 0.8, 0.3, -1.3, 0.9, 0.4, -0.5, 0.6])
+        assert self._assert_once_per_accepted(counts) > 0
+
     @staticmethod
     def _instrument(monkeypatch):
-        counts = {"score_info": 0, "deviances": []}
-        score_info, loglik = _Problem.score_info, _Problem.loglik
+        # each candidate's full deviance, from the derivative-free walk over
+        # the blocks, the passes that returned a result, and the blocks whose
+        # weights were loaded
+        counts = {"passes": 0, "loads": 0, "deviances": [], "blocks": 0}
+        evaluate, loglik = _Problem.evaluate, _Problem.loglik
 
-        def counted_score_info(self, workspace):
-            counts["score_info"] += 1
-            return score_info(self, workspace)
+        def recorded_evaluate(self, theta, bound=np.inf):
+            counts["blocks"] = len(self.blocks)
+            counts["deviances"].append(-2.0 * loglik(self, theta)[0])
+            result = evaluate(self, theta, bound)
+            if result is not None:
+                counts["passes"] += 1
+                assert result[0] == counts["deviances"][-1]
+            return result
 
-        def recorded_loglik(self, probs):
-            value = loglik(self, probs)
-            counts["deviances"].append(-2.0 * value)
-            return value
+        monkeypatch.setattr(_Problem, "evaluate", recorded_evaluate)
+        for helper in (FIT_MODULE._Tridiagonal, FIT_MODULE._Semiseparable):
+            def counted_load(self, *args, load=helper.load):
+                counts["loads"] += 1
+                return load(self, *args)
 
-        monkeypatch.setattr(_Problem, "score_info", counted_score_info)
-        monkeypatch.setattr(_Problem, "loglik", recorded_loglik)
+            monkeypatch.setattr(helper, "load", counted_load)
         return counts
 
     @staticmethod
     def _assert_once_per_accepted(counts):
         # replay the acceptance rule over the start and candidate deviances:
         # a candidate is accepted when its deviance does not exceed the
-        # current one, and halving stops at the first accepted candidate
+        # current one, and halving stops at the first accepted candidate;
+        # returns the number of feasible candidates rejected
         current, *candidates = counts["deviances"]
         accepted = 0
         for dev in candidates:
             if np.isfinite(dev) and dev <= current:
                 accepted += 1
                 current = dev
-        assert counts["score_info"] == 1 + accepted
+        rejected = len(candidates) - accepted
+        blocks = counts["blocks"]
+        assert counts["passes"] == 1 + accepted
+        # a rejected candidate stops before the block that takes it past the
+        # bound, so it loads the weights of fewer blocks than a whole pass
+        assert (1 + accepted) * blocks <= counts["loads"]
+        assert counts["loads"] <= (1 + accepted) * blocks + rejected * (blocks - 1)
+        return rejected
 
 
 class TestRowBlocks:
@@ -472,17 +501,25 @@ class TestRowBlocks:
         data, base, _ = random_dataset(rng, n=150, k=5, n_cov=p, family=Family(kind))
         spec = base.with_structure("catspec")
         whole = _Problem(data, spec)
-        assert whole._products.shape == (150, (p + 1) * (p + 2) // 2)
-        assert np.array_equal(whole._X1, np.column_stack([np.ones(150), whole.design.X]))
-        assert np.shares_memory(whole._X1, whole._products)
-        assert np.shares_memory(whole.X, whole._products)
         theta = feasible_params(rng, whole.layout, spec, data, scale=0.1)
-        expected = whole.score_info(whole.evaluate(theta))
+        expected = whole.evaluate(theta)
+        # a one-block problem holds every row's products, [1, x] first, and
+        # x itself only once: its design's
+        x1 = np.column_stack([np.ones(150), whole.design.X])
+        pair_j, pair_l = np.triu_indices(p + 1)
+        products = x1[:, pair_j] * x1[:, pair_l]
+        assert whole._products.shape == ((p + 1) * (p + 2) // 2, 150)
+        assert np.array_equal(whole._products[:p + 1].T, x1)
+        assert np.array_equal(whole._products.T, products)
+        assert whole.X is whole.design.X
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
         blocked = _Problem(data, spec)
         assert len(blocked.blocks) == 10
-        for new, old in zip(blocked.score_info(blocked.evaluate(theta)), expected):
+        assert blocked._products.shape == ((p + 1) * (p + 2) // 2, 16)
+        for new, old in zip(blocked.evaluate(theta), expected):
             assert _max_rel(new, old) <= 1e-12
+        # the scratch holds the last, ragged block's products
+        assert np.array_equal(blocked._products[:, :6].T, products[144:])
         TestKernelParity._check_at(blocked, data, spec, theta)
 
     def test_kept_cdf_gives_the_link_density(self, monkeypatch):
@@ -490,11 +527,11 @@ class TestRowBlocks:
         rng = np.random.default_rng(91)
         data, spec, params = random_dataset(rng, n=40, k=5)
         problem = _Problem(data, spec)
-        workspace = problem.evaluate(params)
         eta = kernel_predictors(problem, params)
         for rows in problem.blocks:
             expected = logistic_density(eta[:, rows])
-            kept = problem.weights().density(workspace, rows, np.empty_like(expected))
+            _, cdf, _ = problem.probabilities(params, rows)
+            kept = problem.weights().density(cdf, np.empty_like(expected))
             assert np.array_equal(kept, expected)
 
     @staticmethod
@@ -520,17 +557,18 @@ class TestRowBlocks:
         assert str(blocked.value) == str(whole.value)
         assert str(whole.value) == "infeasible start: thresholds out of order at index 1"
 
-    def test_one_workspace_serves_every_candidate(self, monkeypatch):
+    def test_fresh_block_scratch_gives_the_same_fit(self, monkeypatch):
         # from this start, step halving meets candidates whose thresholds
-        # cross only in the last block, after they have rewritten the first
-        # four blocks of the problem's one workspace: nothing may read it
-        # after a rejected candidate, so evaluating every candidate into a
-        # fresh workspace gives the same fit bit for bit
+        # cross only in the last block, after their first four blocks were
+        # evaluated, and one whose deviance passes the bound in the second
+        # block, after the derivative work of the first: nothing may read
+        # the block scratch they leave, so evaluating every candidate with
+        # fresh block scratch gives the same fit bit for bit
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 8)
         data, spec, _ = self._crossing_late()
-        start = [-1.0, 0.0, 1.0, -0.16, 0.73, 0.98]
-        blocks, crossed = [], []
-        predictors, probs = _Problem.predictors, FIT_MODULE.category_probs
+        start = [0.7, 1.5, 3.0, -4.0, -3.4, -2.3]
+        blocks, crossed, cut = [], [], []
+        predictors, probs, evaluate = _Problem.predictors, FIT_MODULE.category_probs, _Problem.evaluate
 
         def traced_predictors(self, theta, rows, out):
             blocks.append(rows.start)
@@ -543,19 +581,25 @@ class TestRowBlocks:
                 crossed.append(blocks[-1])
                 raise
 
+        def traced_evaluate(self, theta, bound=np.inf):
+            result = evaluate(self, theta, bound)
+            if result is None:
+                cut.append(blocks[-1])
+            return result
+
         monkeypatch.setattr(_Problem, "predictors", traced_predictors)
         monkeypatch.setattr(FIT_MODULE, "category_probs", traced_probs)
+        monkeypatch.setattr(_Problem, "evaluate", traced_evaluate)
         shared = fit(spec, data, start=start)
         assert shared.converged
-        assert crossed == [32, 32]  # two candidates crossed, each in the last block
+        assert 32 in crossed  # a candidate crossed in the last block
+        assert cut and min(cut) < 32  # one passed the bound before the last block
 
-        evaluate = _Problem.evaluate
+        def fresh_scratch(self, theta, bound=np.inf):
+            vars(self).update(vars(_Problem(data, spec)))
+            return evaluate(self, theta, bound)
 
-        def fresh_workspace(self, theta):
-            self.workspace = _Workspace(self.layout.q, self.y0.size, self.cumulative)
-            return evaluate(self, theta)
-
-        monkeypatch.setattr(_Problem, "evaluate", fresh_workspace)
+        monkeypatch.setattr(_Problem, "evaluate", fresh_scratch)
         separate = fit(spec, data, start=start)
         assert separate.iterations == shared.iterations
         assert np.array_equal(separate.params, shared.params)
@@ -564,9 +608,9 @@ class TestRowBlocks:
 
 
 class TestWorkspaces:
-    """Candidate evaluations and score/information write into the problem's
-    one workspace and its block scratch: once these exist, no step of the
-    fit loop allocates an (n, k-1) array."""
+    """Every per-observation quantity of a pass over the blocks lives in the
+    problem's block scratch: once it exists, no step of the fit loop
+    allocates an (n, k-1) array."""
 
     @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
     def test_fit_loop_allocates_no_whole_array(self, kind):
@@ -582,15 +626,18 @@ class TestWorkspaces:
         step[problem.layout.location] = [0.3, -0.2]
         step[problem.layout.dispersion] = 0.02
         # warm up: the block scratch of evaluate() and of the weights helper
-        problem.score_info(problem.evaluate(theta))
+        deviance = problem.evaluate(theta)[0]
         whole = n * (k - 1) * 8  # one (n, k-1) float array, 1.44 MB
         tracemalloc.start()
         try:
-            for lam in (1.0, 0.5, 0.25):  # three candidates, then the accepted one's
-                workspace = problem.evaluate(theta + lam * step)
-                assert workspace is problem.workspace
-                problem.loglik(workspace.probs)
-            problem.score_info(workspace)
+            # three candidates, one cut off by the bound, and the walk
+            # without derivative work
+            for lam in (1.0, 0.5, 0.25):
+                assert problem.evaluate(theta + lam * step) is not None
+                probs = problem.probabilities(theta + lam * step, problem.blocks[-1])[0]
+                assert probs.base is problem._probs
+            assert problem.evaluate(theta + step, bound=deviance / len(problem.blocks)) is None
+            problem.loglik(theta + step)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -601,23 +648,61 @@ class TestWorkspaces:
         # k=10, p=6: 22.6 MB while the fit kept a second (candidate)
         # workspace, whole-array predictors and all (p+1)^2 products of
         # [1, x]; 11.4 MB with one workspace, per-block predictors and the
-        # 28 distinct products
-        n, k = 20000, 10
-        rng = np.random.default_rng(94)
-        columns = {f"x{j}": rng.normal(size=n) for j in range(6)}
-        latent = sum(0.2 * (j - 2.5) * c for j, c in enumerate(columns.values()))
-        latent = latent + rng.logistic(size=n)
-        cuts = np.quantile(latent, np.arange(1, k) / k)
-        data = OrdinalDataset(y=1 + (latent[:, None] > cuts).sum(axis=1), k=k, columns=columns)
-        spec = ModelSpec(CUM, "catspec", tuple(Term(name) for name in columns))
-        tracemalloc.start()
-        try:
-            result = fit(spec, data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.converged
+        # 28 distinct products of every row
+        converged, peak = _catspec_fit_peak()
+        assert converged
         assert peak < 16e6
+
+    def test_catspec_fit_peak_memory_is_block_local(self):
+        # the same fit: 11.4 MB while the F and probabilities of every row
+        # and the products of every row were kept between two passes; 5.3 MB
+        # with only block scratch beside the data and the design
+        converged, peak = _catspec_fit_peak()
+        assert converged
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("block_rows", [4096, 16])
+    @pytest.mark.parametrize("structure", ["locshift", "catspec"])
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    def test_bound_rejects_exactly_past_the_deviance(self, monkeypatch, kind, structure, block_rows):
+        # evaluate() returns None exactly when the full deviance exceeds the
+        # bound, and otherwise the unbounded pass's result bit for bit
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", block_rows)
+        rng = _case_rng("bound", kind, structure, block_rows)
+        data, base, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
+        spec = base.with_structure(structure)
+        problem = _Problem(data, spec)
+        theta = feasible_params(rng, problem.layout, spec, data, scale=0.1)
+        deviance, s, info = problem.evaluate(theta)
+        assert deviance == -2.0 * problem.loglik(theta)[0]
+        for bound in (deviance, np.nextafter(deviance, np.inf), np.inf):
+            again = problem.evaluate(theta, bound)
+            assert again[0] == deviance
+            assert np.array_equal(again[1], s)
+            assert np.array_equal(again[2], info)
+        for bound in (np.nextafter(deviance, -np.inf), deviance / 2.0, 0.0, -np.inf):
+            assert problem.evaluate(theta, bound) is None
+
+
+@functools.lru_cache(maxsize=None)
+def _catspec_fit_peak():
+    """Converged flag and traced peak memory of a cumulative
+    category-specific fit at n=20000, k=10, p=6."""
+    n, k = 20000, 10
+    rng = np.random.default_rng(94)
+    columns = {f"x{j}": rng.normal(size=n) for j in range(6)}
+    latent = sum(0.2 * (j - 2.5) * c for j, c in enumerate(columns.values()))
+    latent = latent + rng.logistic(size=n)
+    cuts = np.quantile(latent, np.arange(1, k) / k)
+    data = OrdinalDataset(y=1 + (latent[:, None] > cuts).sum(axis=1), k=k, columns=columns)
+    spec = ModelSpec(CUM, "catspec", tuple(Term(name) for name in columns))
+    tracemalloc.start()
+    try:
+        result = fit(spec, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result.converged, peak
 
 
 class TestFit:
@@ -728,9 +813,9 @@ class TestFit:
         evaluated = []
         evaluate = _Problem.evaluate
 
-        def recorded(self, theta):
+        def recorded(self, theta, bound=np.inf):
             evaluated.append(theta.tobytes())
-            return evaluate(self, theta)
+            return evaluate(self, theta, bound)
 
         monkeypatch.setattr(_Problem, "evaluate", recorded)
         result = fit(spec, data)
@@ -738,6 +823,41 @@ class TestFit:
         assert result.iterations < FIT_MODULE.MAX_ITER
         assert len(evaluated) > 11  # the start, then at least one iteration
         assert len(set(evaluated)) == len(evaluated)
+
+    def test_stop_at_threshold_order_boundary_noted(self):
+        # the warm-started cumulative catspec fit on item 8 of the seed-1
+        # simulation pool of the benchmark's sim-small workload (n=500, k=5):
+        # it stops with one observation's thresholds touching and most of
+        # its candidates crossing, max |score| far above the tolerance
+        from ordshift.inference import _catspec_start
+
+        rng = np.random.default_rng([1, 500])
+        n, k = 500, 5
+        cuts = 1.3 * np.log(np.arange(1, k) / (k - np.arange(1, k)))
+        pool = []
+        while len(pool) < 9:
+            x1 = rng.uniform(-2.0, 2.0, n)
+            x2 = rng.uniform(-1.5, 1.5, n)
+            z = rng.uniform(-1.0, 1.0, n)
+            location = 1.2 * np.sin(1.5 * x1) + 0.5 * x2
+            latent = location + np.exp(0.15 * x2 + 0.3 * z) * rng.logistic(size=n)
+            y = 1 + (latent[:, None] > cuts).sum(axis=1)
+            if np.all(np.bincount(y, minlength=k + 1)[1:] > 0):
+                pool.append(OrdinalDataset(y=y, k=k, columns={"x1": x1, "x2": x2, "z": z}))
+        data = pool[8]
+        spec = ModelSpec(CUM, "locshift", (Term("x1"), Term("x2")), (Term("x2"), Term("z")))
+        locshift = fit(spec, data)
+        assert locshift.converged
+        assert locshift.warnings == []
+        catspec = spec.with_structure("catspec")
+        result = fit(catspec, data, start=_catspec_start(locshift, catspec))
+        assert not result.converged
+        assert result.warnings == ["did not converge", "stopped at the threshold-order boundary"]
+        problem = _Problem(data, catspec)
+        gaps = np.diff(kernel_predictors(problem, problem.canonical(result.params)), axis=0)
+        assert -1e-12 <= gaps.min() < 1e-9
+        worst = np.max(np.abs(score(result.params, data, catspec)))
+        assert worst > 10 * FIT_MODULE.SCORE_TOL * (1.0 + abs(result.loglik))
 
     def test_unobserved_category_rejected(self):
         from ordshift.exceptions import DataError

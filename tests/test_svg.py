@@ -37,6 +37,15 @@ def point(value=1.0, lo=None, hi=None, name="v"):
 
 
 class TestStarSvg:
+    def test_label_escaped_as_xml_text(self):
+        from xml.sax.saxutils import escape
+
+        name = 'a<b & "c" > d&amp;'
+        svg = render_star_svg([point(1.2, 1.0, 1.4, name=name)])
+        assert f">{escape(name)}</text>" in svg
+        labels = [e.text for e in elements(parse(svg), "text", cls="star-label")]
+        assert labels == [name]
+
     def test_empty_input_reference_lines_only(self):
         root = parse(render_star_svg([]))
         refs = elements(root, "line", cls="ref")
