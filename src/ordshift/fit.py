@@ -10,6 +10,7 @@ same permutation converts parameters in either direction.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -85,6 +86,94 @@ def _check_categories(data: OrdinalDataset) -> None:
         )
 
 
+def _frozen(*arrays) -> tuple:
+    """The constants, their arrays made read-only: a memo's constants are
+    shared by every problem of their shape, so none may be written through."""
+    for array in arrays:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return arrays
+
+
+@functools.cache
+def _triangle(size: int):
+    """Row and column indices of the upper triangle of a (size, size) array,
+    diagonal included, row-major: np.triu_indices, made once per size in a
+    process."""
+    return _frozen(*np.triu_indices(size))
+
+
+@functools.cache
+def _threshold_pairs(kind: str, q: int):
+    """The threshold pairs r <= s, as rows and columns, where a family's
+    per-observation information W_i[r, s] can be nonzero: the diagonal and
+    then the upper band of the cumulative family's tridiagonal W_i, and
+    every pair, row-major, of the adjacent family's."""
+    if kind == "adjacent":
+        return _triangle(q)
+    index = np.arange(q)
+    return _frozen(np.concatenate([index, index[:-1]]), np.concatenate([index, index[1:]]))
+
+
+@functools.cache
+def _problem_constants(kind: str, structure: str, k: int, p: int, m: int, reverse: bool):
+    """The constants of a compiled problem, which depend on its shape alone:
+    made once per shape in a process and shared, read-only, by every problem
+    of that shape. A tuple of
+
+    - the self-inverse map between reported and canonical parameter order
+      (the identity for forward specs; see _reverse_permutation);
+    - global and location-shift: the flat indices of the information's
+      strict upper triangle and of its mirror image below the diagonal, and
+      of the intercept block's cells (r, s) of the family's threshold pairs
+      (_threshold_pairs);
+    - category-specific: (j, run of product rows) of each column j >= 1 of
+      [1, x] (see _Problem), the shape of the summed pair products, the flat
+      index into those sums (and one zero after them) of each information
+      cell, and the flat index into the (k-1, p+1) score sums of each score
+      entry.
+
+    Entries a structure does not use are None.
+    """
+    q = k - 1
+    if structure != "catspec":
+        size = q + p + m
+        perm = _reverse_permutation(structure, q, p, size) if reverse else np.arange(size)
+        rows, cols = _triangle(size)
+        strict = rows < cols
+        rows, cols = rows[strict], cols[strict]
+        pair_rows, pair_cols = _threshold_pairs(kind, q)
+        return _frozen(perm, rows * size + cols, cols * size + rows, pair_rows * size + pair_cols,
+                       None, None, None, None)
+    p1, size = p + 1, q * (p + 1)
+    perm = _reverse_permutation(structure, q, p, size) if reverse else np.arange(size)
+    # x~_j x~_l of x~ = [1, x] for j <= l, row-major over the upper
+    # triangle: rows 0..p, (0, l), are x~ itself, and the pairs (j, l >= j)
+    # of each j >= 1 are one run of rows after them
+    pair_j, pair_l = _triangle(p1)
+    first = np.searchsorted(pair_j, np.arange(p + 2))
+    runs = tuple((j, slice(first[j], first[j + 1])) for j in range(1, p1))
+    # product row holding x~_j x~_l, for every (j, l)
+    mirror = np.empty((p1, p1), dtype=np.intp)
+    mirror[pair_j, pair_l] = mirror[pair_l, pair_j] = np.arange(pair_j.size)
+    # parameter slot of (threshold r, column j of [1, x])
+    j = np.arange(p1)[None, :]
+    r = np.arange(q)[:, None]
+    slots = np.where(j == 0, r, q + r * p + j - 1).ravel()
+    # the (p+1, p+1) information block of threshold pair (r, s) and of
+    # (s, r) is pair (r, s)'s triangle of sums mirrored; every other block
+    # reads the zero after the sums
+    pair_rows, pair_cols = _threshold_pairs(kind, q)
+    pair_shape = (pair_rows.size, pair_j.size)
+    entries = np.arange(pair_rows.size)[:, None, None] * pair_j.size + mirror
+    blocks = np.full((q, q, p1, p1), pair_rows.size * pair_j.size, dtype=np.intp)
+    blocks[pair_rows, pair_cols] = entries
+    blocks[pair_cols, pair_rows] = entries
+    info_index = np.empty((size, size), dtype=np.intp)
+    info_index[np.ix_(slots, slots)] = blocks.transpose(0, 2, 1, 3).reshape(size, size)
+    return _frozen(perm, None, None, None, runs, pair_shape, info_index, np.argsort(slots))
+
+
 class _Problem:
     """One (spec, data) pair compiled once for likelihood, score and information.
 
@@ -100,18 +189,29 @@ class _Problem:
     bands for the cumulative family (_Tridiagonal), semiseparable factors for
     the adjacent family (_Semiseparable).
 
-    Every per-observation, per-threshold quantity is threshold-major, a
+    What a problem holds has three lifetimes. Per shape, the index maps and
+    matrices that depend only on (family kind, structure, k, p, m, reverse)
+    and the scaling weights: the parameter permutation, the information's
+    mirror indices, the category-specific slot and mirror maps, and the
+    weights helpers' band and triangular matrices. Each is made once per
+    shape in a process by a memo of read-only arrays (_problem_constants and
+    the helpers' own), keyed by those small ints and the weights, never by
+    data. Per problem, the data and the block scratch. Per block, nothing:
+    every per-observation, per-threshold quantity is threshold-major, a
     (k-1, rows) or (k, rows) array of one block of BLOCK_ROWS rows (a single
-    block when n <= BLOCK_ROWS), so each step along the short threshold axis
-    is a few contiguous loops over observations, and none outlives its
-    block. evaluate() is one pass over the blocks: a block's predictors, F
-    and probabilities, its log-likelihood, and then its score and
-    information, all in block scratch allocated once per problem. The part
-    of a block that depends on the data alone is block scratch too: the
-    weights helper's response mask and, for a category-specific problem,
-    the (p+1)(p+2)/2 distinct products x~_j x~_l (j <= l) of x~ = [1, x],
-    refilled for each block in turn and filled once when the problem is a
-    single block. No step allocates an (n, k-1) array.
+    block when n <= BLOCK_ROWS) in block scratch allocated once per problem,
+    so each step along the short threshold axis is a few contiguous loops
+    over observations, and none outlives its block.
+
+    evaluate() is one pass over the blocks: a block's predictors, F and
+    probabilities, its log-likelihood, and then its score and information.
+    The part of a block that depends on the data alone is block scratch too:
+    the weights helper's response mask and, for a category-specific
+    problem, the (p+1)(p+2)/2 distinct products x~_j x~_l (j <= l) of
+    x~ = [1, x], one row per product (as columns of a (rows, pairs) array
+    they took five times as long), refilled for each block in turn and
+    filled once when the problem is a single block. No step allocates an
+    (n, k-1) array.
     """
 
     def __init__(self, data: OrdinalDataset, spec: ModelSpec):
@@ -121,18 +221,20 @@ class _Problem:
             data = data.relabeled()
         self.spec = spec
         self.design = expand_design(data, spec)
-        self.layout = make_layout(self.design, spec, data.k)
+        self.layout = layout = make_layout(self.design, spec, data.k)
         self.y0 = data.y - 1
         self.X, self.Z = self.design.X, self.design.Z
         self.w = scaling_factors(spec.family, data.k)
-        self.perm = (
-            _reverse_permutation(self.layout) if self.reverse
-            else np.arange(self.layout.n_params)
-        )
+        self.location, self.dispersion = layout.location, layout.dispersion
+        self.constants = _problem_constants(
+            spec.family.kind, spec.structure, data.k, layout.p, layout.m, self.reverse)
+        (self.perm, self._upper, self._lower, self._pair_cells, self._runs, self._pair_shape,
+         self._info_index, self._score_index) = self.constants
         n = data.n
         self.blocks = [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
         self.cumulative = spec.family.kind == "cumulative"
-        q, width = self.layout.q, self.blocks[0].stop
+        self.catspec = spec.structure == "catspec"
+        q, width = layout.q, self.blocks[0].stop
         # flat index of (y_i, i) in the (k, width) probability scratch of i's block
         self.own_index = self.y0 * width + np.arange(n) % width
         self._eta = np.empty((q, width))
@@ -141,35 +243,16 @@ class _Problem:
         self._own, self._logs = np.empty(width), np.empty(width)
         self._loaded = None  # first row of the block whose data-only scratch is filled
         self._weights = None
-        self._upper = np.triu_indices(self.layout.n_params, 1)
-        if spec.structure == "catspec":
-            p = self.layout.p
-            # x~_j x~_l of x~ = [1, x] for j <= l, row-major over the upper
-            # triangle: rows 0..p, (0, l), are x~ itself, and the pairs
-            # (j, l >= j) of each j >= 1 are one run of rows after them. One
-            # row per product keeps each product one contiguous loop: as
-            # columns of a (rows, pairs) array they took five times as long
-            pair_j, pair_l = np.triu_indices(p + 1)
-            self._products = np.empty((pair_j.size, width))
+        if self.catspec:
+            self._products = np.empty((self._pair_shape[1], width))
             self._products[0] = 1.0
-            first = np.searchsorted(pair_j, np.arange(p + 2))
-            self._runs = [(j, slice(first[j], first[j + 1])) for j in range(1, p + 1)]
-            # row of products holding x~_j x~_l, for (j, l) row-major over
-            # the whole (p+1, p+1) block
-            mirror = np.empty((p + 1, p + 1), dtype=np.intp)
-            mirror[pair_j, pair_l] = mirror[pair_l, pair_j] = np.arange(pair_j.size)
-            self._mirror = mirror.ravel()
-            # parameter slot of (threshold r, column j of [1, x])
-            j = np.arange(p + 1)[None, :]
-            r = np.arange(q)[:, None]
-            self._slots = np.where(j == 0, r, q + r * p + j - 1).ravel()
         else:
             # c_i x_i' and c_i z_i' of one block, row-major, for the
             # information's X' (C X) products. While a smooth block is
             # rank-deficient the rounding of these products decides its fits:
             # formed as (X' C) X from the columns as rows, 458 instead of 504
             # of 512 smooth sim-small fits converged.
-            self._cX, self._cZ = np.empty((width, self.layout.p)), np.empty((width, self.layout.m))
+            self._cX, self._cZ = np.empty((width, layout.p)), np.empty((width, layout.m))
 
     def canonical(self, params) -> np.ndarray:
         params = np.asarray(params, dtype=float)
@@ -192,30 +275,31 @@ class _Problem:
 
     def predictors(self, theta: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
         """(k-1, rows) linear predictors of one block at canonical ``theta``,
-        into ``out``."""
-        layout = self.layout
-        q = layout.q
-        if layout.structure == "catspec":
-            np.matmul(theta[q:].reshape(q, layout.p), self.X[rows].T, out=out)
+        into ``out``. The dispersion term w_r z_i'alpha is made in the
+        probability block scratch, which the block's probabilities overwrite
+        afterwards."""
+        q = out.shape[0]
+        if self.catspec:
+            np.matmul(theta[q:].reshape(q, self.layout.p), self.X[rows].T, out=out)
             out += theta[:q, None]
         else:
-            np.add(theta[:q, None], self.X[rows] @ theta[layout.location], out=out)
-            if layout.m:
-                spread = self.Z[rows] @ theta[layout.dispersion]
-                for r in range(q):
-                    out[r] += spread * self.w[r]
+            np.add(theta[:q, None], self.X[rows] @ theta[self.location], out=out)
+            if self.layout.m:
+                spread = self.Z[rows] @ theta[self.dispersion]
+                out += np.multiply(self.w[:, None], spread, out=self._probs[:q, :out.shape[1]])
         return out
 
     def probabilities(self, theta: np.ndarray, rows: slice):
         """One block at canonical ``theta``, in block scratch: its (k, rows)
         probabilities, its (k-1, rows) kept F (None for the adjacent family)
         and each observation's own-category probability. The predictors go
-        to block scratch and become F and the probabilities at once.
+        to block scratch and become F and the probabilities at once; the
+        clipped F of the cumulative map overwrites the predictors.
         Infeasible cumulative thresholds raise ThresholdOrderError."""
         nb = rows.stop - rows.start
         eta = self.predictors(theta, rows, self._eta[:, :nb])
         cdf = None if self._cdf is None else self._cdf[:, :nb]
-        probs = category_probs(self.spec.family, eta, self._probs[:, :nb], cdf)
+        probs = category_probs(self.spec.family, eta, self._probs[:, :nb], cdf, eta)
         # the compiled indices are in range: mode="clip" gathers straight into
         # out, where the default mode buffers it through a fresh array
         own = np.take(self._probs, self.own_index[rows], out=self._own[:nb], mode="clip")
@@ -237,6 +321,17 @@ class _Problem:
             total += self._block_loglik(own)
         return total, floored
 
+    def crosses(self, theta: np.ndarray, first: int) -> bool:
+        """Whether the thresholds at canonical ``theta`` cross in any block
+        from the ``first``-th on: the rest of the walk of a candidate that
+        evaluate() stopped at its bound, whose later blocks it never read."""
+        for rows in self.blocks[first:]:
+            try:
+                self.probabilities(theta, rows)
+            except ThresholdOrderError:
+                return True
+        return False
+
     def weights(self):
         """The family's weights helper, compiled at the first call."""
         if self._weights is None:
@@ -251,11 +346,12 @@ class _Problem:
             return
         self._loaded = rows.start
         self.weights().mask(self.y0[rows])
-        if self.layout.structure == "catspec":
+        if self.catspec:
+            p = self.layout.p
             products = self._products[:, :rows.stop - rows.start]
-            products[1:self.layout.p + 1] = self.X[rows].T
+            products[1:p + 1] = self.X[rows].T
             for j, run in self._runs:
-                np.multiply(products[j], products[j:self.layout.p + 1], out=products[run])
+                np.multiply(products[j], products[j:p + 1], out=products[run])
 
     def evaluate(self, theta: np.ndarray, bound: float = np.inf):
         """Deviance, score and information at canonical ``theta`` in one pass
@@ -265,10 +361,11 @@ class _Problem:
         log-likelihood is added first. Every block adds a nonpositive one, so
         the running deviance never falls: the pass returns None as soon as it
         exceeds ``bound``, exactly when the full deviance would, and before
-        any derivative work on that block. Only then does the weights helper
-        load the block's weights from its probabilities, and the block's
-        score and information are added. Infeasible cumulative thresholds
-        raise ThresholdOrderError.
+        any derivative work on that block; ``cut`` is then the number of
+        blocks it read. Only then does the weights helper load the block's
+        weights from its probabilities, and the block's score and
+        information are added. Infeasible cumulative thresholds raise
+        ThresholdOrderError.
 
         u_i = d log pi_{y_i} / d eta_i and W_i = sum_c pi_c A_c A_c' with
         A_c = d log pi_c / d eta are each observation's score and information
@@ -279,65 +376,82 @@ class _Problem:
         sum_i u_i, X'(1'u) and Z'(w'u), or u @ [1, X] for category-specific
         blocks. Global and location-shift information needs only sum_i W_i,
         W_i 1 and W_i w, and the quadratic forms of the last two against X
-        and Z; the category-specific information contracts only the
-        threshold pairs (r, s) where W_i[r, s] can be nonzero with the
-        block's distinct products x~_j x~_l (j <= l),
-        (pairs, rows) @ (rows, (p+1)(p+2)/2), and mirrors each pair's
-        triangle into its (p+1, p+1) block. No (n, k-1, k-1) array is
-        formed. Only the upper triangle is assembled; it is mirrored at the
-        end. Score and information are in canonical order.
+        and Z. Only its upper triangle is assembled, sum_i W_i through the
+        flat indices of its threshold-pair cells and the rest into views of
+        its blocks taken once per pass, and mirrored at the end. The
+        category-specific information contracts only the threshold pairs
+        (r, s) where W_i[r, s] can be nonzero with the block's distinct
+        products x~_j x~_l (j <= l), (pairs, rows) @ (rows, (p+1)(p+2)/2),
+        and one gather through the compiled index places every cell. No
+        (n, k-1, k-1) array is formed. Score and information are in
+        canonical order.
         """
         layout = self.layout
-        q, size = layout.q, layout.n_params
-        catspec = layout.structure == "catspec"
+        q = layout.q
         weights = self.weights()
-        s = np.zeros(size)
-        info = np.zeros((size, size))
-        if catspec:
+        if self.catspec:
             p1 = layout.p + 1
             score_sum = np.zeros((q, p1))
-            pair_sum = 0.0
+            # the pair sums, and one zero that the information's empty blocks read
+            sums = np.zeros(self._pair_shape[0] * self._pair_shape[1] + 1)
+            pair_sum = sums[:-1].reshape(self._pair_shape)
         else:
-            loc, disp = layout.location, layout.dispersion
-            top = info[:q, :q]
+            loc, disp, m = self.location, self.dispersion, layout.m
+            s = np.zeros(layout.n_params)
+            info = np.zeros((layout.n_params, layout.n_params))
+            flat = info.reshape(-1)
+            s_top, s_loc, s_disp = s[:q], s[loc], s[disp]
+            top_loc, top_disp = info[:q, loc], info[:q, disp]
+            loc_loc, loc_disp, disp_disp = info[loc, loc], info[loc, disp], info[disp, disp]
         loglik = 0.0
-        for rows in self.blocks:
+        for index, rows in enumerate(self.blocks):
             probs, cdf, own = self.probabilities(theta, rows)
             loglik += self._block_loglik(own)
             if not -2.0 * loglik <= bound:
+                self.cut = index + 1
                 return None
             self._load_data(rows)
             u = weights.load(probs, cdf, own)
-            if catspec:
+            if self.catspec:
                 products = self._products[:, :own.size].T
                 score_sum += u @ products[:, :p1]
-                pair_sum = pair_sum + weights.pairs() @ products
+                pair_sum += weights.pairs() @ products
                 continue
             X, Z = self.X[rows], self.Z[rows]
-            cX, cZ = self._cX[:X.shape[0]], self._cZ[:X.shape[0]]
-            weights.add_total(top)
+            cX, cZ = self._cX[:own.size], self._cZ[:own.size]
+            flat[self._pair_cells] += weights.total()
             # sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the quadratic
             # forms 1'W_i 1, 1'W_i w, w'W_i w of each row
             WX, WZ, forms = weights.forms(X, Z)
-            s[:q] += u.sum(axis=1)
-            s[loc] += X.T @ u.sum(axis=0)
-            info[:q, loc] += WX
-            info[loc, loc] += X.T @ np.multiply(forms[0][:, None], X, out=cX)
-            if layout.m:
-                s[disp] += Z.T @ (self.w @ u)
-                info[:q, disp] += WZ
-                info[loc, disp] += X.T @ np.multiply(forms[1][:, None], Z, out=cZ)
-                info[disp, disp] += Z.T @ np.multiply(forms[2][:, None], Z, out=cZ)
-        if catspec:
-            s[self._slots] = score_sum.ravel()
-            pair_rows, pair_cols = weights.pair_rows, weights.pair_cols
-            pair_blocks = pair_sum[:, self._mirror].reshape(-1, p1, p1)
-            blocks = np.zeros((q, q, p1, p1))
-            blocks[pair_rows, pair_cols] = pair_blocks
-            blocks[pair_cols, pair_rows] = pair_blocks
-            info[np.ix_(self._slots, self._slots)] = blocks.transpose(0, 2, 1, 3).reshape(size, size)
-        info[self._upper[::-1]] = info[self._upper]
+            s_top += u.sum(axis=1)
+            s_loc += X.T @ u.sum(axis=0)
+            top_loc += WX
+            loc_loc += X.T @ np.multiply(forms[0][:, None], X, out=cX)
+            if m:
+                s_disp += Z.T @ (self.w @ u)
+                top_disp += WZ
+                loc_disp += X.T @ np.multiply(forms[1][:, None], Z, out=cZ)
+                disp_disp += Z.T @ np.multiply(forms[2][:, None], Z, out=cZ)
+        if self.catspec:
+            return -2.0 * loglik, score_sum.take(self._score_index), sums.take(self._info_index)
+        flat[self._lower] = flat[self._upper]
         return -2.0 * loglik, s, info
+
+
+@functools.cache
+def _band_constants(k: int, w: tuple, catspec: bool):
+    """_Tridiagonal's constants for k categories and scaling weights ``w``,
+    made once per (k, w, structure) in a process: the categories as a
+    column and, for global and location-shift problems, the matrices taking
+    the stacked bands [d; o] to W_i 1 and W_i w (expand) and to the
+    quadratic forms 1'W 1, 1'W w and w'W w (quadratic)."""
+    q = k - 1
+    expand = quadratic = None
+    if not catspec:
+        ones, w = np.ones(q), np.array(w)
+        expand = np.stack([_band_expansion(v) for v in (ones, w)])
+        quadratic = np.array([_band_form(a, b) for a, b in ((ones, ones), (ones, w), (w, w))])
+    return _frozen(np.arange(k)[:, None], expand, quadratic)
 
 
 class _Tridiagonal:
@@ -352,13 +466,15 @@ class _Tridiagonal:
     is u_ir = f_r S_ir / pi~_{y_i} with the response mask S_ir = [y_i = r] -
     [y_i = r + 1] (0-based categories): a_{y_i} at r = y_i and -b_{y_i - 1}
     at r = y_i - 1, zero elsewhere. mask() and load() rewrite the helper's
-    block scratch for the next block.
+    block scratch for the next block; its constants are _band_constants'.
     """
 
     def __init__(self, problem: _Problem):
-        layout, w = problem.layout, problem.w
+        layout = problem.layout
         q, k = layout.q, layout.k
         width = problem.blocks[0].stop
+        self.constants = _band_constants(k, tuple(problem.w.tolist()), problem.catspec)
+        self.categories, self.expand, self.quadratic = self.constants
         # the helper keeps what it reads of the problem, not the problem: a
         # reference back would make a cycle that holds the problem's block
         # scratch until the garbage collector runs
@@ -368,21 +484,10 @@ class _Tridiagonal:
         self._own = np.empty(width)
         # [y_i = c] for c = 0..k-1 and S as int8: a float mask would be eight
         # times the memory
-        self.categories = np.arange(k)[:, None]
         self.is_y = np.empty((k, width), dtype=bool)
         self.sign = np.empty((q, width), dtype=np.int8)
-        index = np.arange(q)
-        # the pairs r <= s where W_i[r, s] can be nonzero: the band's rows
-        self.pair_rows = np.concatenate([index, index[:-1]])
-        self.pair_cols = np.concatenate([index, index[1:]])
-        if layout.structure == "catspec":
-            return
-        # W_i v = expand_v @ [d; o] for v = 1 and v = w, and the quadratic
-        # forms 1'W 1, 1'W w and w'W w are rows of quadratic @ [d; o]
-        ones = np.ones(q)
-        self.expand = np.stack([_band_expansion(v) for v in (ones, w)])
-        self.quadratic = np.array([_band_form(a, b) for a, b in ((ones, ones), (ones, w), (w, w))])
-        self._forms = np.empty((3, width))
+        if not problem.catspec:
+            self._forms = np.empty((3, width))
 
     def mask(self, y0: np.ndarray) -> None:
         """Response mask S of the block whose 0-based responses are ``y0``."""
@@ -425,13 +530,43 @@ class _Tridiagonal:
         forms = np.matmul(self.quadratic, band, out=self._forms[:, :band.shape[1]])
         return self.expand[0] @ (band @ X), self.expand[1] @ (band @ Z), forms
 
-    def add_total(self, top: np.ndarray) -> None:
-        """Add the upper triangle of sum_i W_i to ``top``."""
-        top[self.pair_rows, self.pair_cols] += self.pairs().sum(axis=1)
+    def total(self) -> np.ndarray:
+        """sum_i W_i[r, s] of each pair (r, s) of the two bands, in the order
+        of _threshold_pairs."""
+        return self.pairs().sum(axis=1)
 
     def pairs(self) -> np.ndarray:
-        """(pairs, rows) weights of pair_rows/pair_cols: the two bands."""
+        """(pairs, rows) weights of the threshold pairs of _threshold_pairs:
+        the two bands."""
         return self.band[:, :self.d.shape[1]]
+
+
+@functools.cache
+def _semiseparable_constants(k: int, w: tuple, dispersion: bool, catspec: bool):
+    """_Semiseparable's constants for k categories and scaling weights
+    ``w``, made once per (k, w, dispersion, structure) in a process: the
+    thresholds as a column, the flat indices of every threshold pair r <= s
+    (row-major) in a (k-1, k-1) array, the triangular 0/1 matrices taking
+    the probabilities to B and A and, for global and location-shift
+    problems, the stacked triangular matrices prefix[r, s] = v_s [s <= r]
+    and suffix[r, s] = v_s [s > r] of v = 1 and, with dispersion terms,
+    v = w, and the rows taking their stacked products to 1'W 1, 1'W w and
+    w'W w (quadratic)."""
+    q = k - 1
+    pair_rows, pair_cols = _threshold_pairs("adjacent", q)
+    # below_of[r, c] = 1 when c <= r
+    below_of = np.tril(np.ones((q, q + 1)))
+    prefix = suffix = quadratic = None
+    if not catspec:
+        ones, zeros, w = np.ones(q), np.zeros(q), np.array(w)
+        vectors = (ones, w) if dispersion else (ones,)
+        upto = np.tril(np.ones((q, q)))
+        prefix = np.stack([upto * v for v in vectors])
+        suffix = np.stack([(1.0 - upto) * v for v in vectors])
+        quadratic = (np.array([np.r_[ones, zeros], np.r_[zeros, ones], np.r_[zeros, w]])
+                     if dispersion else ones[None, :])
+    return _frozen(np.arange(q)[:, None], pair_rows * q + pair_cols, below_of, 1.0 - below_of,
+                   prefix, suffix, quadratic)
 
 
 class _Semiseparable:
@@ -441,35 +576,26 @@ class _Semiseparable:
     T_r = P(Y > r). Only B and A are stored, as (k-1, rows) products of
     triangular 0/1 matrices with the probabilities; the score is u_ir = B_r
     when y_i > r and -A_r otherwise, taken with the block's response mask.
+    Its constants are _semiseparable_constants'.
     """
 
     def __init__(self, problem: _Problem):
-        layout, w = problem.layout, problem.w
+        layout = problem.layout
         q = layout.q
         width = problem.blocks[0].stop
+        self.constants = _semiseparable_constants(
+            layout.k, tuple(problem.w.tolist()), bool(layout.m), problem.catspec)
+        (self.thresholds, self.pair_index, self.below_of, self.above_of,
+         self.prefix, self.suffix, self.quadratic) = self.constants
         self.below, self.above, self.u = (np.empty((q, width)) for _ in range(3))
-        # B = below_of @ probs and A = above_of @ probs: below_of[r, c] = 1 when c <= r
-        self.below_of = np.tril(np.ones((q, q + 1)))
-        self.above_of = 1.0 - self.below_of
-        self.thresholds = np.arange(q)[:, None]
         self.y_above = np.empty((q, width), dtype=bool)  # response mask of the score
-        self.pair_rows, self.pair_cols = np.triu_indices(q)
-        if layout.structure == "catspec":
-            self.pair_weights = np.empty((self.pair_rows.size, width))
+        if problem.catspec:
+            self.pair_weights = np.empty((self.pair_index.size, width))
             return
-        # W_i v for v = 1 and, with dispersion terms, v = w: one product for
-        # each of the two sums with the stacked triangular matrices
-        # prefix[r, s] = v_s [s <= r] and suffix[r, s] = v_s [s > r]
-        ones, zeros = np.ones(q), np.zeros(q)
-        vectors = (ones, w) if layout.m else (ones,)
-        upto = np.tril(np.ones((q, q)))
-        self.prefix = np.stack([upto * v for v in vectors])
-        self.suffix = np.stack([(1.0 - upto) * v for v in vectors])
-        self.products = np.empty((len(vectors), q, width))
+        # W_i 1 and, with dispersion terms, W_i w: one product for each of
+        # the two sums with the stacked triangular matrices
+        self.products = np.empty((len(self.prefix), q, width))
         self.product = np.empty_like(self.products)
-        # rows taking the stacked products to 1'W 1, 1'W w and w'W w
-        self.quadratic = (np.array([np.r_[ones, zeros], np.r_[zeros, ones], np.r_[zeros, w]])
-                          if layout.m else ones[None, :])
         self._forms = np.empty((len(self.quadratic), width))
 
     def mask(self, y0: np.ndarray) -> None:
@@ -503,10 +629,10 @@ class _Semiseparable:
         forms = np.matmul(self.quadratic, out.reshape(-1, nb), out=self._forms[:, :nb])
         return out[0] @ X, out[-1] @ Z, forms
 
-    def add_total(self, top: np.ndarray) -> None:
-        """Add the upper triangle of sum_i W_i = B' A to ``top``."""
-        pairs = self.pair_rows, self.pair_cols
-        top[pairs] += (self.B @ self.A.T)[pairs]
+    def total(self) -> np.ndarray:
+        """sum_i W_i[r, s] of each threshold pair r <= s (row-major), from
+        sum_i W_i = B' A."""
+        return (self.B @ self.A.T).take(self.pair_index)
 
     def pairs(self) -> np.ndarray:
         """Every threshold pair r <= s (row-major) and the (pairs, rows)
@@ -538,15 +664,13 @@ def _band_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a * b, a[:-1] * b[1:] + a[1:] * b[:-1]])
 
 
-def _reverse_permutation(layout: ParamLayout) -> np.ndarray:
-    """Self-inverse index map between canonical and reversed parameter order."""
-    q = layout.q
-    perm = np.arange(layout.n_params)
+def _reverse_permutation(structure: str, q: int, p: int, size: int) -> np.ndarray:
+    """Self-inverse index map between canonical and reversed parameter order:
+    the intercepts, and the category-specific threshold blocks, reversed."""
+    perm = np.arange(size)
     perm[:q] = np.arange(q)[::-1]
-    if layout.structure == "catspec":
-        for r in range(q):
-            src = layout.catspec_block(q - r)
-            perm[q + r * layout.p:q + (r + 1) * layout.p] = np.arange(src.start, src.stop)
+    if structure == "catspec":
+        perm[q:] = np.arange(q, size).reshape(q, p)[::-1].ravel()
     return perm
 
 
@@ -617,14 +741,17 @@ def fit(
     already below tolerance, converged=False otherwise (retrying would solve
     for the same step); an unconverged stop at an iteration in which some
     candidate crossed thresholds is noted in ``warnings`` as a stop at the
-    threshold-order boundary. Convergence requires relative deviance change
-    < DEVIANCE_TOL and max |score| < SCORE_TOL * (1 + |loglik|) at the same
-    iteration. The covariance is the inverse expected information at the
-    optimum. Each candidate is evaluated in one pass bounded by the current
-    deviance, so a rejected candidate stops at the first block of rows that
-    takes its deviance past that bound; the score and information of an
-    accepted step come from the pass that accepted it and serve the
-    convergence test, the next step and the covariance.
+    threshold-order boundary (a candidate rejected on its deviance before
+    its last block of rows is then walked through its remaining blocks for
+    a crossing, as a one-block problem checks every row before the bound).
+    Convergence requires relative deviance change < DEVIANCE_TOL and
+    max |score| < SCORE_TOL * (1 + |loglik|) at the same iteration. The
+    covariance is the inverse expected information at the optimum. Each
+    candidate is evaluated in one pass bounded by the current deviance, so
+    a rejected candidate stops at the first block of rows that takes its
+    deviance past that bound; the score and information of an accepted
+    step come from the pass that accepted it and serve the convergence
+    test, the next step and the covariance.
     """
     _check_categories(data)
     problem = _Problem(data, spec)
@@ -654,6 +781,7 @@ def fit(
             step = np.linalg.lstsq(info, s, rcond=None)[0]
         accepted = None
         crossed = False
+        cut = []  # (candidate, blocks read) of those stopped at the bound
         lam = 1.0
         for _ in range(11):
             cand = theta + lam * step
@@ -661,6 +789,9 @@ def fit(
                 accepted = problem.evaluate(cand, deviance)
             except ThresholdOrderError:
                 crossed = True
+            else:
+                if accepted is None:
+                    cut.append((cand, problem.cut))
             if accepted is not None:
                 break
             lam /= 2.0
@@ -670,7 +801,10 @@ def fit(
             # score is below tolerance. Elsewhere it stops the fit: a retry
             # would solve for the same step from the same score and information
             converged = bool(np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0))
-            boundary = crossed and not converged
+            # a candidate stopped at the bound never read its later blocks,
+            # where its thresholds may cross: a one-block problem has none
+            boundary = not converged and (crossed or problem.cumulative and any(
+                problem.crosses(candidate, read) for candidate, read in cut))
             break
         rel_change = abs(deviance - accepted[0]) / (abs(deviance) + 1e-10)
         theta = cand

@@ -80,7 +80,7 @@ def scaling_factors(family: Family, k: int) -> np.ndarray:
 
 
 def _check_finite(eta: np.ndarray) -> None:
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise InvalidInputError("eta must be finite")
 
 
@@ -94,19 +94,28 @@ def _check_monotone(eta: np.ndarray, gaps: np.ndarray) -> None:
         raise ThresholdOrderError(int(np.argwhere(bad)[0][-1]) + 1)
 
 
-def _cumulative_probs(eta, out, cdf_out) -> np.ndarray:
-    """Threshold-first cumulative map: eta (k-1, ...) into out (k, ...)."""
+def _cumulative_probs(eta, out, cdf_out, work) -> np.ndarray:
+    """Threshold-first cumulative map: eta (k-1, ...) into out (k, ...).
+
+    gamma, F clipped to [PROB_FLOOR, 1 - PROB_FLOOR], goes to ``work``, and
+    the probabilities are its differences gamma_r - gamma_{r-1} between
+    gamma_0 and 1 - gamma_{k-2}, in one call: differencing the rows of one
+    buffer in place would need a row loop or a copy. The differences can be
+    slightly negative (the tolerated float-noise crossings), so they are
+    raised to 0. None can exceed 1: each probability is gamma_0, a
+    difference of two gammas or 1 - gamma_{k-2}, and every gamma lies in
+    [PROB_FLOOR, 1 - PROB_FLOOR], so the map has no upper clip.
+    """
     _check_finite(eta)
     _check_monotone(eta, out[:-2])
     cdf = logistic(eta, out=np.empty_like(eta) if cdf_out is None else cdf_out, work=out[1:])
-    # gamma = clipped F in rows 0..k-2, then pi_r = gamma_r - gamma_{r-1}
-    # from the top down, so each row still holds gamma_{r-1} when it is read
-    # (rows are indexed with [r, ...]: a view even when eta is a vector)
-    gamma = np.clip(cdf, PROB_FLOOR, 1.0 - PROB_FLOOR, out=out[:-1])
+    gamma = np.maximum(cdf, PROB_FLOOR, out=work)
+    np.minimum(gamma, 1.0 - PROB_FLOOR, out=gamma)
+    # rows are indexed with [r, ...]: a view even when eta is a vector
+    np.copyto(out[0, ...], gamma[0, ...])
+    np.subtract(gamma[1:], gamma[:-1], out=out[1:-1])
     np.subtract(1.0, gamma[-1], out=out[-1, ...])
-    for r in range(gamma.shape[0] - 1, 0, -1):
-        np.subtract(out[r], out[r - 1], out=out[r, ...])
-    return np.clip(out, 0.0, 1.0, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _adjacent_probs(eta, out) -> np.ndarray:
@@ -114,7 +123,10 @@ def _adjacent_probs(eta, out) -> np.ndarray:
 
     The log-weights sum_{r < c} eta_r are running sums over the threshold
     rows, shifted by their maximum over the categories before exp, so large
-    |eta| cannot overflow.
+    |eta| cannot overflow. They are summed a row at a time: one
+    np.cumsum(eta, axis=0) walks each observation's column with a stride,
+    and took 3 times as long at 500 observations and k=5, and 6 times at
+    4096 and k=10.
     """
     _check_finite(eta)
     out[0] = 0.0
@@ -126,14 +138,16 @@ def _adjacent_probs(eta, out) -> np.ndarray:
     return out
 
 
-def category_probs(family: Family, eta, out=None, cdf_out=None) -> np.ndarray:
+def category_probs(family: Family, eta, out=None, cdf_out=None, work=None) -> np.ndarray:
     """Category probabilities of the family's model (canonical orientation),
     threshold-first: ``eta`` holds the k-1 predictors in its first axis and
     the result, written to ``out`` when given, the k probabilities.
 
     ``cdf_out``, an array of eta's shape, receives the unclipped F(eta) of
     the cumulative family, so a caller that also needs the density does not
-    evaluate F a second time; the adjacent family does not use it.
+    evaluate F a second time. ``work``, also of eta's shape, is the
+    cumulative family's scratch for the clipped F; it may be eta itself,
+    which is not read once F is made. The adjacent family uses neither.
     Cumulative thresholds must be nondecreasing (ThresholdOrderError names
     the first crossing); equal adjacent thresholds yield a legal zero-width
     category.
@@ -146,5 +160,5 @@ def category_probs(family: Family, eta, out=None, cdf_out=None) -> np.ndarray:
     if out is None:
         out = np.empty((eta.shape[0] + 1,) + eta.shape[1:])
     if cumulative:
-        return _cumulative_probs(eta, out, cdf_out)
+        return _cumulative_probs(eta, out, cdf_out, np.empty_like(eta) if work is None else work)
     return _adjacent_probs(eta, out)

@@ -607,6 +607,37 @@ class TestRowBlocks:
         assert np.array_equal(separate.covariance, shared.covariance)
 
 
+    def test_boundary_note_after_candidates_cut_before_their_crossing(self, monkeypatch):
+        # every candidate pass gets the bound 0, so each is rejected at its
+        # first block and the fit stops at its first iteration with no
+        # accepted step, unconverged. From this start the candidates at
+        # lam = 1, 1/2 and 1/4 cross only in blocks 2-4 of 8 rows, which
+        # such a pass never reads: the fit walks them to find the crossing,
+        # and notes the stop at the threshold-order boundary as the
+        # one-block fit does, where the crossing raises before the bound
+        data, spec, _ = self._crossing_late()
+        start = [0.7, 1.5, 3.0, -4.0, -3.4, -2.3]
+        evaluate, raised = _Problem.evaluate, []
+
+        def zero_bound(self, theta, bound=np.inf):
+            try:
+                return evaluate(self, theta, 0.0 if np.isfinite(bound) else bound)
+            except ThresholdOrderError:
+                raised.append(len(self.blocks))
+                raise
+
+        monkeypatch.setattr(_Problem, "evaluate", zero_bound)
+        whole = fit(spec, data, start=start)
+        assert raised == [1, 1, 1]
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 8)
+        blocked = fit(spec, data, start=start)
+        assert raised == [1, 1, 1]  # no blocked candidate reached its crossing
+        for result in (whole, blocked):
+            assert result.iterations == 1 and not result.converged
+            assert result.warnings == [
+                "did not converge", "stopped at the threshold-order boundary"]
+
+
 class TestWorkspaces:
     """Every per-observation quantity of a pass over the blocks lives in the
     problem's block scratch: once it exists, no step of the fit loop
@@ -682,6 +713,59 @@ class TestWorkspaces:
             assert np.array_equal(again[2], info)
         for bound in (np.nextafter(deviance, -np.inf), deviance / 2.0, 0.0, -np.inf):
             assert problem.evaluate(theta, bound) is None
+
+
+class TestShapeConstants:
+    """Index maps and matrices that depend only on a problem's shape are
+    made once per shape in a process and shared, read-only, by every
+    problem of that shape."""
+
+    MEMOS = ("_triangle", "_threshold_pairs", "_problem_constants", "_band_constants",
+             "_semiseparable_constants")
+
+    @pytest.mark.parametrize("structure", ["global", "locshift", "catspec"])
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    def test_same_shape_shares_read_only_constants(self, kind, structure):
+        rng = _case_rng("constants", kind, structure)
+        first, second = (
+            _Problem(data, base.with_structure(structure))
+            for data, base, _ in (random_dataset(rng, n=n, k=5, family=Family(kind))
+                                  for n in (40, 60))
+        )
+        for a, b in ((first, second), (first.weights(), second.weights())):
+            assert a.constants is b.constants
+            arrays = [c for c in a.constants if isinstance(c, np.ndarray)]
+            assert arrays
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flat[0] = array.flat[0]
+
+    def test_triu_indices_once_per_size(self, monkeypatch):
+        for memo in self.MEMOS:
+            getattr(FIT_MODULE, memo).cache_clear()
+        calls, triu_indices = {}, np.triu_indices
+
+        def counted(n, *args, **kwargs):
+            calls[n] = calls.get(n, 0) + 1
+            return triu_indices(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "triu_indices", counted)
+        rng = np.random.default_rng(95)
+        for k in (3, 5):
+            for kind in ("cumulative", "adjacent"):
+                data, base, _ = random_dataset(rng, n=60, k=k, family=Family(kind))
+                for reverse in (False, True):
+                    for structure in ("global", "locshift", "catspec"):
+                        spec = ModelSpec(Family(kind, reverse), structure,
+                                         base.location, base.dispersion)
+                        for _ in range(2):
+                            problem = _Problem(data, spec)
+                            problem.evaluate(problem.initial_params())
+        # information triangles of 6 to 12 parameters, the category-specific
+        # products of [1, x] and the adjacent threshold pairs
+        assert len(calls) >= 5
+        assert set(calls.values()) == {1}
 
 
 @functools.lru_cache(maxsize=None)

@@ -188,6 +188,77 @@ class TestPinnedFormulas:
                               _differenced_cumulative_probs(eta))
 
 
+def _row_loop_cumulative_probs(eta):
+    """The cumulative map as its row loop computed it: F clipped to
+    [1e-15, 1 - 1e-15] with np.clip, differenced row by row from the top
+    down in place, and clipped to [0, 1]."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty((eta.shape[0] + 1,) + eta.shape[1:])
+    gamma = np.clip(logistic(eta), 1e-15, 1.0 - 1e-15, out=out[:-1])
+    np.subtract(1.0, gamma[-1], out=out[-1, ...])
+    for r in range(gamma.shape[0] - 1, 0, -1):
+        np.subtract(out[r], out[r - 1], out=out[r, ...])
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _row_loop_adjacent_probs(eta):
+    """The adjacent map with its log-weights as running sums added one
+    threshold row at a time."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty((eta.shape[0] + 1,) + eta.shape[1:])
+    out[0] = 0.0
+    for c in range(1, out.shape[0]):
+        out[c] = out[c - 1] + eta[c - 1]
+    out -= out.max(axis=0)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0)
+    return out
+
+
+def _noise_zone_rows(rng, q, n=400):
+    """(q, n) threshold-first predictors within |40|: every third column
+    has consecutive thresholds 1e-13 out of order, the float noise the
+    cumulative map accepts, and the next column ties them."""
+    eta = np.sort(rng.uniform(-40.0, 40.0, size=(q, n)), axis=0)
+    eta[:, 0] = np.linspace(-40.0, 40.0, q)
+    eta[:, 1] = 0.0
+    eta[1::2, 3::3] = eta[0:q - 1:2, 3::3] - 1e-13
+    eta[1::2, 4::3] = eta[0:q - 1:2, 4::3]
+    return eta
+
+
+class TestTrimmedMaps:
+    """The one-call differencing, the ufunc clips without the final upper
+    bound and the kernel's scratch arguments give the row-loop maps bit for
+    bit, in the float-noise zone of crossings and up to |eta| = 40."""
+
+    @pytest.mark.parametrize("q", [1, 2, 4, 9])
+    def test_cumulative(self, q):
+        eta = _noise_zone_rows(np.random.default_rng(60 + q), q)
+        gaps = np.diff(eta, axis=0)
+        assert ((gaps < 0.0) & (gaps > -1e-12)).any() or q == 1
+        expected = _row_loop_cumulative_probs(eta)
+        assert (expected == 0.0).any() or q == 1  # noise crossings clipped to 0
+        assert _bitwise_equal(category_probs(CUM, eta), expected)
+        # the kernel's call: scratch out and F, and eta itself as the work array
+        out, cdf, work = np.empty((q + 1, eta.shape[1])), np.empty_like(eta), eta.copy()
+        assert _bitwise_equal(category_probs(CUM, work, out, cdf, work), expected)
+        assert _bitwise_equal(cdf, logistic(eta))
+        for column in eta.T[:6]:
+            assert _bitwise_equal(category_probs(CUM, column), _row_loop_cumulative_probs(column))
+
+    @pytest.mark.parametrize("q", [1, 2, 4, 9])
+    def test_adjacent(self, q):
+        rng = np.random.default_rng(70 + q)
+        eta = np.concatenate([_noise_zone_rows(rng, q), rng.uniform(-40.0, 40.0, (q, 400))], axis=1)
+        expected = _row_loop_adjacent_probs(eta)
+        assert _bitwise_equal(category_probs(ADJ, eta), expected)
+        out = np.empty((q + 1, eta.shape[1]))
+        assert _bitwise_equal(category_probs(ADJ, eta, out), expected)
+        for column in eta.T[:6]:
+            assert _bitwise_equal(category_probs(ADJ, column), _row_loop_adjacent_probs(column))
+
+
 def _cumsum_adjacent_probs(eta):
     """The adjacent map as concatenate + cumsum of the log-weights, with
     numpy's max and sum along the category axis."""
