@@ -1,24 +1,28 @@
 """Expansion of raw covariates and a model spec into per-category design rows.
 
 The multivariate GLM underneath every model here has k-1 linear predictors
-per observation. ``expand_design`` builds the covariate matrices X (location)
-and Z (dispersion) and ``make_layout`` the parameter vector layout
-[intercepts | location | dispersion] (category-specific location blocks are
-laid out per threshold). Fitting works from X, Z and the scaling weights
-directly and never materializes the design rows; ``build_design_tensor``
-spells them out as a dense (n, k-1, n_params) tensor, as a reference.
+per observation. ``expand_design`` is the one place that decides the design
+columns: it builds the covariate matrices X (location) and Z (dispersion)
+and the parameter vector layout [intercepts | location | dispersion]
+(category-specific location blocks are laid out per threshold), whose
+columns carry what a fit needs to evaluate them again, a smooth term's
+frozen B-spline basis and training means included. Fitting works from X, Z
+and the scaling weights directly and never materializes the design rows;
+``build_design_tensor`` spells them out as a dense (n, k-1, n_params)
+tensor, as a reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .data import OrdinalDataset
 from .exceptions import DataError, SpecError
 from .links import Family, scaling_factors
-from .splines import BasisDef, bspline_basis, center_basis, knot_sequence
+from .splines import BasisDef, bspline_basis, knot_sequence
 
 STRUCTURES = ("global", "locshift", "catspec")
 
@@ -84,118 +88,42 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ColumnInfo:
-    """Provenance of one expanded design column."""
+    """Provenance of one expanded design column.
+
+    A smooth term's column is B-spline ``basis_index`` (1-based) of its
+    frozen ``basis`` less ``mean``, that B-spline's mean over the training
+    rows, so the term evaluates on any later grid as it was fitted.
+    """
 
     name: str
     source: str
-    basis_index: int | None = None  # 1-based within a smooth block
-
-
-@dataclass(frozen=True)
-class SmoothInfo:
-    """What is needed to evaluate a fitted smooth on a new grid."""
-
-    side: str
-    name: str
-    basis: BasisDef
-    col_means: np.ndarray
-
-
-@dataclass
-class ExpandedDesign:
-    """Location columns X, dispersion columns Z, and column provenance."""
-
-    X: np.ndarray
-    Z: np.ndarray
-    x_cols: list = field(default_factory=list)
-    z_cols: list = field(default_factory=list)
-    smooths: dict = field(default_factory=dict)  # (side, name) -> SmoothInfo
-
-
-def _dummies(codes, values, levels, name) -> np.ndarray:
-    """Dummy block from the level codes of ``values``, with a DataError that
-    names the first value that is not one of ``levels``."""
-    if len(levels) < 2:
-        raise SpecError(f"categorical {name!r} needs at least 2 levels")
-    unseen = np.flatnonzero(codes < 0)
-    if unseen.size:
-        raise DataError(f"variable {name!r}: unseen level {values[unseen[0]]!r}")
-    return (codes[:, None] == np.arange(1, len(levels))).astype(float)
-
-
-def _expand_side(data: OrdinalDataset, terms, side, n_basis_default, smooths, cols, blocks):
-    for term in terms:
-        if term.name not in data.columns:
-            raise DataError(f"variable {term.name!r} not present in the data")
-        values = data.columns[term.name]
-        levels = data.categorical_levels.get(term.name)
-        if levels is not None:
-            if term.smooth:
-                raise SpecError(f"smooth term on categorical variable {term.name!r}")
-            blocks.append(_dummies(data.level_codes(term.name), values, levels, term.name))
-            cols.extend(ColumnInfo(f"{term.name}{lev}", term.name) for lev in levels[1:])
-        elif term.smooth:
-            m = n_basis_default if term.n_basis is None else term.n_basis
-            basis = knot_sequence(values, m, SPLINE_DEGREE)
-            centered, means = center_basis(bspline_basis(values, basis))
-            blocks.append(centered)
-            cols.extend(
-                ColumnInfo(f"s({term.name}).{j}", term.name, basis_index=j)
-                for j in range(1, m + 1)
-            )
-            smooths[(side, term.name)] = SmoothInfo(side, term.name, basis, means)
-        else:
-            blocks.append(np.asarray(values, dtype=float).reshape(-1, 1))
-            cols.append(ColumnInfo(term.name, term.name))
-
-
-def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
-    """Expand raw columns into the X (location) and Z (dispersion) matrices.
-
-    Dummy coding uses the dataset's declared level order; smooth terms become
-    centered B-spline blocks. For the category-specific structure the
-    dispersion variables are folded into the location set (the model has no
-    separate dispersion term but must nest the location-shift model).
-    """
-    location = spec.location
-    dispersion = spec.dispersion
-    if spec.structure == "catspec":
-        have = {t.name for t in location}
-        location = location + tuple(t for t in dispersion if t.name not in have)
-        dispersion = ()
-    elif spec.structure == "global":
-        dispersion = ()
-
-    smooths, x_cols, z_cols, x_blocks, z_blocks = {}, [], [], [], []
-    _expand_side(data, location, "location", spec.n_basis_default, smooths, x_cols, x_blocks)
-    _expand_side(data, dispersion, "dispersion", spec.n_basis_default, smooths, z_cols, z_blocks)
-
-    n = data.n
-    X = np.hstack(x_blocks) if x_blocks else np.empty((n, 0))
-    Z = np.hstack(z_blocks) if z_blocks else np.empty((n, 0))
-    if Z.shape[1] > 0 and data.k == 2:
-        raise SpecError(
-            "dispersion terms are not identified for k=2 "
-            "(the scaling factor is a single constant)"
-        )
-    return ExpandedDesign(X=X, Z=Z, x_cols=x_cols, z_cols=z_cols, smooths=smooths)
+    basis_index: int | None = None
+    basis: BasisDef | None = None
+    mean: float = 0.0
 
 
 @dataclass
 class ParamLayout:
-    """Names and index ranges of the parameter vector blocks."""
+    """Names and index ranges of the parameter vector blocks, and the
+    expanded location (``x_cols``) and dispersion (``z_cols``) columns."""
 
     names: list
     structure: str
     k: int
-    p: int  # expanded location columns
-    m: int  # expanded dispersion columns
     x_cols: list
     z_cols: list
 
     @property
     def q(self):
         return self.k - 1
+
+    @property
+    def p(self):
+        return len(self.x_cols)
+
+    @property
+    def m(self):
+        return len(self.z_cols)
 
     @property
     def n_params(self):
@@ -215,13 +143,6 @@ class ParamLayout:
         start = self.location.stop
         return slice(start, start + self.m)
 
-    def catspec_block(self, r: int):
-        """Location slice of threshold r (1-based) in the catspec layout."""
-        if self.structure != "catspec":
-            raise SpecError("catspec_block only applies to the catspec layout")
-        start = self.q + (r - 1) * self.p
-        return slice(start, start + self.p)
-
     def location_index(self, column: str) -> int:
         for i, c in enumerate(self.x_cols):
             if c.name == column:
@@ -235,40 +156,129 @@ class ParamLayout:
         raise KeyError(column)
 
 
-def make_layout(design: ExpandedDesign, spec: ModelSpec, k: int) -> ParamLayout:
-    p, m = design.X.shape[1], design.Z.shape[1]
+@dataclass
+class ExpandedDesign:
+    """Location columns X, dispersion columns Z, and their parameter layout."""
+
+    X: np.ndarray
+    Z: np.ndarray
+    layout: ParamLayout
+
+
+def _catspec_fold(location, dispersion, key) -> tuple:
+    """The category-specific location set: the ``location`` items, then the
+    ``dispersion`` items whose ``key`` (a variable) no location item has.
+
+    The category-specific model has no separate dispersion term but must
+    nest the location-shift model; this is the order of its location columns
+    whether the items are terms or a location-shift fit's columns.
+    """
+    have = {key(item) for item in location}
+    return tuple(location) + tuple(item for item in dispersion if key(item) not in have)
+
+
+def _smooth_columns(layout: ParamLayout, side: str, name: str) -> list:
+    """(parameter index, column) of each column of the ``side`` smooth term
+    of variable ``name`` in ``layout``; empty when there is none."""
+    cols, start = {
+        "location": (layout.x_cols, layout.location.start),
+        "dispersion": (layout.z_cols, layout.dispersion.start),
+    }.get(side, ((), 0))
+    return [(start + i, c) for i, c in enumerate(cols) if c.source == name and c.basis is not None]
+
+
+def _dummies(codes, values, levels, name) -> np.ndarray:
+    """Dummy block from the level codes of ``values``, with a DataError that
+    names the first value that is not one of ``levels``."""
+    if len(levels) < 2:
+        raise SpecError(f"categorical {name!r} needs at least 2 levels")
+    unseen = np.flatnonzero(codes < 0)
+    if unseen.size:
+        raise DataError(f"variable {name!r}: unseen level {values[unseen[0]]!r}")
+    return (codes[:, None] == np.arange(1, len(levels))).astype(float)
+
+
+def _expand_side(data: OrdinalDataset, terms, n_basis_default, cols, blocks):
+    for term in terms:
+        if term.name not in data.columns:
+            raise DataError(f"variable {term.name!r} not present in the data")
+        values = data.columns[term.name]
+        levels = data.categorical_levels.get(term.name)
+        if levels is not None:
+            if term.smooth:
+                raise SpecError(f"smooth term on categorical variable {term.name!r}")
+            blocks.append(_dummies(data.level_codes(term.name), values, levels, term.name))
+            cols.extend(ColumnInfo(f"{term.name}{lev}", term.name) for lev in levels[1:])
+        elif term.smooth:
+            m = n_basis_default if term.n_basis is None else term.n_basis
+            basis = knot_sequence(values, m, SPLINE_DEGREE)
+            # the B-splines sum to one, so their m centered columns sum to
+            # zero: the last is dropped, and the m-1 left have full rank
+            kept = bspline_basis(values, basis)[:, :-1]
+            means = kept.mean(axis=0)
+            blocks.append(kept - means)
+            cols.extend(
+                ColumnInfo(f"s({term.name}).{j}", term.name, j, basis, float(mean))
+                for j, mean in enumerate(means, start=1)
+            )
+        else:
+            blocks.append(np.asarray(values, dtype=float).reshape(-1, 1))
+            cols.append(ColumnInfo(term.name, term.name))
+
+
+def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
+    """Expand raw columns into the X (location) and Z (dispersion) matrices
+    and their parameter layout.
+
+    Dummy coding uses the dataset's declared level order; a smooth term with
+    n_basis m becomes m-1 centered B-spline columns. The global structure
+    drops the dispersion terms; the category-specific one folds them into
+    the location set (_catspec_fold).
+    """
+    location, dispersion = spec.location, spec.dispersion
+    if spec.structure == "catspec":
+        location, dispersion = _catspec_fold(location, dispersion, attrgetter("name")), ()
+    elif spec.structure == "global":
+        dispersion = ()
+
+    x_cols, z_cols, x_blocks, z_blocks = [], [], [], []
+    _expand_side(data, location, spec.n_basis_default, x_cols, x_blocks)
+    _expand_side(data, dispersion, spec.n_basis_default, z_cols, z_blocks)
+
+    n, k = data.n, data.k
+    X = np.hstack(x_blocks) if x_blocks else np.empty((n, 0))
+    Z = np.hstack(z_blocks) if z_blocks else np.empty((n, 0))
+    if Z.shape[1] > 0 and k == 2:
+        raise SpecError(
+            "dispersion terms are not identified for k=2 "
+            "(the scaling factor is a single constant)"
+        )
     names = [f"(Intercept):{r}" for r in range(1, k)]
     if spec.structure == "catspec":
         for r in range(1, k):
-            names.extend(f"{c.name}:{r}" for c in design.x_cols)
+            names.extend(f"{c.name}:{r}" for c in x_cols)
     else:
-        names.extend(c.name for c in design.x_cols)
-    if spec.structure == "locshift":
-        names.extend(c.name for c in design.z_cols)
-    else:
-        m = 0
-    return ParamLayout(
-        names=names, structure=spec.structure, k=k, p=p, m=m,
-        x_cols=list(design.x_cols), z_cols=list(design.z_cols),
-    )
+        names.extend(c.name for c in x_cols + z_cols)
+    layout = ParamLayout(names=names, structure=spec.structure, k=k, x_cols=x_cols, z_cols=z_cols)
+    return ExpandedDesign(X=X, Z=Z, layout=layout)
 
 
-def build_design_tensor(design: ExpandedDesign, spec: ModelSpec, k: int):
-    """(n, k-1, n_params) tensor of design rows plus its parameter layout."""
-    layout = make_layout(design, spec, k)
+def build_design_tensor(design: ExpandedDesign, spec: ModelSpec) -> np.ndarray:
+    """(n, k-1, n_params) tensor of the design rows, in ``design.layout``."""
+    layout = design.layout
     n = design.X.shape[0]
-    q, p, m = layout.q, layout.p, layout.m
+    q, p = layout.q, layout.p
     D = np.zeros((n, q, layout.n_params))
     D[:, range(q), range(q)] = 1.0
-    if spec.structure == "catspec":
+    if layout.structure == "catspec":
         for r in range(q):
             D[:, r, q + r * p:q + (r + 1) * p] = design.X
     else:
         D[:, :, q:q + p] = design.X[:, None, :]
-    if spec.structure == "locshift" and m:
-        w = scaling_factors(spec.family, k)
+    if layout.m:
+        w = scaling_factors(spec.family, layout.k)
         D[:, :, layout.dispersion] = w[None, :, None] * design.Z[:, None, :]
-    return D, layout
+    return D
 
 
 def constraint_map(beta, alpha, k: int, family: Family = Family("cumulative")) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import OrdinalDataset
-from .design import ModelSpec, ParamLayout, expand_design, make_layout
+from .design import ModelSpec, ParamLayout, _smooth_columns, expand_design
 from .exceptions import (
     DataError,
     SeparationWarning,
@@ -56,7 +56,6 @@ class FitResult:
     converged: bool
     se_unavailable: np.ndarray
     warnings: list = field(default_factory=list)
-    smooths: dict = field(default_factory=dict)
 
     @property
     def names(self):
@@ -220,10 +219,10 @@ class _Problem:
             spec = replace(spec, family=Family(spec.family.kind, reverse=False))
             data = data.relabeled()
         self.spec = spec
-        self.design = expand_design(data, spec)
-        self.layout = layout = make_layout(self.design, spec, data.k)
+        design = expand_design(data, spec)
+        self.layout = layout = design.layout
         self.y0 = data.y - 1
-        self.X, self.Z = self.design.X, self.design.Z
+        self.X, self.Z = design.X, design.Z
         self.w = scaling_factors(spec.family, data.k)
         self.location, self.dispersion = layout.location, layout.dispersion
         self.constants = _problem_constants(
@@ -248,10 +247,7 @@ class _Problem:
             self._products[0] = 1.0
         else:
             # c_i x_i' and c_i z_i' of one block, row-major, for the
-            # information's X' (C X) products. While a smooth block is
-            # rank-deficient the rounding of these products decides its fits:
-            # formed as (X' C) X from the columns as rows, 458 instead of 504
-            # of 512 smooth sim-small fits converged.
+            # information's X' (C X) products
             self._cX, self._cZ = np.empty((width, layout.p)), np.empty((width, layout.m))
 
     def canonical(self, params) -> np.ndarray:
@@ -848,7 +844,6 @@ def fit(
         converged=converged,
         se_unavailable=bad[perm],
         warnings=notes,
-        smooths=problem.design.smooths,
     )
 
 
@@ -860,17 +855,17 @@ def standard_errors(result: FitResult) -> np.ndarray:
 
 
 def smooth_values(result: FitResult, side: str, name: str, grid) -> np.ndarray:
-    """Fitted smooth f(grid) for one term, centered over the sample."""
+    """Fitted smooth f(grid) for one term, centered over the sample.
+
+    The term's columns in ``result.layout`` carry its frozen basis and the
+    training means removed from it, so any grid is evaluated as fitted.
+    """
     from .splines import bspline_basis
 
-    try:
-        info = result.smooths[(side, name)]
-    except KeyError:
-        raise SpecError(f"no {side} smooth for variable {name!r}") from None
-    basis_matrix = bspline_basis(np.asarray(grid, dtype=float), info.basis) - info.col_means
-    cols = result.layout.x_cols if side == "location" else result.layout.z_cols
-    offset = (
-        result.layout.location.start if side == "location" else result.layout.dispersion.start
-    )
-    idx = [offset + i for i, c in enumerate(cols) if c.source == name and c.basis_index]
-    return basis_matrix @ result.params[idx]
+    found = _smooth_columns(result.layout, side, name)
+    if not found:
+        raise SpecError(f"no {side} smooth for variable {name!r}")
+    index, cols = zip(*found)
+    basis_matrix = bspline_basis(np.asarray(grid, dtype=float), cols[0].basis)
+    centered = basis_matrix[:, [c.basis_index - 1 for c in cols]] - [c.mean for c in cols]
+    return centered @ result.params[list(index)]

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .data import OrdinalDataset
-from .design import ModelSpec, Term, constraint_map
+from .design import ModelSpec, Term, _catspec_fold, constraint_map
 from .exceptions import InvalidInputError, NestingError, OrdshiftError, SpecError
 from .fit import MAX_ITER, FitResult, fit, standard_errors
 
@@ -174,13 +175,11 @@ def _catspec_start(locshift_fit: FitResult, spec: ModelSpec):
     """Warm start for the category-specific fit via the constraint map.
 
     The category-specific location columns are the location-shift fit's
-    location columns followed by the dispersion columns of variables without
-    a location term, the order in which expand_design folds them; a column
-    without a term on one side has a zero coefficient there.
+    columns folded as expand_design folds the terms (_catspec_fold); a
+    column without a term on one side has a zero coefficient there.
     """
     ls = locshift_fit.layout
-    have = {c.source for c in ls.x_cols}
-    cols = [c.name for c in ls.x_cols + [c for c in ls.z_cols if c.source not in have]]
+    cols = [c.name for c in _catspec_fold(ls.x_cols, ls.z_cols, attrgetter("source"))]
     beta = dict(zip((c.name for c in ls.x_cols), locshift_fit.params[ls.location]))
     alpha = dict(zip((c.name for c in ls.z_cols), locshift_fit.params[ls.dispersion]))
     slopes = constraint_map([beta.get(c, 0.0) for c in cols], [alpha.get(c, 0.0) for c in cols],

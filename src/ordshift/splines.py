@@ -1,9 +1,9 @@
 """B-spline bases for additive location and dispersion functions.
 
-Knots are placed at equally spaced quantiles of the observed covariate, the
-basis is evaluated by the Cox-de Boor recursion, and basis columns are
-mean-centered so the constant direction of every smooth stays with the
-intercepts.
+Knots are placed at equally spaced quantiles of the observed covariate and
+the basis is evaluated by the Cox-de Boor recursion. design.expand_design
+centers the basis columns and drops the last, so the constant direction of
+every smooth stays with the intercepts.
 """
 
 from __future__ import annotations
@@ -94,15 +94,3 @@ def bspline_basis(x, basis: BasisDef) -> np.ndarray:
     assert b.shape[1] == m
     return b[0] if scalar else b
 
-
-def center_basis(basis_matrix: np.ndarray):
-    """Subtract column means; returns (centered matrix, removed means).
-
-    The removed means are kept so fitted smooths evaluate as mean-zero over
-    the sample on any later grid.
-    """
-    basis_matrix = np.asarray(basis_matrix, dtype=float)
-    if basis_matrix.ndim != 2 or basis_matrix.shape[0] < 1:
-        raise InvalidInputError("expected a nonempty 2-D basis matrix")
-    means = basis_matrix.mean(axis=0)
-    return basis_matrix - means, means

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .design import _smooth_columns
 from .exceptions import SpecError
 from .fit import FitResult, smooth_values
 
@@ -148,7 +149,7 @@ def render_smooth_svg(result: FitResult, variable: str) -> str:
     One panel per smooth term (location and/or dispersion); curves are
     centered over the sample and the grid spans the observed range.
     """
-    sides = [s for s in ("location", "dispersion") if (s, variable) in result.smooths]
+    sides = [s for s in ("location", "dispersion") if _smooth_columns(result.layout, s, variable)]
     if not sides:
         raise SpecError(f"variable {variable!r} has no smooth term in this fit")
 
@@ -158,8 +159,8 @@ def render_smooth_svg(result: FitResult, variable: str) -> str:
     svg = _Canvas(panel_width * len(sides), height)
 
     for panel, side in enumerate(sides):
-        info = result.smooths[(side, variable)]
-        grid = np.linspace(info.basis.lo, info.basis.hi, _GRID_POINTS)
+        basis = _smooth_columns(result.layout, side, variable)[0][1].basis
+        grid = np.linspace(basis.lo, basis.hi, _GRID_POINTS)
         values = smooth_values(result, side, variable, grid)
         v_lo = min(float(values.min()), 0.0)
         v_hi = max(float(values.max()), 0.0)

@@ -123,9 +123,9 @@ def nelder_mead_loglik(data, spec, start):
 
 def empirical_start(data, spec):
     """Intercepts at empirical cumulative logits / adjacent log-ratios, slopes 0."""
-    from ordshift.design import expand_design, make_layout
+    from ordshift.design import expand_design
 
-    layout = make_layout(expand_design(data, spec), spec, data.k)
+    layout = expand_design(data, spec).layout
     counts = data.category_counts().astype(float)
     theta = np.zeros(layout.n_params)
     if spec.family.kind == "cumulative":

@@ -1,9 +1,23 @@
-"""End-to-end CLI behavior: goldens, determinism, exit codes."""
+"""End-to-end CLI behavior: goldens, determinism, exit codes.
 
+Every test but the golden ladder runs ``cli.main`` in-process (run_cli); that
+one runs ``python -m ordshift`` in a subprocess (run_module). ``cli.main``
+calls ``logging.basicConfig``, which binds its stream once per process, so no
+in-process test relies on the INFO line of the CSV load.
+"""
+
+import contextlib
+import io
+import os
 import pathlib
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
+
+import pytest
+
+from ordshift import cli
 
 DATA = pathlib.Path(__file__).parent / "data" / "synthetic.csv"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -12,12 +26,36 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def run_cli(*args, env_extra=None):
-    import os
+    """``cli.main(args)`` with its environment, stdout and stderr as a
+    subprocess would have them; a SystemExit becomes its exit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.ExitStack() as stack:
+        patch.delenv("ORDSHIFT_MAX_ITER", raising=False)
+        for name, value in (env_extra or {}).items():
+            patch.setenv(name, value)
+        stack.enter_context(contextlib.redirect_stdout(stdout))
+        stack.enter_context(contextlib.redirect_stderr(stderr))
+        # a UserWarning (star_data's exclusions) goes to stderr, where a
+        # subprocess prints it, instead of failing the test; a RuntimeWarning
+        # still fails it
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("default", UserWarning)
+        warnings.showwarning = _print_warning
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
 
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_module(*args):
+    """``python -m ordshift`` in a subprocess."""
     env = dict(os.environ)
     env.pop("ORDSHIFT_MAX_ITER", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "ordshift", *args],
         capture_output=True, text=True, env=env,
@@ -40,7 +78,7 @@ def ladder_args(tmp_path, **extra):
 
 class TestEndToEnd:
     def test_ladder_with_star_matches_goldens(self, tmp_path):
-        proc = run_cli(*ladder_args(tmp_path))
+        proc = run_module(*ladder_args(tmp_path))
         assert proc.returncode == 0, proc.stderr
         report = (tmp_path / "report.txt").read_bytes()
         assert report == (GOLDEN / "report.txt").read_bytes()
@@ -63,6 +101,9 @@ class TestEndToEnd:
         run_cli(*ladder_args(b))
         assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
         assert (a / "star.svg").read_bytes() == (b / "star.svg").read_bytes()
+        # in-process runs write the goldens that `python -m ordshift` writes
+        assert (a / "report.txt").read_bytes() == (GOLDEN / "report.txt").read_bytes()
+        assert (a / "star.svg").read_bytes() == (GOLDEN / "star.svg").read_bytes()
 
     def test_report_to_stdout(self):
         proc = run_cli(

@@ -13,11 +13,11 @@ from ordshift.design import (
     build_design_tensor,
     constraint_map,
     expand_design,
-    make_layout,
 )
 from ordshift.exceptions import DataError, SpecError
-from ordshift.fit import _Problem, log_likelihood
+from ordshift.fit import _Problem, fit, log_likelihood, smooth_values
 from ordshift.links import Family
+from ordshift.splines import bspline_basis
 
 
 def _dataset_with(columns, k=4, y=None, categorical=None):
@@ -88,7 +88,7 @@ class TestDummies:
             location=(Term("Residence"), Term("EduDegree")),
         )
         design = expand_design(data, spec)
-        assert [c.name for c in design.x_cols] == [
+        assert [c.name for c in design.layout.x_cols] == [
             "Residence2", "Residence3", "Residence4",
             "EduDegree2", "EduDegree3", "EduDegree4", "EduDegree5",
         ]
@@ -102,7 +102,7 @@ def _design_rows(spec, x_row, z_row, k):
     if z_row is not None:
         values += list(zip(spec.dispersion, np.atleast_1d(z_row)))
     data = OrdinalDataset(y=[1], k=k, columns={t.name: np.array([v], float) for t, v in values})
-    D, _ = build_design_tensor(expand_design(data, spec), spec, k)
+    D = build_design_tensor(expand_design(data, spec), spec)
     return D[0]
 
 
@@ -164,7 +164,7 @@ class TestDesignRows:
         for structure in ("global", "locshift", "catspec"):
             s = spec.with_structure(structure)
             design = expand_design(data, s)
-            D, layout = build_design_tensor(design, s, data.k)
+            D, layout = build_design_tensor(design, s), design.layout
             assert D.shape == (20, 4, layout.n_params)
             theta = rng.normal(size=layout.n_params)
             eta = kernel_predictors(_Problem(data, s), theta)
@@ -183,7 +183,7 @@ class TestParameterCounts:
         expected = {"catspec": 90, "locshift": 27, "global": 18}
         for structure, count in expected.items():
             spec = ModelSpec(Family("cumulative"), structure, terms, terms)
-            layout = make_layout(expand_design(data, spec), spec, data.k)
+            layout = expand_design(data, spec).layout
             assert layout.n_params == count
 
     def test_structure_arithmetic(self):
@@ -196,7 +196,7 @@ class TestParameterCounts:
             ("catspec", (k - 1) + (k - 1) * p),
         ):
             s = spec.with_structure(structure)
-            layout = make_layout(expand_design(data, s), s, k)
+            layout = expand_design(data, s).layout
             assert layout.n_params == count
 
 
@@ -297,8 +297,8 @@ class TestGuards:
         data = _dataset_with({"a": np.linspace(0, 1, 12), "b": np.linspace(1, 2, 12)})
         spec = ModelSpec(Family("cumulative"), "catspec", (Term("a"),), (Term("b"),))
         design = expand_design(data, spec)
-        assert [c.name for c in design.x_cols] == ["a", "b"]
-        assert design.z_cols == []
+        assert [c.name for c in design.layout.x_cols] == ["a", "b"]
+        assert design.layout.z_cols == []
 
     def test_smooth_block_centered(self):
         rng = np.random.default_rng(2)
@@ -307,6 +307,49 @@ class TestGuards:
             Family("cumulative"), "global", (Term("a", smooth=True, n_basis=5),)
         )
         design = expand_design(data, spec)
-        assert design.X.shape == (80, 5)
+        # five B-splines sum to one: centered, four of them span the block
+        assert design.X.shape == (80, 4)
         assert np.max(np.abs(design.X.mean(axis=0))) < 1e-14
-        assert ("location", "a") in design.smooths
+        assert [c.basis_index for c in design.layout.x_cols] == [1, 2, 3, 4]
+        assert {c.basis.n_basis for c in design.layout.x_cols} == {5}
+
+
+class TestSmoothColumns:
+    def test_columns_carry_frozen_basis_and_training_means(self):
+        # each smooth column is its B-spline less the training mean, both
+        # kept on the column, and the centered block has full column rank
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=120)
+        data = _dataset_with({"a": a, "b": rng.normal(size=120)})
+        spec = ModelSpec(Family("cumulative"), "locshift", (Term("b"),),
+                         (Term("a", smooth=True, n_basis=6),))
+        design = expand_design(data, spec)
+        cols = design.layout.z_cols
+        assert [c.name for c in cols] == [f"s(a).{j}" for j in range(1, 6)]
+        assert all(c.source == "a" for c in cols)
+        raw = bspline_basis(a, cols[0].basis)
+        for j, c in enumerate(cols):
+            assert c.basis is cols[0].basis
+            assert c.mean == pytest.approx(raw[:, c.basis_index - 1].mean(), abs=1e-15)
+            assert np.array_equal(design.Z[:, j], raw[:, c.basis_index - 1] - c.mean)
+        assert np.max(np.abs(design.Z.mean(axis=0))) < 1e-14
+        assert np.linalg.matrix_rank(np.column_stack([np.ones(120), design.Z])) == 6
+        assert design.layout.x_cols[0].basis is None
+
+    def test_new_grid_uses_the_training_transform(self):
+        # smooth_values evaluates the frozen basis less the training means:
+        # at the training rows it reproduces the design's block, and on a
+        # grid beyond them it clamps rather than re-placing knots
+        rng = np.random.default_rng(8)
+        data, _, _ = random_dataset(rng, n=200, k=4)
+        spec = ModelSpec(Family("cumulative"), "global", (Term("v1", smooth=True, n_basis=5),))
+        result = fit(spec, data)
+        design = expand_design(data, spec)
+        coef = result.params[result.layout.location]
+        v1 = data.columns["v1"]
+        assert smooth_values(result, "location", "v1", v1) == pytest.approx(design.X @ coef,
+                                                                             abs=1e-12)
+        lo, hi = v1.min(), v1.max()
+        outside = smooth_values(result, "location", "v1", [lo - 5.0, hi + 5.0])
+        assert outside == pytest.approx(smooth_values(result, "location", "v1", [lo, hi]),
+                                        abs=1e-15)

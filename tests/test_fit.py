@@ -21,7 +21,7 @@ from helpers import (
 )
 
 from ordshift.data import OrdinalDataset
-from ordshift.design import ModelSpec, Term, build_design_tensor, expand_design, make_layout
+from ordshift.design import ExpandedDesign, ModelSpec, Term, build_design_tensor, expand_design
 from ordshift.exceptions import (
     SeparationWarning,
     SpecError,
@@ -104,7 +104,7 @@ class TestScore:
         rng = _case_rng(kind, structure)
         data, base, _ = random_dataset(rng, n=40, k=4, family=Family(kind))
         spec = base.with_structure(structure)
-        layout = make_layout(expand_design(data, spec), spec, data.k)
+        layout = expand_design(data, spec).layout
         for _ in range(4):
             theta = feasible_params(rng, layout, spec, data)
             analytic = score(theta, data, spec)
@@ -197,7 +197,7 @@ class TestFisherInfo:
         rng = np.random.default_rng(8)
         data, spec, params = random_dataset(rng, n=40, k=4)
         design = expand_design(data, spec)
-        D, layout = build_design_tensor(design, spec, data.k)
+        D, layout = build_design_tensor(design, spec), design.layout
         eta = D @ params
         f = logistic_density(eta)
         gamma = logistic(eta)
@@ -232,7 +232,7 @@ def _dense_score_info(problem, theta):
     with the (n, k-1, n_params) design tensor: score sum_i D_i' A[i, y_i] and
     information sum_i D_i' (sum_c pi_c A_c A_c') D_i.
     """
-    D, _ = build_design_tensor(problem.design, problem.spec, problem.layout.k)
+    D = build_design_tensor(ExpandedDesign(problem.X, problem.Z, problem.layout), problem.spec)
     eta = D @ theta
     probs = category_probs(problem.spec.family, eta.T).T
     n, k = probs.shape
@@ -318,9 +318,9 @@ class TestKernelParity:
         theta[:k - 1] = [-1.0, 0.0, 1.0] if kind == "cumulative" else 0.2
         sign = -1.0 if kind == "cumulative" else 1.0  # toward category k at v1 = 40
         if structure == "catspec":
-            theta[problem.layout.catspec_block(1)] = [sign, 0.1]
-            theta[problem.layout.catspec_block(2)] = [sign, -0.1]
-            theta[problem.layout.catspec_block(3)] = [sign, 0.2]
+            # threshold r's location block is the r-th p-wide slice of the location block
+            blocks = theta[problem.layout.location].reshape(k - 1, 2)
+            blocks[:] = [[sign, 0.1], [sign, -0.1], [sign, 0.2]]
         else:
             theta[problem.layout.location] = [sign, 0.3]
         assert category_probabilities(theta, data, spec).min() < WEIGHT_FLOOR
@@ -505,13 +505,13 @@ class TestRowBlocks:
         expected = whole.evaluate(theta)
         # a one-block problem holds every row's products, [1, x] first, and
         # x itself only once: its design's
-        x1 = np.column_stack([np.ones(150), whole.design.X])
+        x1 = np.column_stack([np.ones(150), whole.X])
         pair_j, pair_l = np.triu_indices(p + 1)
         products = x1[:, pair_j] * x1[:, pair_l]
         assert whole._products.shape == ((p + 1) * (p + 2) // 2, 150)
         assert np.array_equal(whole._products[:p + 1].T, x1)
         assert np.array_equal(whole._products.T, products)
-        assert whole.X is whole.design.X
+        assert np.array_equal(whole.X, expand_design(data, spec).X)
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
         blocked = _Problem(data, spec)
         assert len(blocked.blocks) == 10
@@ -1011,8 +1011,9 @@ class TestFit:
         # is the sign-flipped forward block r, with matching standard errors
         q = data.k - 1
         fwd_se, rev_se = standard_errors(fwd), standard_errors(rev)
+        start, p = rev.layout.location.start, rev.layout.p
         for r in range(1, q + 1):
-            block = rev.layout.catspec_block(r)
+            block = slice(start + (r - 1) * p, start + r * p)
             assert rev.params[block] == pytest.approx(-fwd.params[block], abs=2e-4)
             assert rev_se[block] == pytest.approx(fwd_se[block], rel=1e-3)
         assert rev.params[:q] == pytest.approx(-fwd.params[:q], abs=2e-4)

@@ -1,6 +1,7 @@
 """Chi-square tails, LRT, the model ladder, Wald tables, and star data."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from helpers import random_dataset, stub_fit
 
 from ordshift.data import OrdinalDataset
-from ordshift.design import ModelSpec, Term, expand_design, make_layout
-from ordshift.exceptions import InvalidInputError, NestingError, SpecError
-from ordshift.fit import fit, log_likelihood
+from ordshift.design import ModelSpec, Term, expand_design
+from ordshift.exceptions import InvalidInputError, NestingError, SeparationWarning, SpecError
+from ordshift.fit import fit, log_likelihood, standard_errors
 from ordshift.inference import (
     _catspec_start,
     chisq_sf,
@@ -236,7 +237,7 @@ class TestModelLadder:
         ls = fit(spec, data)
         catspec = spec.with_structure("catspec")
         start = _catspec_start(ls, catspec)
-        layout = make_layout(expand_design(data, catspec), catspec, data.k)
+        layout = expand_design(data, catspec).layout
         assert start.shape == (layout.n_params,)
         assert start[:3] == pytest.approx(ls.params[:3], abs=0)
         w = scaling_factors(family, data.k)
@@ -251,7 +252,8 @@ class TestModelLadder:
             for j, col in enumerate(layout.x_cols):
                 beta = coef(ls.layout.location_index, col.name)
                 alpha = coef(ls.layout.dispersion_index, col.name)
-                assert start[layout.catspec_block(r).start + j] == beta + w[r - 1] * alpha
+                index = layout.location.start + (r - 1) * layout.p + j
+                assert start[index] == beta + w[r - 1] * alpha
         # the constraint map reproduces the location-shift fit exactly
         assert log_likelihood(start, data, catspec) == pytest.approx(ls.loglik, abs=1e-9)
 
@@ -442,10 +444,36 @@ class TestSmoothTermTests:
             CUM, "locshift", (Term("x", smooth=True, n_basis=4),), (Term("z"),)
         )
         tests = smooth_term_tests(data, spec, "x", side="location")
-        assert tests["drop"].df == 4
-        assert tests["linear"].df == 3
+        # n_basis=4 gives 3 free smooth coefficients, one of them the linear trend
+        assert tests["drop"].df == 3
+        assert tests["linear"].df == 2
         assert tests["drop"].p_value < 0.01
         assert tests["linear"].p_value < 0.05
+
+    def test_smooth_only_fit_is_identified(self):
+        # an adjacent global s(x) fit with a sine truth: the centered smooth
+        # block has full column rank, so every standard error is finite, no
+        # coefficient drifts along a null direction, and the tests' df are
+        # the ranks of the design blocks they add
+        rng = np.random.default_rng(3)
+        n = 300
+        x = rng.uniform(-2.0, 2.0, n)
+        latent = 1.5 * np.sin(1.5 * x) + rng.logistic(size=n)
+        y = 1 + (latent[:, None] > np.array([-1.0, 0.0, 1.0])).sum(axis=1)
+        data = OrdinalDataset(y=y, k=4, columns={"x": x})
+        spec = ModelSpec(Family("adjacent"), "global", (Term("x", smooth=True, n_basis=6),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SeparationWarning)
+            result = fit(spec, data)
+            tests = smooth_term_tests(data, spec, "x")
+        assert result.converged
+        assert result.warnings == []
+        assert np.all(np.isfinite(standard_errors(result)))
+        X = expand_design(data, spec).X
+        rank = np.linalg.matrix_rank(np.column_stack([np.ones(n), X])) - 1
+        assert rank == X.shape[1] == 5
+        assert tests["drop"].df == rank
+        assert tests["linear"].df == rank - np.linalg.matrix_rank(x[:, None])
 
     def test_max_iter_reaches_each_fit(self, monkeypatch):
         fits = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ordshift.exceptions import InvalidInputError, SpecError
-from ordshift.splines import BasisDef, bspline_basis, center_basis, knot_sequence
+from ordshift.splines import BasisDef, bspline_basis, knot_sequence
 
 
 def naive_bspline(x, degree, i, knots):
@@ -128,26 +128,3 @@ class TestBasisEvaluation:
         with pytest.raises(InvalidInputError):
             bspline_basis(np.nan, basis)
 
-
-class TestCentering:
-    def test_constant_column(self):
-        matrix, means = center_basis(np.full((7, 1), 3.5))
-        assert np.all(matrix == 0.0)
-        assert means == pytest.approx([3.5])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        matrix = rng.normal(size=(20, 3))
-        centered, _ = center_basis(matrix)
-        again, means = center_basis(centered)
-        assert np.max(np.abs(again - centered)) < 1e-14
-        assert np.max(np.abs(means)) < 1e-14
-
-    def test_random_matrix_means(self):
-        rng = np.random.default_rng(6)
-        centered, means = center_basis(rng.normal(size=(10, 4)))
-        assert np.max(np.abs(centered.mean(axis=0))) < 1e-14
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            center_basis(np.empty((0, 3)))
