@@ -5,6 +5,7 @@ structure, 4 usage errors. Every error prints a single line to stderr with
 an ``error[data|fit|usage]:`` prefix. An output path given to --out, --star
 or --smooth that cannot be written (missing directory, no permission) is a
 usage error naming the flag and the path; outputs written before it stay.
+The package's INFO lines (the CSV load) go to the stderr of each call.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from .data import load_csv
-from .design import ModelSpec
+from .design import DEFAULT_N_BASIS, ModelSpec
 from .exceptions import (
     DataError,
     FormulaError,
@@ -41,6 +43,14 @@ class _UsageError(Exception):
     pass
 
 
+# error kind and exit code of each failure, first match wins
+_EXITS = (
+    ((_UsageError, FormulaError, SpecError), "usage", EXIT_USAGE),
+    (DataError, "data", EXIT_DATA),
+    (OrdshiftError, "fit", EXIT_FIT),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -64,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["global", "locshift", "catspecific", "ladder"],
         default="ladder",
     )
-    parser.add_argument("--nbs", type=int, default=6, help="default B-spline basis count")
+    parser.add_argument("--nbs", type=int, default=DEFAULT_N_BASIS,
+                        help="B-spline basis count of a smooth term that sets none")
     parser.add_argument("--conf", type=float, default=0.95, help="confidence level for stars")
     parser.add_argument("--k", type=int, default=None, help="number of response categories")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -110,100 +121,88 @@ def _max_iter_from_env() -> int:
     return value
 
 
-def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        max_iter = _max_iter_from_env()
-        if not 0.0 < args.conf < 1.0:
-            raise _UsageError(f"--conf must be in (0,1), got {args.conf}")
-        if args.nbs < 4:
-            raise _UsageError(f"--nbs must be at least 4 (cubic splines), got {args.nbs}")
-        smooth_requests = []
-        for item in args.smooth:
-            var, sep, path = item.partition(":")
-            if not sep or not var or not path:
-                raise _UsageError(f"--smooth expects VAR:SVG, got {item!r}")
-            smooth_requests.append((var, path))
-    except _UsageError as exc:
-        return _fail("usage", str(exc), EXIT_USAGE)
+def _with_basis(terms, n_basis: int) -> tuple:
+    """``terms`` with ``n_basis`` in every smooth term that sets none."""
+    return tuple(replace(t, n_basis=n_basis) if t.smooth and t.n_basis is None else t
+                 for t in terms)
 
-    try:
-        formula = parse_formula(args.formula)
-    except FormulaError as exc:
-        return _fail("usage", str(exc), EXIT_USAGE)
 
+def _run(argv) -> int:
+    args = build_parser().parse_args(argv)
+    max_iter = _max_iter_from_env()
+    if not 0.0 < args.conf < 1.0:
+        raise _UsageError(f"--conf must be in (0,1), got {args.conf}")
+    if args.nbs < 4:
+        raise _UsageError(f"--nbs must be at least 4 (cubic splines), got {args.nbs}")
+    smooth_requests = []
+    for item in args.smooth:
+        var, sep, path = item.partition(":")
+        if not sep or not var or not path:
+            raise _UsageError(f"--smooth expects VAR:SVG, got {item!r}")
+        smooth_requests.append((var, path))
+
+    formula = parse_formula(args.formula)
     categorical = tuple(c.strip() for c in args.categorical.split(",") if c.strip())
     try:
         data = load_csv(args.data, formula, k=args.k, categorical=categorical)
     except OSError as exc:
-        return _fail("data", str(exc), EXIT_DATA)
-    except DataError as exc:
-        return _fail("data", str(exc), EXIT_DATA)
+        raise DataError(str(exc)) from exc
 
     family = Family("cumulative" if args.family == "cumulative" else "adjacent", args.reverse)
-    try:
-        base_spec = ModelSpec(
-            family=family,
-            structure=_STRUCTURES.get(args.structure, "locshift"),
-            location=formula.location,
-            dispersion=formula.dispersion,
-            n_basis_default=args.nbs,
-        )
-    except SpecError as exc:
-        return _fail("usage", str(exc), EXIT_USAGE)
+    base_spec = ModelSpec(
+        family=family,
+        structure=_STRUCTURES.get(args.structure, "locshift"),
+        location=_with_basis(formula.location, args.nbs),
+        dispersion=_with_basis(formula.dispersion, args.nbs),
+    )
 
     ladder = None
-    fits = []
-    try:
-        if args.structure == "ladder":
-            ladder = model_ladder(data, base_spec, max_iter=max_iter)
-            fits = [row.fit for row in ladder.rows if row.ok]
-            if not fits:
-                return _fail("fit", "every model in the ladder failed", EXIT_FIT)
-        else:
-            result = fit(base_spec, data, max_iter=max_iter)
-            if not result.converged:
-                return _fail(
-                    "fit",
-                    f"{args.structure} fit did not converge in {max_iter} iterations",
-                    EXIT_FIT,
-                )
-            fits = [result]
-    except SpecError as exc:
-        return _fail("usage", str(exc), EXIT_USAGE)
-    except DataError as exc:
-        return _fail("data", str(exc), EXIT_DATA)
-    except OrdshiftError as exc:
-        return _fail("fit", str(exc), EXIT_FIT)
+    if args.structure == "ladder":
+        ladder = model_ladder(data, base_spec, max_iter=max_iter)
+        fits = [row.fit for row in ladder.rows if row.ok]
+        if not fits:
+            raise OrdshiftError("every model in the ladder failed")
+    else:
+        result = fit(base_spec, data, max_iter=max_iter)
+        if not result.converged:
+            raise OrdshiftError(f"{args.structure} fit did not converge in {max_iter} iterations")
+        fits = [result]
 
     report = render_report(ladder, fits, format=args.format)
-    try:
-        if args.out:
-            _write("--out", args.out, report)
-        else:
-            sys.stdout.write(report)
+    if args.out:
+        _write("--out", args.out, report)
+    else:
+        sys.stdout.write(report)
 
-        star_fit = next((f for f in fits if f.structure == "locshift"), None)
-        if args.star is not None:
-            if star_fit is None:
-                return _fail(
-                    "fit", "star plot needs a converged location-shift fit", EXIT_FIT
-                )
-            points = star_data(star_fit, level=args.conf)
-            _write("--star", args.star, render_star_svg(points))
+    star_fit = next((f for f in fits if f.structure == "locshift"), None)
+    if args.star is not None:
+        if star_fit is None:
+            raise OrdshiftError("star plot needs a converged location-shift fit")
+        points = star_data(star_fit, level=args.conf)
+        _write("--star", args.star, render_star_svg(points))
 
-        smooth_fit = star_fit or (fits[0] if fits else None)
-        for var, path in smooth_requests:
-            try:
-                svg = render_smooth_svg(smooth_fit, var)
-            except SpecError as exc:
-                return _fail("usage", str(exc), EXIT_USAGE)
-            _write("--smooth", path, svg)
-    except _UsageError as exc:
-        return _fail("usage", str(exc), EXIT_USAGE)
+    smooth_fit = star_fit or fits[0]
+    for var, path in smooth_requests:
+        _write("--smooth", path, render_smooth_svg(smooth_fit, var))
     return EXIT_OK
+
+
+def main(argv=None) -> int:
+    # the package's log lines go to this call's stderr, and only for this call
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    logger = logging.getLogger("ordshift")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        return _run(argv)
+    except (_UsageError, OrdshiftError) as exc:
+        kind, code = next((kind, code) for types, kind, code in _EXITS if isinstance(exc, types))
+        return _fail(kind, str(exc), code)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

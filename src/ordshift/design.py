@@ -54,7 +54,6 @@ class ModelSpec:
     structure: str
     location: tuple = ()
     dispersion: tuple = ()
-    n_basis_default: int = DEFAULT_N_BASIS
 
     def __post_init__(self):
         if self.structure not in STRUCTURES:
@@ -198,7 +197,7 @@ def _dummies(codes, values, levels, name) -> np.ndarray:
     return (codes[:, None] == np.arange(1, len(levels))).astype(float)
 
 
-def _expand_side(data: OrdinalDataset, terms, n_basis_default, cols, blocks):
+def _expand_side(data: OrdinalDataset, terms, cols, blocks):
     for term in terms:
         if term.name not in data.columns:
             raise DataError(f"variable {term.name!r} not present in the data")
@@ -210,7 +209,7 @@ def _expand_side(data: OrdinalDataset, terms, n_basis_default, cols, blocks):
             blocks.append(_dummies(data.level_codes(term.name), values, levels, term.name))
             cols.extend(ColumnInfo(f"{term.name}{lev}", term.name) for lev in levels[1:])
         elif term.smooth:
-            m = n_basis_default if term.n_basis is None else term.n_basis
+            m = DEFAULT_N_BASIS if term.n_basis is None else term.n_basis
             basis = knot_sequence(values, m, SPLINE_DEGREE)
             # the B-splines sum to one, so their m centered columns sum to
             # zero: the last is dropped, and the m-1 left have full rank
@@ -231,7 +230,8 @@ def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
     and their parameter layout.
 
     Dummy coding uses the dataset's declared level order; a smooth term with
-    n_basis m becomes m-1 centered B-spline columns. The global structure
+    n_basis m (DEFAULT_N_BASIS when it sets none) becomes m-1 centered
+    B-spline columns. The global structure
     drops the dispersion terms; the category-specific one folds them into
     the location set (_catspec_fold).
     """
@@ -242,8 +242,8 @@ def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
         dispersion = ()
 
     x_cols, z_cols, x_blocks, z_blocks = [], [], [], []
-    _expand_side(data, location, spec.n_basis_default, x_cols, x_blocks)
-    _expand_side(data, dispersion, spec.n_basis_default, z_cols, z_blocks)
+    _expand_side(data, location, x_cols, x_blocks)
+    _expand_side(data, dispersion, z_cols, z_blocks)
 
     n, k = data.n, data.k
     X = np.hstack(x_blocks) if x_blocks else np.empty((n, 0))

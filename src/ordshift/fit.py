@@ -317,15 +317,13 @@ class _Problem:
             total += self._block_loglik(own)
         return total, floored
 
-    def crosses(self, theta: np.ndarray, first: int) -> bool:
-        """Whether the thresholds at canonical ``theta`` cross in any block
-        from the ``first``-th on: the rest of the walk of a candidate that
-        evaluate() stopped at its bound, whose later blocks it never read."""
-        for rows in self.blocks[first:]:
-            try:
-                self.probabilities(theta, rows)
-            except ThresholdOrderError:
-                return True
+    def crosses(self, theta: np.ndarray) -> bool:
+        """Whether the thresholds at canonical ``theta`` cross in any block,
+        by loglik()'s walk over every block."""
+        try:
+            self.loglik(theta)
+        except ThresholdOrderError:
+            return True
         return False
 
     def weights(self):
@@ -357,8 +355,8 @@ class _Problem:
         log-likelihood is added first. Every block adds a nonpositive one, so
         the running deviance never falls: the pass returns None as soon as it
         exceeds ``bound``, exactly when the full deviance would, and before
-        any derivative work on that block; ``cut`` is then the number of
-        blocks it read. Only then does the weights helper load the block's
+        any derivative work on that block, without reading the blocks after
+        it. Only then does the weights helper load the block's
         weights from its probabilities, and the block's score and
         information are added. Infeasible cumulative thresholds raise
         ThresholdOrderError.
@@ -400,11 +398,10 @@ class _Problem:
             top_loc, top_disp = info[:q, loc], info[:q, disp]
             loc_loc, loc_disp, disp_disp = info[loc, loc], info[loc, disp], info[disp, disp]
         loglik = 0.0
-        for index, rows in enumerate(self.blocks):
+        for rows in self.blocks:
             probs, cdf, own = self.probabilities(theta, rows)
             loglik += self._block_loglik(own)
             if not -2.0 * loglik <= bound:
-                self.cut = index + 1
                 return None
             self._load_data(rows)
             u = weights.load(probs, cdf, own)
@@ -670,6 +667,11 @@ def _reverse_permutation(structure: str, q: int, p: int, size: int) -> np.ndarra
     return perm
 
 
+def _score_converged(s: np.ndarray, deviance: float) -> bool:
+    """max |score| < SCORE_TOL * (1 + |loglik|), the score half of convergence."""
+    return bool(np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0))
+
+
 def _covariance(info: np.ndarray):
     """Inverse information with honest flags for numerically singular slots."""
     eigval, eigvec = np.linalg.eigh(info)
@@ -737,9 +739,9 @@ def fit(
     already below tolerance, converged=False otherwise (retrying would solve
     for the same step); an unconverged stop at an iteration in which some
     candidate crossed thresholds is noted in ``warnings`` as a stop at the
-    threshold-order boundary (a candidate rejected on its deviance before
-    its last block of rows is then walked through its remaining blocks for
-    a crossing, as a one-block problem checks every row before the bound).
+    threshold-order boundary (each candidate rejected on its deviance is
+    then walked again through every block of rows for a crossing, since its
+    pass stopped at the first block that took it past the bound).
     Convergence requires relative deviance change < DEVIANCE_TOL and
     max |score| < SCORE_TOL * (1 + |loglik|) at the same iteration. The
     covariance is the inverse expected information at the optimum. Each
@@ -777,7 +779,7 @@ def fit(
             step = np.linalg.lstsq(info, s, rcond=None)[0]
         accepted = None
         crossed = False
-        cut = []  # (candidate, blocks read) of those stopped at the bound
+        bounded = []  # candidates rejected at the deviance bound
         lam = 1.0
         for _ in range(11):
             cand = theta + lam * step
@@ -786,27 +788,25 @@ def fit(
             except ThresholdOrderError:
                 crossed = True
             else:
-                if accepted is None:
-                    cut.append((cand, problem.cut))
-            if accepted is not None:
-                break
+                if accepted is not None:
+                    break
+                bounded.append(cand)
             lam /= 2.0
         if accepted is None:
             # a rejected step at a stationary point is convergence, not
             # failure: the deviance is already flat to rounding and the
             # score is below tolerance. Elsewhere it stops the fit: a retry
             # would solve for the same step from the same score and information
-            converged = bool(np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0))
+            converged = _score_converged(s, deviance)
             # a candidate stopped at the bound never read its later blocks,
-            # where its thresholds may cross: a one-block problem has none
+            # where its thresholds may cross
             boundary = not converged and (crossed or problem.cumulative and any(
-                problem.crosses(candidate, read) for candidate, read in cut))
+                problem.crosses(candidate) for candidate in bounded))
             break
         rel_change = abs(deviance - accepted[0]) / (abs(deviance) + 1e-10)
         theta = cand
         deviance, s, info = accepted
-        if (rel_change < DEVIANCE_TOL
-                and np.max(np.abs(s)) < SCORE_TOL * (1.0 + abs(deviance) / 2.0)):
+        if rel_change < DEVIANCE_TOL and _score_converged(s, deviance):
             converged = True
             break
 

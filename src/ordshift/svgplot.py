@@ -54,14 +54,14 @@ class _Canvas:
             attrs += f' class="{cls}"'
         self.parts.append(f"<line {attrs}/>")
 
-    def circle(self, cx, cy, r, fill="black", cls=None):
-        attrs = f'cx="{_c(cx)}" cy="{_c(cy)}" r="{r:g}" fill="{fill}"'
+    def circle(self, cx, cy, r, cls=None):
+        attrs = f'cx="{_c(cx)}" cy="{_c(cy)}" r="{r:g}" fill="black"'
         if cls:
             attrs += f' class="{cls}"'
         self.parts.append(f"<circle {attrs}/>")
 
-    def text(self, x, y, content, size=11, anchor="start", rotate=None, cls=None):
-        attrs = f'x="{_c(x)}" y="{_c(y)}" font-size="{size}" font-family="sans-serif"'
+    def text(self, x, y, content, anchor="start", rotate=None, cls=None):
+        attrs = f'x="{_c(x)}" y="{_c(y)}" font-size="11" font-family="sans-serif"'
         attrs += f' text-anchor="{anchor}"'
         if rotate is not None:
             attrs += f' transform="rotate({rotate:g} {_c(x)} {_c(y)})"'
@@ -69,18 +69,16 @@ class _Canvas:
             attrs += f' class="{cls}"'
         self.parts.append(f"<text {attrs}>{_escape(content)}</text>")
 
-    def polyline(self, xs, ys, stroke="black", width=1.5, cls=None):
+    def polyline(self, xs, ys, cls=None):
         pts = " ".join(f"{_c(x)},{_c(y)}" for x, y in zip(xs, ys))
-        attrs = f'points="{pts}" fill="none" stroke="{stroke}" stroke-width="{width:g}"'
+        attrs = f'points="{pts}" fill="none" stroke="black" stroke-width="1.5"'
         if cls:
             attrs += f' class="{cls}"'
         self.parts.append(f"<polyline {attrs}/>")
 
-    def rect(self, x, y, w, h, stroke="black"):
-        self.parts.append(
-            f'<rect x="{_c(x)}" y="{_c(y)}" width="{_c(w)}" height="{_c(h)}" '
-            f'fill="none" stroke="{stroke}"/>'
-        )
+    def rect(self, x, y, w, h):
+        self.parts.append(f'<rect x="{_c(x)}" y="{_c(y)}" width="{_c(w)}" height="{_c(h)}" '
+                          'fill="none" stroke="black"/>')
 
     def render(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"

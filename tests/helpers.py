@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ordshift.data import OrdinalDataset
 from ordshift.design import ModelSpec, Term
 from ordshift.fit import FitResult, log_likelihood
 from ordshift.links import Family, logistic
@@ -22,6 +23,29 @@ def kernel_predictors(problem, theta):
     for rows in problem.blocks:
         problem.predictors(theta, rows, out[:, rows])
     return out
+
+
+def boundary_dataset():
+    """Item 8 of the seed-1 simulation pool of the benchmark's sim-small
+    workload (n=500, k=5) and its cumulative location-shift spec: the
+    category-specific fit warm-started from that spec's fit stops at the
+    threshold-order boundary."""
+    rng = np.random.default_rng([1, 500])
+    n, k = 500, 5
+    cuts = 1.3 * np.log(np.arange(1, k) / (k - np.arange(1, k)))
+    pool = []
+    while len(pool) < 9:
+        x1 = rng.uniform(-2.0, 2.0, n)
+        x2 = rng.uniform(-1.5, 1.5, n)
+        z = rng.uniform(-1.0, 1.0, n)
+        location = 1.2 * np.sin(1.5 * x1) + 0.5 * x2
+        latent = location + np.exp(0.15 * x2 + 0.3 * z) * rng.logistic(size=n)
+        y = 1 + (latent[:, None] > cuts).sum(axis=1)
+        if np.all(np.bincount(y, minlength=k + 1)[1:] > 0):
+            pool.append(OrdinalDataset(y=y, k=k, columns={"x1": x1, "x2": x2, "z": z}))
+    spec = ModelSpec(Family("cumulative"), "locshift", (Term("x1"), Term("x2")),
+                     (Term("x2"), Term("z")))
+    return pool[8], spec
 
 
 def random_dataset(rng, n=50, k=4, n_cov=2, family=Family("cumulative"), dual=True):

@@ -1,13 +1,14 @@
 """End-to-end CLI behavior: goldens, determinism, exit codes.
 
 Every test but the golden ladder runs ``cli.main`` in-process (run_cli); that
-one runs ``python -m ordshift`` in a subprocess (run_module). ``cli.main``
-calls ``logging.basicConfig``, which binds its stream once per process, so no
-in-process test relies on the INFO line of the CSV load.
+one runs ``python -m ordshift`` in a subprocess (run_module). Each call of
+``cli.main`` sends the package's INFO lines, such as the CSV load, to the
+stderr it was called with, and leaves the root logger alone.
 """
 
 import contextlib
 import io
+import logging
 import os
 import pathlib
 import subprocess
@@ -147,6 +148,27 @@ class TestEndToEnd:
         root = ET.parse(out).getroot()
         curves = [e for e in root.iter(f"{SVG_NS}polyline") if e.get("class") == "curve"]
         assert len(curves) == 1
+
+    def test_each_call_logs_its_load_to_its_own_stderr(self):
+        root = logging.getLogger()
+        handlers, level = list(root.handlers), logging.getLogger("ordshift").level
+        for _ in range(2):
+            proc = run_cli("--data", str(DATA), "--formula", FORMULA,
+                           "--categorical", "group", "--structure", "global")
+            assert proc.returncode == 0, proc.stderr
+            loaded = [line for line in proc.stderr.splitlines() if line.startswith("loaded ")]
+            assert loaded == [f"loaded {DATA}: n=500, k=5, category counts [98, 75, 68, 80, 179]"]
+        assert root.handlers == handlers
+        assert logging.getLogger("ordshift").level == level
+        assert logging.getLogger("ordshift").handlers == []
+
+    def test_nbs_sets_the_basis_of_smooth_terms_without_one(self):
+        proc = run_cli("--data", str(DATA), "--formula", "y ~ s(age) + group | age",
+                       "--categorical", "group", "--structure", "locshift", "--nbs", "5")
+        assert proc.returncode == 0, proc.stderr
+        for j in range(1, 5):
+            assert f"s(age).{j} " in proc.stdout
+        assert "s(age).5" not in proc.stdout
 
 
 class TestExitCodes:

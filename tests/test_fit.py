@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    boundary_dataset,
     empirical_start,
     fd_gradient,
     fd_hessian,
@@ -915,21 +916,7 @@ class TestFit:
         # its candidates crossing, max |score| far above the tolerance
         from ordshift.inference import _catspec_start
 
-        rng = np.random.default_rng([1, 500])
-        n, k = 500, 5
-        cuts = 1.3 * np.log(np.arange(1, k) / (k - np.arange(1, k)))
-        pool = []
-        while len(pool) < 9:
-            x1 = rng.uniform(-2.0, 2.0, n)
-            x2 = rng.uniform(-1.5, 1.5, n)
-            z = rng.uniform(-1.0, 1.0, n)
-            location = 1.2 * np.sin(1.5 * x1) + 0.5 * x2
-            latent = location + np.exp(0.15 * x2 + 0.3 * z) * rng.logistic(size=n)
-            y = 1 + (latent[:, None] > cuts).sum(axis=1)
-            if np.all(np.bincount(y, minlength=k + 1)[1:] > 0):
-                pool.append(OrdinalDataset(y=y, k=k, columns={"x1": x1, "x2": x2, "z": z}))
-        data = pool[8]
-        spec = ModelSpec(CUM, "locshift", (Term("x1"), Term("x2")), (Term("x2"), Term("z")))
+        data, spec = boundary_dataset()
         locshift = fit(spec, data)
         assert locshift.converged
         assert locshift.warnings == []

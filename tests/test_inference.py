@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_dataset, stub_fit
+from helpers import boundary_dataset, random_dataset, stub_fit
 
 from ordshift.data import OrdinalDataset
 from ordshift.design import ModelSpec, Term, expand_design
@@ -66,11 +66,14 @@ class TestChisqSf:
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(0)
         for _ in range(300):
-            df = int(rng.integers(1, 201))
-            x = float(rng.uniform(0, 1000))
-            assert chisq_sf(x, df) == pytest.approx(
-                scipy_stats.chi2.sf(x, df), abs=1e-8
-            )
+            df = int(rng.integers(1, 401))
+            # x uniform up to 1000, and uniform on a log scale from 1e-3 to 1000
+            for x in (float(rng.uniform(0, 1000)), float(10.0 ** rng.uniform(-3.0, 3.0))):
+                expected = scipy_stats.chi2.sf(x, df)
+                got = chisq_sf(x, df)
+                assert got == pytest.approx(expected, abs=1e-8)
+                if expected >= 1e-300:
+                    assert got == pytest.approx(expected, rel=1e-11), (x, df)
 
     def test_monotone_in_x(self):
         grid = np.linspace(0.0, 60.0, 100)
@@ -218,6 +221,29 @@ class TestModelLadder:
         assert table.row("global").ok
         assert table.row("locshift").test is None
         assert table.row("global").test is not None
+
+    def test_one_fit_per_rung(self, monkeypatch):
+        # a failed warm category-specific fit is the row's fit: on this data
+        # it stops at the threshold-order boundary, and no refit follows
+        import ordshift.inference as inference
+
+        data, spec = boundary_dataset()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("start"))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "fit", counted)
+        table = model_ladder(data, spec)
+        assert len(calls) == 3
+        assert calls[2] is not None  # the warm start from the constraint map
+        row = table.row("catspec")
+        assert row.error == "fit failed (did not converge)"
+        assert row.fit.warnings == ["did not converge", "stopped at the threshold-order boundary"]
+        warm = fit(spec.with_structure("catspec"), data, start=calls[2])
+        assert np.array_equal(row.fit.params, warm.params)
+        assert table.row("locshift").ok and table.row("global").ok
 
     @pytest.mark.parametrize("family", [CUM, Family("adjacent", reverse=True)])
     def test_catspec_start_is_constraint_map_on_catspec_layout(self, family):
