@@ -4,14 +4,18 @@ The response here depends on x through a U-shaped location effect and a
 linear dispersion effect. A linear model misses the U; an s(x) term picks it
 up, and the likelihood-ratio tests (against dropping the term and against a
 linear version) quantify how much it matters. Both baselines are reported
-because either comparison can be the interesting one.
+because either comparison can be the interesting one. The fitted model then
+predicts category probabilities on a grid of four points, with the knots and
+centering means of the training data: four points could not place six knots
+of their own, and x = 2.5, beyond the training range, takes the boundary
+value of the smooth.
 """
 
 import pathlib
 
 import numpy as np
 
-from ordshift import Family, ModelSpec, Term, fit, render_smooth_svg, smooth_term_tests
+from ordshift import Family, ModelSpec, Term, fit, predict, render_smooth_svg, smooth_term_tests
 from ordshift.simulate import simulate_dataset
 
 here = pathlib.Path(__file__).parent
@@ -42,6 +46,12 @@ print(f"drop s(x) entirely: LRT {tests['drop'].statistic:.2f} on {tests['drop'].
       f"p = {tests['drop'].p_value:.4f}")
 print(f"linear x instead:   LRT {tests['linear'].statistic:.2f} on {tests['linear'].df} df, "
       f"p = {tests['linear'].p_value:.4f}")
+
+grid = {"x": np.array([-1.5, 0.0, 1.5, 2.5]), "z": np.zeros(4)}
+probs = predict(result, grid)
+print("predicted P(y = 1..5) at z = 0:")
+for value, row in zip(grid["x"], probs):
+    print(f"  x = {value:4.1f}: " + " ".join(f"{p:.3f}" for p in row))
 
 svg_path = out_dir / "smooth.svg"
 svg_path.write_text(render_smooth_svg(result, "x"), encoding="utf-8")

@@ -19,10 +19,10 @@ from .exceptions import (
 )
 from .fit import (
     FitResult,
-    category_probabilities,
     fisher_info,
     fit,
     log_likelihood,
+    predict,
     score,
     smooth_values,
     standard_errors,
@@ -69,7 +69,6 @@ __all__ = [
     "TestResult",
     "ThresholdOrderError",
     "bspline_basis",
-    "category_probabilities",
     "chisq_sf",
     "constraint_map",
     "draw_responses",
@@ -85,6 +84,7 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "parse_formula",
+    "predict",
     "render_report",
     "render_smooth_svg",
     "render_star_svg",

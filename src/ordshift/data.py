@@ -84,18 +84,6 @@ class OrdinalDataset:
             )
         return codes
 
-    def relabeled(self) -> "OrdinalDataset":
-        """Dataset with categories flipped to k+1-y (reverse representation);
-        it shares the columns and their kept level codes."""
-        flipped = OrdinalDataset(
-            y=self.k + 1 - self.y,
-            k=self.k,
-            columns=self.columns,
-            categorical_levels=self.categorical_levels,
-        )
-        flipped._codes = self._codes
-        return flipped
-
 
 def _numeric(name: str, values) -> np.ndarray:
     """``values`` as floats, or a DataError naming the first index that is

@@ -1,20 +1,24 @@
-"""Expansion of raw covariates and a model spec into per-category design rows.
+"""The design: raw covariates and a model spec as per-category design rows.
 
 The multivariate GLM underneath every model here has k-1 linear predictors
 per observation. ``expand_design`` is the one place that decides the design
-columns: it builds the covariate matrices X (location) and Z (dispersion)
-and the parameter vector layout [intercepts | location | dispersion]
-(category-specific location blocks are laid out per threshold), whose
-columns carry what a fit needs to evaluate them again, a smooth term's
-frozen B-spline basis and training means included. Fitting works from X, Z
-and the scaling weights directly and never materializes the design rows;
-``build_design_tensor`` spells them out as a dense (n, k-1, n_params)
-tensor, as a reference.
+columns: it learns the parameter vector layout [intercepts | location |
+dispersion] (category-specific location blocks are laid out per threshold)
+on the training data, with what that data fixes of each column (a dummy's
+level, a smooth term's knots and training means), and builds the covariate
+matrices X (location) and Z (dispersion). ``design_columns`` is the one
+place where a layout column becomes numbers: the fit, the smooth curves of
+``fit.smooth_values`` and the predictions of ``fit.predict`` all build their
+columns through it, so a finished layout is reused on new rows as frozen,
+never learned again. Fitting works from X, Z and the scaling weights
+directly and never materializes the design rows; ``build_design_tensor``
+spells them out as a dense (n, k-1, n_params) tensor, as a reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
@@ -87,11 +91,15 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ColumnInfo:
-    """Provenance of one expanded design column.
+    """One expanded design column: its name, the variable it reads, and
+    what the training data fixed about it, so that design_columns builds it
+    on any later rows as it was fitted.
 
-    A smooth term's column is B-spline ``basis_index`` (1-based) of its
-    frozen ``basis`` less ``mean``, that B-spline's mean over the training
-    rows, so the term evaluates on any later grid as it was fitted.
+    A linear column is its variable's values. A dummy column is the
+    indicator of ``level`` among ``levels``, the variable's frozen level
+    order (reference first). A smooth column is B-spline ``basis_index``
+    (1-based) of its frozen ``basis`` less ``mean``, that B-spline's mean
+    over the training rows.
     """
 
     name: str
@@ -99,6 +107,8 @@ class ColumnInfo:
     basis_index: int | None = None
     basis: BasisDef | None = None
     mean: float = 0.0
+    level: str | None = None
+    levels: tuple | None = None
 
 
 @dataclass
@@ -186,18 +196,72 @@ def _smooth_columns(layout: ParamLayout, side: str, name: str) -> list:
     return [(start + i, c) for i, c in enumerate(cols) if c.source == name and c.basis is not None]
 
 
-def _dummies(codes, values, levels, name) -> np.ndarray:
-    """Dummy block from the level codes of ``values``, with a DataError that
-    names the first value that is not one of ``levels``."""
-    if len(levels) < 2:
-        raise SpecError(f"categorical {name!r} needs at least 2 levels")
-    unseen = np.flatnonzero(codes < 0)
-    if unseen.size:
-        raise DataError(f"variable {name!r}: unseen level {values[unseen[0]]!r}")
-    return (codes[:, None] == np.arange(1, len(levels))).astype(float)
+def _terms(cols):
+    """(slice of ``cols``, its columns) of each term: a run of columns that
+    read one variable, which a side of a layout holds at most once."""
+    start = 0
+    for _, group in groupby(cols, attrgetter("source")):
+        group = list(group)
+        yield slice(start, start + len(group)), group
+        start += len(group)
 
 
-def _expand_side(data: OrdinalDataset, terms, cols, blocks):
+def design_columns(cols, data: OrdinalDataset) -> np.ndarray:
+    """The (n, len(cols)) matrix of the layout columns ``cols`` on the rows
+    of ``data``: the one place where a column becomes numbers.
+
+    A linear column is its variable's values; a dummy column the indicator
+    of its level, from the dataset's kept level codes (``data`` holds each
+    categorical variable on the column's frozen levels); a smooth column its
+    frozen B-spline less its training mean, each term's basis evaluated once,
+    clamped outside the training range. A categorical value outside the
+    levels is a DataError naming it.
+    """
+    blocks = []
+    for _, group in _terms(cols):
+        first = group[0]
+        values = data.columns[first.source]
+        if first.levels is not None:
+            codes = data.level_codes(first.source)
+            unseen = np.flatnonzero(codes < 0)
+            if unseen.size:
+                raise DataError(f"variable {first.source!r}: unseen level {values[unseen[0]]!r}")
+            indices = [first.levels.index(c.level) for c in group]
+            blocks.append((codes[:, None] == np.asarray(indices)).astype(float))
+        elif first.basis is not None:
+            # take, not [:, index]: a fancy index returns the block in
+            # Fortran order, and X must stay row-major
+            basis = np.take(bspline_basis(values, first.basis),
+                            [c.basis_index - 1 for c in group], axis=1)
+            blocks.append(basis - [c.mean for c in group])
+        else:
+            blocks.append(np.asarray(values, dtype=float).reshape(-1, 1))
+    return np.hstack(blocks) if blocks else np.empty((data.n, 0))
+
+
+def columns_dataset(cols, columns: dict, k: int) -> OrdinalDataset:
+    """The raw ``columns`` that the layout columns ``cols`` read, as a
+    dataset that design_columns builds them on: each categorical variable on
+    its frozen levels, and placeholder responses in 1..k. A variable that
+    ``cols`` read and ``columns`` lack is a DataError naming it; columns that
+    they do not read are ignored."""
+    sources = list(dict.fromkeys(c.source for c in cols))
+    missing = [name for name in sources if name not in columns]
+    if missing:
+        raise DataError(f"variable {missing[0]!r} not present in the data")
+    needed = {name: columns[name] for name in sources}
+    # a layout without columns reads none: its rows are any column's
+    n = len(next(iter((needed or columns).values()), ()))
+    levels = {c.source: c.levels for c in cols if c.levels is not None}
+    return OrdinalDataset(y=np.ones(n, dtype=int), k=k, columns=needed,
+                          categorical_levels=levels)
+
+
+def _learn_side(data: OrdinalDataset, terms) -> list:
+    """The columns of ``terms`` with the levels and knots that ``data``
+    fixes; each smooth column's mean is left at zero for expand_design to
+    learn."""
+    cols = []
     for term in terms:
         if term.name not in data.columns:
             raise DataError(f"variable {term.name!r} not present in the data")
@@ -206,34 +270,48 @@ def _expand_side(data: OrdinalDataset, terms, cols, blocks):
         if levels is not None:
             if term.smooth:
                 raise SpecError(f"smooth term on categorical variable {term.name!r}")
-            blocks.append(_dummies(data.level_codes(term.name), values, levels, term.name))
-            cols.extend(ColumnInfo(f"{term.name}{lev}", term.name) for lev in levels[1:])
+            if len(levels) < 2:
+                raise SpecError(f"categorical {term.name!r} needs at least 2 levels")
+            cols.extend(ColumnInfo(f"{term.name}{lev}", term.name, level=lev, levels=levels)
+                        for lev in levels[1:])
         elif term.smooth:
             m = DEFAULT_N_BASIS if term.n_basis is None else term.n_basis
             basis = knot_sequence(values, m, SPLINE_DEGREE)
             # the B-splines sum to one, so their m centered columns sum to
             # zero: the last is dropped, and the m-1 left have full rank
-            kept = bspline_basis(values, basis)[:, :-1]
-            means = kept.mean(axis=0)
-            blocks.append(kept - means)
-            cols.extend(
-                ColumnInfo(f"s({term.name}).{j}", term.name, j, basis, float(mean))
-                for j, mean in enumerate(means, start=1)
-            )
+            cols.extend(ColumnInfo(f"s({term.name}).{j}", term.name, j, basis)
+                        for j in range(1, m))
         else:
-            blocks.append(np.asarray(values, dtype=float).reshape(-1, 1))
             cols.append(ColumnInfo(term.name, term.name))
+    return cols
+
+
+def _center(cols, block: np.ndarray) -> list:
+    """``cols`` with each smooth column's training mean, the mean of its
+    column of ``block`` (built with zero means), which is subtracted from
+    that column in place."""
+    cols = list(cols)
+    for span, group in _terms(cols):
+        if group[0].basis is not None:
+            means = block[:, span].mean(axis=0)
+            block[:, span] -= means
+            cols[span] = [replace(c, mean=float(mean)) for c, mean in zip(group, means)]
+    return cols
 
 
 def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
-    """Expand raw columns into the X (location) and Z (dispersion) matrices
-    and their parameter layout.
+    """Learn the layout of ``spec`` on ``data`` and build its X (location)
+    and Z (dispersion) matrices.
 
-    Dummy coding uses the dataset's declared level order; a smooth term with
-    n_basis m (DEFAULT_N_BASIS when it sets none) becomes m-1 centered
-    B-spline columns. The global structure
-    drops the dispersion terms; the category-specific one folds them into
-    the location set (_catspec_fold).
+    Learning fixes what the training data decide: the dataset's declared
+    level order for dummy coding, the knots of a smooth term with n_basis m
+    (DEFAULT_N_BASIS when it sets none), which becomes m-1 B-spline columns,
+    and those columns' training means. The matrices are frozen_design's:
+    the smooth columns are built once with zero means, and centering them
+    by their column means is building them with the learned means, without
+    evaluating the B-splines again. The global
+    structure drops the dispersion terms; the category-specific one folds
+    them into the location set (_catspec_fold).
     """
     location, dispersion = spec.location, spec.dispersion
     if spec.structure == "catspec":
@@ -241,14 +319,9 @@ def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
     elif spec.structure == "global":
         dispersion = ()
 
-    x_cols, z_cols, x_blocks, z_blocks = [], [], [], []
-    _expand_side(data, location, x_cols, x_blocks)
-    _expand_side(data, dispersion, z_cols, z_blocks)
-
-    n, k = data.n, data.k
-    X = np.hstack(x_blocks) if x_blocks else np.empty((n, 0))
-    Z = np.hstack(z_blocks) if z_blocks else np.empty((n, 0))
-    if Z.shape[1] > 0 and k == 2:
+    x_cols, z_cols = _learn_side(data, location), _learn_side(data, dispersion)
+    k = data.k
+    if z_cols and k == 2:
         raise SpecError(
             "dispersion terms are not identified for k=2 "
             "(the scaling factor is a single constant)"
@@ -260,7 +333,16 @@ def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
     else:
         names.extend(c.name for c in x_cols + z_cols)
     layout = ParamLayout(names=names, structure=spec.structure, k=k, x_cols=x_cols, z_cols=z_cols)
-    return ExpandedDesign(X=X, Z=Z, layout=layout)
+    design = frozen_design(layout, data)
+    layout.x_cols, layout.z_cols = _center(x_cols, design.X), _center(z_cols, design.Z)
+    return design
+
+
+def frozen_design(layout: ParamLayout, data: OrdinalDataset) -> ExpandedDesign:
+    """X and Z of a finished ``layout`` on the rows of ``data``: its levels,
+    knots and training means reused, never learned again."""
+    return ExpandedDesign(design_columns(layout.x_cols, data),
+                          design_columns(layout.z_cols, data), layout)
 
 
 def build_design_tensor(design: ExpandedDesign, spec: ModelSpec) -> np.ndarray:

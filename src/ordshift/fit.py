@@ -12,14 +12,24 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import OrdinalDataset
-from .design import ModelSpec, ParamLayout, _smooth_columns, expand_design
+from .design import (
+    ExpandedDesign,
+    ModelSpec,
+    ParamLayout,
+    _smooth_columns,
+    columns_dataset,
+    design_columns,
+    expand_design,
+    frozen_design,
+)
 from .exceptions import (
     DataError,
+    InvalidInputError,
     SeparationWarning,
     SpecError,
     StartError,
@@ -174,7 +184,10 @@ def _problem_constants(kind: str, structure: str, k: int, p: int, m: int, revers
 
 
 class _Problem:
-    """One (spec, data) pair compiled once for likelihood, score and information.
+    """A finished design, a family and responses, compiled once for
+    likelihood, score, information and probabilities. _compile builds it
+    from a design learned on the data; predict from a fit's layout, frozen,
+    on new rows.
 
     Reverse specs are compiled on the relabeled response with the canonical
     family; ``perm`` maps parameter vectors between the reported and the
@@ -213,26 +226,25 @@ class _Problem:
     (n, k-1) array.
     """
 
-    def __init__(self, data: OrdinalDataset, spec: ModelSpec):
-        self.reverse = spec.family.reverse
-        if self.reverse:
-            spec = replace(spec, family=Family(spec.family.kind, reverse=False))
-            data = data.relabeled()
-        self.spec = spec
-        design = expand_design(data, spec)
+    def __init__(self, design: ExpandedDesign, family: Family, y):
+        self.reverse = family.reverse
         self.layout = layout = design.layout
-        self.y0 = data.y - 1
+        # 0-based responses; a reverse spec's are those of k+1-y
+        self.y0 = layout.k - y if self.reverse else y - 1
+        if self.reverse:
+            family = Family(family.kind, reverse=False)
+        self.family = family
         self.X, self.Z = design.X, design.Z
-        self.w = scaling_factors(spec.family, data.k)
+        self.w = scaling_factors(family, layout.k)
         self.location, self.dispersion = layout.location, layout.dispersion
         self.constants = _problem_constants(
-            spec.family.kind, spec.structure, data.k, layout.p, layout.m, self.reverse)
+            family.kind, layout.structure, layout.k, layout.p, layout.m, self.reverse)
         (self.perm, self._upper, self._lower, self._pair_cells, self._runs, self._pair_shape,
          self._info_index, self._score_index) = self.constants
-        n = data.n
+        n = y.size
         self.blocks = [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
-        self.cumulative = spec.family.kind == "cumulative"
-        self.catspec = spec.structure == "catspec"
+        self.cumulative = family.kind == "cumulative"
+        self.catspec = layout.structure == "catspec"
         q, width = layout.q, self.blocks[0].stop
         # flat index of (y_i, i) in the (k, width) probability scratch of i's block
         self.own_index = self.y0 * width + np.arange(n) % width
@@ -251,10 +263,26 @@ class _Problem:
             self._cX, self._cZ = np.empty((width, layout.p)), np.empty((width, layout.m))
 
     def canonical(self, params) -> np.ndarray:
+        """``params``, in the reported order, as canonical theta: the one
+        check of a parameter vector's length and finiteness."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.layout.n_params,):
             raise SpecError(f"expected {self.layout.n_params} parameters, got {params.shape}")
+        bad = np.flatnonzero(~np.isfinite(params))
+        if bad.size:
+            j = bad[0]
+            raise InvalidInputError(
+                f"parameter {j} ({self.layout.names[j]}) is not finite: {params[j]}")
         return params[self.perm]
+
+    def category_probabilities(self, params) -> np.ndarray:
+        """(n, k) category probabilities at ``params``, in the original labels."""
+        theta = self.canonical(params)
+        out = np.empty((self.y0.size, self.layout.k))
+        for rows in self.blocks:
+            probs = self.probabilities(theta, rows)[0]
+            out[rows] = (probs[::-1] if self.reverse else probs).T
+        return out
 
     def initial_params(self) -> np.ndarray:
         """Intercepts at the marginal cumulative quantiles (cumulative) or
@@ -295,7 +323,7 @@ class _Problem:
         nb = rows.stop - rows.start
         eta = self.predictors(theta, rows, self._eta[:, :nb])
         cdf = None if self._cdf is None else self._cdf[:, :nb]
-        probs = category_probs(self.spec.family, eta, self._probs[:, :nb], cdf, eta)
+        probs = category_probs(self.family, eta, self._probs[:, :nb], cdf, eta)
         # the compiled indices are in range: mode="clip" gathers straight into
         # out, where the default mode buffers it through a fresh array
         own = np.take(self._probs, self.own_index[rows], out=self._own[:nb], mode="clip")
@@ -682,13 +710,18 @@ def _covariance(info: np.ndarray):
     return cov, bad
 
 
+def _compile(data: OrdinalDataset, spec: ModelSpec) -> _Problem:
+    """The problem of ``spec`` on ``data``, its design learned on ``data``."""
+    return _Problem(expand_design(data, spec), spec.family, data.y)
+
+
 def log_likelihood(params, data: OrdinalDataset, spec: ModelSpec) -> float:
     """Multinomial log-likelihood at ``params``, probabilities clamped at 1e-15.
 
     Warns when an observed response falls in a floor-probability category;
     cumulative specs raise ThresholdOrderError at infeasible parameters.
     """
-    problem = _Problem(data, spec)
+    problem = _compile(data, spec)
     loglik, floored = problem.loglik(problem.canonical(params))
     if floored:
         warnings.warn(
@@ -701,27 +734,45 @@ def log_likelihood(params, data: OrdinalDataset, spec: ModelSpec) -> float:
 
 def score(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Analytic gradient of log_likelihood with respect to ``params``."""
-    problem = _Problem(data, spec)
+    problem = _compile(data, spec)
     _, s, _ = problem.evaluate(problem.canonical(params))
     return s[problem.perm]
 
 
 def fisher_info(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Expected information matrix at ``params``."""
-    problem = _Problem(data, spec)
+    problem = _compile(data, spec)
     _, _, info = problem.evaluate(problem.canonical(params))
     return info[np.ix_(problem.perm, problem.perm)]
 
 
 def category_probabilities(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
-    """Category probabilities (n, k) at ``params`` in the original labels."""
-    problem = _Problem(data, spec)
-    theta = problem.canonical(params)
-    out = np.empty((data.n, data.k))
-    for rows in problem.blocks:
-        probs = problem.probabilities(theta, rows)[0]
-        out[rows] = (probs[::-1] if problem.reverse else probs).T
-    return out
+    """Category probabilities (n, k) at ``params`` in the original labels,
+    the design learned on ``data``: the probabilities of a spec that no fit
+    froze, as simulate_dataset draws from. A fitted model's probabilities
+    on new rows are predict's."""
+    return _compile(data, spec).category_probabilities(params)
+
+
+def predict(result: FitResult, columns: dict) -> np.ndarray:
+    """Category probabilities (n, k) of a fitted model at the covariate
+    ``columns`` (a dict of raw columns by variable name), in the original
+    labels.
+
+    The design is ``result.layout`` frozen, built by
+    design.design_columns: the training data's factor levels, knots and
+    smooth-term means are reused, never learned on ``columns``. A smooth
+    term clamps to its boundary value outside the training range; a
+    categorical value outside the training levels, or a variable the fit
+    reads and ``columns`` lack, is a DataError naming it. Cumulative
+    thresholds can still cross at covariates beyond the training rows,
+    which raises ThresholdOrderError. On the training columns it is
+    category_probabilities(result.params, data, result.spec), bit for bit.
+    """
+    layout = result.layout
+    rows = columns_dataset(layout.x_cols + layout.z_cols, columns, layout.k)
+    problem = _Problem(frozen_design(layout, rows), result.spec.family, rows.y)
+    return problem.category_probabilities(result.params)
 
 
 def fit(
@@ -752,14 +803,14 @@ def fit(
     test, the next step and the covariance.
     """
     _check_categories(data)
-    problem = _Problem(data, spec)
+    problem = _compile(data, spec)
     layout = problem.layout
 
     if start is not None:
-        theta = np.asarray(start, dtype=float)
-        if theta.shape != (layout.n_params,):
-            raise StartError(f"start has {theta.shape} entries, expected {layout.n_params}")
-        theta = theta[problem.perm]
+        try:
+            theta = problem.canonical(start)
+        except (SpecError, InvalidInputError) as exc:
+            raise StartError(f"start: {exc}") from exc
         try:
             deviance, s, info = problem.evaluate(theta)
         except ThresholdOrderError as exc:
@@ -857,15 +908,13 @@ def standard_errors(result: FitResult) -> np.ndarray:
 def smooth_values(result: FitResult, side: str, name: str, grid) -> np.ndarray:
     """Fitted smooth f(grid) for one term, centered over the sample.
 
-    The term's columns in ``result.layout`` carry its frozen basis and the
-    training means removed from it, so any grid is evaluated as fitted.
+    The term's columns of ``result.layout`` are built on ``grid`` by
+    design.design_columns, as the fit built them: the frozen basis, clamped
+    outside the training range, less the training means.
     """
-    from .splines import bspline_basis
-
     found = _smooth_columns(result.layout, side, name)
     if not found:
         raise SpecError(f"no {side} smooth for variable {name!r}")
     index, cols = zip(*found)
-    basis_matrix = bspline_basis(np.asarray(grid, dtype=float), cols[0].basis)
-    centered = basis_matrix[:, [c.basis_index - 1 for c in cols]] - [c.mean for c in cols]
-    return centered @ result.params[list(index)]
+    rows = columns_dataset(cols, {name: np.asarray(grid, dtype=float)}, result.k)
+    return design_columns(cols, rows) @ result.params[list(index)]

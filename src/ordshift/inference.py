@@ -247,12 +247,22 @@ class StarPoint:
     disp_hi: float
 
 
+def _exp(value: float) -> float:
+    """e^value, inf where it overflows."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
 def star_data(result: FitResult, level: float = 0.95):
     """(e^alpha, e^beta) star points for variables with both effects.
 
-    Columns lacking one of the two effects (or whose standard errors are
-    unavailable) are excluded with a warning; the plot is only meaningful
-    for dual-effect variables.
+    Columns lacking one of the two effects, whose standard errors are
+    unavailable, or whose interval ends are not finite and positive in
+    floating point (e^x overflowing or underflowing to 0) are excluded with
+    a warning that names them; the plot is only meaningful for dual-effect
+    variables.
     """
     if not 0.0 < level < 1.0:
         raise InvalidInputError(f"level must be in (0,1), got {level}")
@@ -274,17 +284,13 @@ def star_data(result: FitResult, level: float = 0.95):
             warnings.warn(f"{name!r} has no available standard errors; excluded from star data")
             continue
         b, a = float(result.params[li]), float(result.params[di])
-        points.append(
-            StarPoint(
-                variable=name,
-                loc=math.exp(b),
-                loc_lo=math.exp(b - zq * se[li]),
-                loc_hi=math.exp(b + zq * se[li]),
-                disp=math.exp(a),
-                disp_lo=math.exp(a - zq * se[di]),
-                disp_hi=math.exp(a + zq * se[di]),
-            )
-        )
+        loc = [_exp(b), _exp(b - zq * se[li]), _exp(b + zq * se[li])]
+        disp = [_exp(a), _exp(a - zq * se[di]), _exp(a + zq * se[di])]
+        if not all(0.0 < v < math.inf for v in loc + disp):
+            warnings.warn(f"{name!r} has a confidence interval beyond the floating-point "
+                          "range; excluded from star data")
+            continue
+        points.append(StarPoint(name, *loc, *disp))
     for name in z_linear:
         if name not in x_linear:
             warnings.warn(f"{name!r} has only a dispersion effect; excluded from star data")

@@ -125,9 +125,9 @@ def nelder_mead_loglik(data, spec, start):
     from scipy.optimize import minimize
 
     from ordshift.exceptions import ThresholdOrderError
-    from ordshift.fit import _Problem
+    from ordshift.fit import _compile
 
-    problem = _Problem(data, spec)
+    problem = _compile(data, spec)
 
     def objective(theta):
         try:

@@ -21,6 +21,7 @@ NOT_EXPORTED = (
     "category_probs_cumulative",
     "category_probs_adjacent",
     "scaling_factor",
+    "category_probabilities",
 )
 # xml.sax.saxutils, imported once for its escape(), pulled in all of these
 NETWORK_STACK = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")

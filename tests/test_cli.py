@@ -16,6 +16,7 @@ import sys
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from ordshift import cli
@@ -94,6 +95,27 @@ class TestEndToEnd:
         labels = {e.text for e in root.iter(f"{SVG_NS}text") if e.get("class") == "star-label"}
         assert len(stars) == 3
         assert labels == {"age", "groupb", "groupc"}
+
+    def test_star_with_interval_beyond_float_range(self, tmp_path):
+        # g's responses are 3 or 4 whatever v is, and its SEs are about 1e3
+        # on both sides: e^(b + z se) overflows, so g is left out by name
+        rng = np.random.default_rng(3)
+        n = 120
+        v = rng.normal(size=n)
+        g = (rng.random(n) < 0.3).astype(int)
+        y = 1 + ((v + rng.logistic(size=n))[:, None] > [-1.0, 0.0, 1.0]).sum(axis=1)
+        y[g == 1] = rng.integers(3, 5, size=g.sum())
+        csv = tmp_path / "wide.csv"
+        csv.write_text("y,v,g\n" + "".join(f"{a},{b!r},{c}\n" for a, b, c in zip(y, v.tolist(), g)))
+        star = tmp_path / "star.svg"
+        proc = run_cli("--data", str(csv), "--formula", "y ~ v + g | v + g",
+                       "--structure", "locshift", "--star", str(star))
+        assert proc.returncode == 0, proc.stderr
+        assert "'g' has a confidence interval beyond the floating-point range" in proc.stderr
+        root = ET.parse(star).getroot()
+        assert [e.text for e in root.iter(f"{SVG_NS}text") if e.get("class") == "star-label"] == ["v"]
+        text = star.read_text()
+        assert "inf" not in text and "nan" not in text
 
     def test_byte_stable_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -131,10 +131,6 @@ class TestOrdinalDataset:
         with pytest.raises(DataError, match=r"response index 2: value 7; .*1\.\.4$"):
             OrdinalDataset(y=np.array([1, 4, 7, 0]), k=4, columns={})
 
-    def test_relabeled_flips(self):
-        data = OrdinalDataset(y=np.array([1, 2, 4]), k=4, columns={})
-        assert data.relabeled().y.tolist() == [4, 3, 1]
-
     def test_level_codes(self):
         g = np.array(["b", "a", "c", "a"], dtype=object)
         data = OrdinalDataset(y=[1, 2, 3, 1], k=3, columns={"g": g},
@@ -142,8 +138,8 @@ class TestOrdinalDataset:
         assert data.level_codes("g").tolist() == [1, 0, -1, 0]  # c is not a level
 
     def test_level_codes_computed_once_per_dataset(self, monkeypatch):
-        # a reverse fit relabels the data and expands g on both sides: one
-        # coding of the column serves all of it
+        # a reverse fit relabels the responses and expands g on both sides:
+        # one coding of the column serves all of it
         data_module = importlib.import_module("ordshift.data")
         calls = []
 
@@ -162,7 +158,6 @@ class TestOrdinalDataset:
         fit(spec, data)
         fit(spec.with_structure("global"), data)
         assert calls == [("u", "v", "w")]
-        assert data.relabeled().level_codes("g") is data.level_codes("g")
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):

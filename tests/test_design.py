@@ -5,17 +5,16 @@ import pytest
 
 from helpers import kernel_predictors, random_dataset
 
-from ordshift.data import OrdinalDataset, level_codes
+from ordshift.data import OrdinalDataset
 from ordshift.design import (
     ModelSpec,
     Term,
-    _dummies,
     build_design_tensor,
     constraint_map,
     expand_design,
 )
 from ordshift.exceptions import DataError, SpecError
-from ordshift.fit import _Problem, fit, log_likelihood, smooth_values
+from ordshift.fit import _compile, fit, log_likelihood, smooth_values
 from ordshift.links import Family
 from ordshift.splines import bspline_basis
 
@@ -30,9 +29,11 @@ def _dataset_with(columns, k=4, y=None, categorical=None):
 
 
 def dummy_block(values, levels, name="variable"):
-    """Dummy block as expand_design builds it: the level codes of the data
-    module, then design._dummies."""
-    return _dummies(level_codes(values, levels), values, levels, name)
+    """Dummy block as expand_design builds it: the levels learned from the
+    dataset, then design_columns from its kept level codes."""
+    data = OrdinalDataset(y=np.ones(len(values), dtype=int), k=2, columns={name: values},
+                          categorical_levels={name: levels})
+    return expand_design(data, ModelSpec(Family("cumulative"), "global", (Term(name),))).X
 
 
 def _loop_dummies(values, levels):
@@ -167,7 +168,7 @@ class TestDesignRows:
             D, layout = build_design_tensor(design, s), design.layout
             assert D.shape == (20, 4, layout.n_params)
             theta = rng.normal(size=layout.n_params)
-            eta = kernel_predictors(_Problem(data, s), theta)
+            eta = kernel_predictors(_compile(data, s), theta)
             for i in range(0, 20, 7):
                 assert D[i] @ theta == pytest.approx(eta[:, i], abs=1e-14)
 

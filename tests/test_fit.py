@@ -4,6 +4,7 @@ import functools
 import importlib
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from helpers import (
 from ordshift.data import OrdinalDataset
 from ordshift.design import ExpandedDesign, ModelSpec, Term, build_design_tensor, expand_design
 from ordshift.exceptions import (
+    DataError,
+    InvalidInputError,
     SeparationWarning,
     SpecError,
     StartError,
@@ -32,16 +35,20 @@ from ordshift.exceptions import (
 )
 from ordshift.fit import (
     WEIGHT_FLOOR,
+    _compile,
     _Problem,
     category_probabilities,
     fisher_info,
     fit,
     log_likelihood,
+    predict,
     score,
     smooth_values,
     standard_errors,
 )
 from ordshift.links import Family, category_probs, logistic
+from ordshift.simulate import simulate_dataset
+from ordshift.splines import bspline_basis
 
 CUM = Family("cumulative")
 ADJ = Family("adjacent")
@@ -144,7 +151,7 @@ class TestScore:
         y = rng.integers(1, 4, size=n)
         y[:3] = [1, 2, 3]
         data = OrdinalDataset(y=y, k=3, columns={"z": rng.normal(size=n)})
-        problem = _Problem(data, ModelSpec(CUM, "locshift", (), (Term("z"),)))
+        problem = _compile(data, ModelSpec(CUM, "locshift", (), (Term("z"),)))
         problem.w = np.zeros(2)
         _, s, info = problem.evaluate(np.array([-0.3, 0.4, 1.7]))
         assert s[2] == 0.0
@@ -220,7 +227,7 @@ class TestFisherInfo:
             w = delta.T @ np.linalg.solve(sigma, delta)
             expected += D[i].T @ w @ D[i]
         assert fisher_info(params, data, spec) == pytest.approx(expected, rel=1e-8)
-        problem = _Problem(data, spec)
+        problem = _compile(data, spec)
         assert kernel_predictors(problem, params).T == pytest.approx(eta, rel=1e-12)
         _, _, info = problem.evaluate(params)
         assert info == pytest.approx(expected, rel=1e-8)
@@ -233,13 +240,14 @@ def _dense_score_info(problem, theta):
     with the (n, k-1, n_params) design tensor: score sum_i D_i' A[i, y_i] and
     information sum_i D_i' (sum_c pi_c A_c A_c') D_i.
     """
-    D = build_design_tensor(ExpandedDesign(problem.X, problem.Z, problem.layout), problem.spec)
+    spec = ModelSpec(problem.family, problem.layout.structure)
+    D = build_design_tensor(ExpandedDesign(problem.X, problem.Z, problem.layout), spec)
     eta = D @ theta
-    probs = category_probs(problem.spec.family, eta.T).T
+    probs = category_probs(problem.family, eta.T).T
     n, k = probs.shape
     q = k - 1
     A = np.zeros((n, k, q))
-    if problem.spec.family.kind == "cumulative":
+    if problem.family.kind == "cumulative":
         f = logistic_density(eta)
         floored = np.maximum(probs, WEIGHT_FLOOR)
         for r in range(q):
@@ -314,7 +322,7 @@ class TestKernelParity:
         terms = (Term("v1"), Term("v2"))
         spec = ModelSpec(Family(kind), structure, terms,
                          terms[1:] if structure == "locshift" else ())
-        problem = _Problem(data, spec)
+        problem = _compile(data, spec)
         theta = np.zeros(problem.layout.n_params)
         theta[:k - 1] = [-1.0, 0.0, 1.0] if kind == "cumulative" else 0.2
         sign = -1.0 if kind == "cumulative" else 1.0  # toward category k at v1 = 40
@@ -336,13 +344,13 @@ class TestKernelParity:
         rng = _case_rng("blocks", kind, reverse, structure)
         data, base, _ = random_dataset(rng, n=60, k=5, family=Family(kind))
         spec = ModelSpec(Family(kind, reverse), structure, base.location, base.dispersion)
-        blocks = _Problem(data, spec).blocks
+        blocks = _compile(data, spec).blocks
         assert [b.stop - b.start for b in blocks] == [7] * 8 + [4]
         self._check(rng, data, spec)
 
     @classmethod
     def _check(cls, rng, data, spec):
-        problem = _Problem(data, spec)
+        problem = _compile(data, spec)
         # canonical parameters are feasible exactly when they are feasible
         # for the forward spec on the original data (only eta's order counts)
         forward = ModelSpec(Family(spec.family.kind), spec.structure, spec.location,
@@ -478,10 +486,10 @@ class TestRowBlocks:
         data, base, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
         spec = ModelSpec(Family(kind, reverse), structure, base.location, base.dispersion)
         whole = fit(spec, data)
-        assert len(_Problem(data, spec).blocks) == 1
+        assert len(_compile(data, spec).blocks) == 1
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)  # 9 blocks of 16 and one of 6
         blocked = fit(spec, data)
-        assert len(_Problem(data, spec).blocks) == 10
+        assert len(_compile(data, spec).blocks) == 10
         assert blocked.iterations == whole.iterations
         assert blocked.converged == whole.converged
         # the reverse cumulative catspec case stops without converging (an
@@ -501,7 +509,7 @@ class TestRowBlocks:
         rng = _case_rng("products", kind, p)
         data, base, _ = random_dataset(rng, n=150, k=5, n_cov=p, family=Family(kind))
         spec = base.with_structure("catspec")
-        whole = _Problem(data, spec)
+        whole = _compile(data, spec)
         theta = feasible_params(rng, whole.layout, spec, data, scale=0.1)
         expected = whole.evaluate(theta)
         # a one-block problem holds every row's products, [1, x] first, and
@@ -514,7 +522,7 @@ class TestRowBlocks:
         assert np.array_equal(whole._products.T, products)
         assert np.array_equal(whole.X, expand_design(data, spec).X)
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
-        blocked = _Problem(data, spec)
+        blocked = _compile(data, spec)
         assert len(blocked.blocks) == 10
         assert blocked._products.shape == ((p + 1) * (p + 2) // 2, 16)
         for new, old in zip(blocked.evaluate(theta), expected):
@@ -527,7 +535,7 @@ class TestRowBlocks:
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
         rng = np.random.default_rng(91)
         data, spec, params = random_dataset(rng, n=40, k=5)
-        problem = _Problem(data, spec)
+        problem = _compile(data, spec)
         eta = kernel_predictors(problem, params)
         for rows in problem.blocks:
             expected = logistic_density(eta[:, rows])
@@ -549,7 +557,7 @@ class TestRowBlocks:
         with pytest.raises(StartError) as whole:
             fit(spec, data, start=start)
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 8)
-        problem = _Problem(data, spec)
+        problem = _compile(data, spec)
         assert len(problem.blocks) == 5
         eta = kernel_predictors(problem, np.array(start))
         category_probs(CUM, eta[:, :32])  # the first four blocks are feasible
@@ -597,7 +605,7 @@ class TestRowBlocks:
         assert cut and min(cut) < 32  # one passed the bound before the last block
 
         def fresh_scratch(self, theta, bound=np.inf):
-            vars(self).update(vars(_Problem(data, spec)))
+            vars(self).update(vars(_compile(data, spec)))
             return evaluate(self, theta, bound)
 
         monkeypatch.setattr(_Problem, "evaluate", fresh_scratch)
@@ -652,7 +660,7 @@ class TestWorkspaces:
         y = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, n - k)])
         data = OrdinalDataset(y=y, k=k, columns=columns)
         spec = ModelSpec(Family(kind), "locshift", (Term("x"), Term("z")), (Term("z"),))
-        problem = _Problem(data, spec)
+        problem = _compile(data, spec)
         theta = problem.initial_params()
         step = np.zeros_like(theta)
         step[problem.layout.location] = [0.3, -0.2]
@@ -703,7 +711,7 @@ class TestWorkspaces:
         rng = _case_rng("bound", kind, structure, block_rows)
         data, base, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
         spec = base.with_structure(structure)
-        problem = _Problem(data, spec)
+        problem = _compile(data, spec)
         theta = feasible_params(rng, problem.layout, spec, data, scale=0.1)
         deviance, s, info = problem.evaluate(theta)
         assert deviance == -2.0 * problem.loglik(theta)[0]
@@ -729,7 +737,7 @@ class TestShapeConstants:
     def test_same_shape_shares_read_only_constants(self, kind, structure):
         rng = _case_rng("constants", kind, structure)
         first, second = (
-            _Problem(data, base.with_structure(structure))
+            _compile(data, base.with_structure(structure))
             for data, base, _ in (random_dataset(rng, n=n, k=5, family=Family(kind))
                                   for n in (40, 60))
         )
@@ -761,7 +769,7 @@ class TestShapeConstants:
                         spec = ModelSpec(Family(kind, reverse), structure,
                                          base.location, base.dispersion)
                         for _ in range(2):
-                            problem = _Problem(data, spec)
+                            problem = _compile(data, spec)
                             problem.evaluate(problem.initial_params())
         # information triangles of 6 to 12 parameters, the category-specific
         # products of [1, x] and the adjacent threshold pairs
@@ -924,15 +932,13 @@ class TestFit:
         result = fit(catspec, data, start=_catspec_start(locshift, catspec))
         assert not result.converged
         assert result.warnings == ["did not converge", "stopped at the threshold-order boundary"]
-        problem = _Problem(data, catspec)
+        problem = _compile(data, catspec)
         gaps = np.diff(kernel_predictors(problem, problem.canonical(result.params)), axis=0)
         assert -1e-12 <= gaps.min() < 1e-9
         worst = np.max(np.abs(score(result.params, data, catspec)))
         assert worst > 10 * FIT_MODULE.SCORE_TOL * (1.0 + abs(result.loglik))
 
     def test_unobserved_category_rejected(self):
-        from ordshift.exceptions import DataError
-
         y = np.array([1, 1, 2, 2, 4, 4])  # category 3 empty
         data = OrdinalDataset(y=y, k=4, columns={})
         with pytest.raises(DataError, match="merge"):
@@ -942,6 +948,22 @@ class TestFit:
         data = _counts_data([10, 20, 30])
         with pytest.raises(StartError):
             fit(_intercept_spec(), data, start=[1.0, -1.0])
+
+    def test_non_finite_parameter_named_where_it_enters(self):
+        # one check, where a parameter vector becomes canonical, names the
+        # first non-finite entry instead of the kernel's "eta must be finite"
+        rng = np.random.default_rng(21)
+        data, spec, params = random_dataset(rng, n=60, k=4)
+        with pytest.raises(StartError, match=r"parameter 0 \(\(Intercept\):1\) is not finite: nan"):
+            fit(spec, data, start=[np.nan] * 7)
+        bad = params.copy()
+        bad[4] = np.inf
+        for public in (log_likelihood, score, fisher_info, category_probabilities):
+            with pytest.raises(InvalidInputError, match=r"parameter 4 \(v2\) is not finite: inf"):
+                public(bad, data, spec)
+        reverse = replace(spec, family=Family("cumulative", reverse=True))
+        with pytest.raises(InvalidInputError, match=r"parameter 4 \(v2\)"):
+            log_likelihood(bad, data, reverse)
 
     def test_separation_warning(self):
         x = np.concatenate([np.linspace(-3, -1, 25), np.linspace(1, 3, 25)])
@@ -1082,8 +1104,6 @@ class TestSmoothFit:
         rng = np.random.default_rng(19)
         n = 600
         x = rng.uniform(-2, 2, size=n)
-        from ordshift.simulate import simulate_dataset
-
         true_spec = ModelSpec(CUM, "global", (Term("x"),))
         params = np.concatenate([[-1.0, 0.0, 1.0], [0.9]])
         data = simulate_dataset(true_spec, params, {"x": x}, 4, rng)
@@ -1096,3 +1116,65 @@ class TestSmoothFit:
         line = slope * grid + intercept
         assert np.max(np.abs(fitted - line)) < 0.25
         assert slope == pytest.approx(0.9, abs=0.15)
+
+
+class TestPredict:
+    @staticmethod
+    def _smooth_fit():
+        """Cumulative global s(x, 6) fitted on x ~ U(-2, 2), n=300."""
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-2.0, 2.0, size=300)
+        true_spec = ModelSpec(CUM, "global", (Term("u"),))
+        data = simulate_dataset(true_spec, [-1.0, 0.0, 1.0, 1.0], {"u": np.sin(1.5 * x), "x": x},
+                                4, rng)
+        spec = ModelSpec(CUM, "global", (Term("x", smooth=True, n_basis=6),))
+        return fit(spec, data), data, spec
+
+    def test_frozen_basis_on_a_grid_and_on_new_rows(self):
+        # four points cannot hold six knots: a design learned on them fails,
+        # the fitted layout applied to them does not; on new rows inside the
+        # training range it is the hand-built frozen basis less the training
+        # means, and beyond that range the basis clamps
+        result, data, spec = self._smooth_fit()
+        grid = {"x": np.array([-1.5, -0.5, 0.5, 1.5])}
+        with pytest.raises(SpecError, match="distinct values"):
+            category_probabilities(result.params, OrdinalDataset(np.ones(4, int), 4, grid), spec)
+        probs = predict(result, grid)
+        assert probs.shape == (4, 4)
+        assert np.allclose(probs.sum(axis=1), 1.0)
+
+        new = np.random.default_rng(1).uniform(0.0, 2.0, size=400)
+        cols = result.layout.x_cols
+        basis = bspline_basis(new, cols[0].basis)[:, :5] - [c.mean for c in cols]
+        eta = result.params[:3][None, :] + (basis @ result.params[3:])[:, None]
+        cdf = np.column_stack([np.zeros(400), logistic(eta), np.ones(400)])
+        assert np.max(np.abs(predict(result, {"x": new}) - np.diff(cdf, axis=1))) < 1e-12
+        lo, hi = cols[0].basis.lo, cols[0].basis.hi
+        assert np.array_equal(predict(result, {"x": np.array([lo - 3.0, hi + 3.0])}),
+                              predict(result, {"x": np.array([lo, hi])}))
+
+    def test_training_columns_reproduce_category_probabilities(self):
+        result, data, spec = self._smooth_fit()
+        assert np.array_equal(predict(result, data.columns),
+                              category_probabilities(result.params, data, spec))
+
+    def test_frozen_levels(self):
+        # levels are the training data's: a new column holding only some of
+        # them keeps the full dummy block, an unseen one is named, a missing
+        # variable is named, and a column the fit does not read is ignored
+        rng = np.random.default_rng(4)
+        g = rng.choice(np.array(["a", "b", "c"], dtype=object), size=90)
+        x = rng.normal(size=90)
+        y = rng.integers(1, 4, size=90)
+        y[:3] = [1, 2, 3]
+        data = OrdinalDataset(y=y, k=3, columns={"g": g, "x": x},
+                              categorical_levels={"g": ("a", "b", "c")})
+        result = fit(ModelSpec(ADJ, "locshift", (Term("g"), Term("x")), (Term("g"),)), data)
+        full = predict(result, data.columns)
+        rows = np.flatnonzero(g == "c")[:2]
+        subset = {"g": g[rows], "x": x[rows], "other": np.array(["z", "z"], dtype=object)}
+        assert predict(result, subset) == pytest.approx(full[rows], abs=1e-14)
+        with pytest.raises(DataError, match=r"variable 'g': unseen level 'd'"):
+            predict(result, {"g": np.array(["a", "d"], dtype=object), "x": np.zeros(2)})
+        with pytest.raises(DataError, match=r"variable 'x' not present"):
+            predict(result, {"g": np.array(["a"], dtype=object)})

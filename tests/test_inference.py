@@ -25,6 +25,7 @@ from ordshift.inference import (
 )
 from ordshift.links import Family, scaling_factors
 from ordshift.simulate import simulate_dataset
+from ordshift.svgplot import render_star_svg
 
 CUM = Family("cumulative")
 
@@ -438,6 +439,24 @@ class TestStarData:
         with pytest.warns(UserWarning, match="only a location effect"):
             points = star_data(result)
         assert [p.variable for p in points] == ["v1"]
+
+    def test_interval_beyond_float_range_excluded_with_notice(self):
+        # v1's upper location end overflows e^x, v2's lower one underflows
+        # to 0.0: neither can be drawn on a log axis, so both are excluded
+        # by name and the plot of what is left has finite coordinates
+        result = self._dual_fit()
+        layout, cov = result.layout, result.covariance
+        v1, v2 = layout.location_index("v1"), layout.location_index("v2")
+        result.params[v1], cov[v1, v1] = 0.0, 400.0**2
+        result.params[v2], cov[v2, v2] = -400.0, 200.0**2
+        with pytest.warns(UserWarning) as caught:
+            points = star_data(result)
+        assert points == []
+        assert [str(w.message) for w in caught] == [
+            f"{name!r} has a confidence interval beyond the floating-point range; "
+            "excluded from star data" for name in ("v1", "v2")]
+        svg = render_star_svg(points)
+        assert "inf" not in svg and "nan" not in svg
 
     def test_requires_locshift(self):
         rng = np.random.default_rng(11)
