@@ -95,71 +95,126 @@ def _check_categories(data: OrdinalDataset) -> None:
         )
 
 
-def _frozen(*arrays) -> tuple:
-    """The constants, their arrays made read-only: a memo's constants are
-    shared by every problem of their shape, so none may be written through."""
-    for array in arrays:
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
-    return arrays
+def _unread() -> np.ndarray:
+    """The value of a _Shape field that its shape never reads."""
+    return np.empty(0)
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """The constants of a compiled problem and of its weights helper: what
+    depends on the problem's shape alone, (family kind, structure, k, p, m,
+    orientation), and never on its data. _shape makes one per shape in a
+    process, and every problem of that shape and its helper read it; each
+    array is read-only, so none may be written through. A field that the
+    shape's structure or family never reads is empty."""
+
+    # the self-inverse map between reported and canonical parameter order:
+    # the identity for forward specs; the intercepts, and the
+    # category-specific threshold blocks, reversed for reverse specs
+    perm: np.ndarray
+    w: np.ndarray  # scaling weights of the canonical family
+    # the threshold pairs r <= s, as rows and columns, where a family's
+    # per-observation information W_i[r, s] can be nonzero: the diagonal and
+    # then the upper band of the cumulative family's tridiagonal W_i, and
+    # every pair, row-major, of the adjacent family's
+    pair_rows: np.ndarray
+    pair_cols: np.ndarray
+    categories: np.ndarray  # 0..k-1 as a column, for the response masks
+    # global and location-shift: the flat indices of the information's strict
+    # upper triangle and of its mirror image below the diagonal, and of the
+    # intercept block's cells (r, s) of the threshold pairs
+    upper: np.ndarray = field(default_factory=_unread)
+    lower: np.ndarray = field(default_factory=_unread)
+    pair_cells: np.ndarray = field(default_factory=_unread)
+    # category-specific (see _Problem): (j, run of product rows) of each
+    # column j >= 1 of [1, x], the shape of the summed pair products, the
+    # flat index into those sums (and one zero after them) of each
+    # information cell, and the flat index into the (k-1, p+1) score sums of
+    # each score entry
+    runs: tuple = ()
+    pair_shape: tuple = ()
+    info_index: np.ndarray = field(default_factory=_unread)
+    score_index: np.ndarray = field(default_factory=_unread)
+    # global and location-shift, cumulative (_Tridiagonal): the matrices
+    # taking the stacked bands [d; o] to W_i 1 and W_i w
+    expand: np.ndarray = field(default_factory=_unread)
+    # global and location-shift: the rows taking the helper's stacked
+    # products to the quadratic forms 1'W 1, 1'W w and w'W w (1'W 1 alone
+    # for an adjacent shape without dispersion terms)
+    quadratic: np.ndarray = field(default_factory=_unread)
+    # adjacent (_Semiseparable): the flat indices of the threshold pairs in a
+    # (k-1, k-1) array, the triangular 0/1 matrices taking the probabilities
+    # to B and A and, for global and location-shift problems, the stacked
+    # triangular matrices prefix[r, s] = v_s [s <= r] and
+    # suffix[r, s] = v_s [s > r] of v = 1 and, with dispersion terms, v = w
+    pair_index: np.ndarray = field(default_factory=_unread)
+    below_of: np.ndarray = field(default_factory=_unread)
+    above_of: np.ndarray = field(default_factory=_unread)
+    prefix: np.ndarray = field(default_factory=_unread)
+    suffix: np.ndarray = field(default_factory=_unread)
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 @functools.cache
-def _triangle(size: int):
-    """Row and column indices of the upper triangle of a (size, size) array,
-    diagonal included, row-major: np.triu_indices, made once per size in a
-    process."""
-    return _frozen(*np.triu_indices(size))
-
-
-@functools.cache
-def _threshold_pairs(kind: str, q: int):
-    """The threshold pairs r <= s, as rows and columns, where a family's
-    per-observation information W_i[r, s] can be nonzero: the diagonal and
-    then the upper band of the cumulative family's tridiagonal W_i, and
-    every pair, row-major, of the adjacent family's."""
-    if kind == "adjacent":
-        return _triangle(q)
-    index = np.arange(q)
-    return _frozen(np.concatenate([index, index[:-1]]), np.concatenate([index, index[1:]]))
-
-
-@functools.cache
-def _problem_constants(kind: str, structure: str, k: int, p: int, m: int, reverse: bool):
-    """The constants of a compiled problem, which depend on its shape alone:
-    made once per shape in a process and shared, read-only, by every problem
-    of that shape. A tuple of
-
-    - the self-inverse map between reported and canonical parameter order
-      (the identity for forward specs; see _reverse_permutation);
-    - global and location-shift: the flat indices of the information's
-      strict upper triangle and of its mirror image below the diagonal, and
-      of the intercept block's cells (r, s) of the family's threshold pairs
-      (_threshold_pairs);
-    - category-specific: (j, run of product rows) of each column j >= 1 of
-      [1, x] (see _Problem), the shape of the summed pair products, the flat
-      index into those sums (and one zero after them) of each information
-      cell, and the flat index into the (k-1, p+1) score sums of each score
-      entry.
-
-    Entries a structure does not use are None.
-    """
+def _shape(kind: str, structure: str, k: int, p: int, m: int, reverse: bool) -> _Shape:
+    """The one _Shape of a problem shape, made at its first problem."""
     q = k - 1
-    if structure != "catspec":
-        size = q + p + m
-        perm = _reverse_permutation(structure, q, p, size) if reverse else np.arange(size)
-        rows, cols = _triangle(size)
-        strict = rows < cols
-        rows, cols = rows[strict], cols[strict]
-        pair_rows, pair_cols = _threshold_pairs(kind, q)
-        return _frozen(perm, rows * size + cols, cols * size + rows, pair_rows * size + pair_cols,
-                       None, None, None, None)
+    catspec = structure == "catspec"
+    size = q * (p + 1) if catspec else q + p + m
+    perm = np.arange(size)
+    if reverse:
+        perm[:q] = np.arange(q)[::-1]
+        if catspec:
+            perm[q:] = np.arange(q, size).reshape(q, p)[::-1].ravel()
+    w = scaling_factors(Family(kind), k)
+    if kind == "adjacent":
+        pair_rows, pair_cols = np.triu_indices(q)
+    else:
+        index = np.arange(q)
+        pair_rows = np.concatenate([index, index[:-1]])
+        pair_cols = np.concatenate([index, index[1:]])
+    if catspec:
+        fields = _catspec_indices(q, p, pair_rows, pair_cols)
+    else:
+        rows, cols = np.triu_indices(size, 1)
+        fields = dict(upper=rows * size + cols, lower=cols * size + rows,
+                      pair_cells=pair_rows * size + pair_cols)
+    ones = np.ones(q)
+    if kind == "cumulative" and not catspec:
+        fields["expand"] = np.stack([_band_expansion(v) for v in (ones, w)])
+        fields["quadratic"] = np.array(
+            [_band_form(a, b) for a, b in ((ones, ones), (ones, w), (w, w))])
+    elif kind == "adjacent":
+        # below_of[r, c] = 1 when c <= r
+        below_of = np.tril(np.ones((q, q + 1)))
+        fields.update(pair_index=pair_rows * q + pair_cols, below_of=below_of,
+                      above_of=1.0 - below_of)
+        if not catspec:
+            zeros = np.zeros(q)
+            vectors = (ones, w) if m else (ones,)
+            upto = np.tril(np.ones((q, q)))
+            fields["prefix"] = np.stack([upto * v for v in vectors])
+            fields["suffix"] = np.stack([(1.0 - upto) * v for v in vectors])
+            fields["quadratic"] = (
+                np.array([np.r_[ones, zeros], np.r_[zeros, ones], np.r_[zeros, w]])
+                if m else ones[None, :])
+    return _Shape(perm=perm, w=w, pair_rows=pair_rows, pair_cols=pair_cols,
+                  categories=np.arange(k)[:, None], **fields)
+
+
+def _catspec_indices(q: int, p: int, pair_rows: np.ndarray, pair_cols: np.ndarray) -> dict:
+    """_Shape's category-specific fields: runs, pair_shape, info_index and
+    score_index."""
     p1, size = p + 1, q * (p + 1)
-    perm = _reverse_permutation(structure, q, p, size) if reverse else np.arange(size)
     # x~_j x~_l of x~ = [1, x] for j <= l, row-major over the upper
     # triangle: rows 0..p, (0, l), are x~ itself, and the pairs (j, l >= j)
     # of each j >= 1 are one run of rows after them
-    pair_j, pair_l = _triangle(p1)
+    pair_j, pair_l = np.triu_indices(p1)
     first = np.searchsorted(pair_j, np.arange(p + 2))
     runs = tuple((j, slice(first[j], first[j + 1])) for j in range(1, p1))
     # product row holding x~_j x~_l, for every (j, l)
@@ -172,15 +227,14 @@ def _problem_constants(kind: str, structure: str, k: int, p: int, m: int, revers
     # the (p+1, p+1) information block of threshold pair (r, s) and of
     # (s, r) is pair (r, s)'s triangle of sums mirrored; every other block
     # reads the zero after the sums
-    pair_rows, pair_cols = _threshold_pairs(kind, q)
-    pair_shape = (pair_rows.size, pair_j.size)
     entries = np.arange(pair_rows.size)[:, None, None] * pair_j.size + mirror
     blocks = np.full((q, q, p1, p1), pair_rows.size * pair_j.size, dtype=np.intp)
     blocks[pair_rows, pair_cols] = entries
     blocks[pair_cols, pair_rows] = entries
     info_index = np.empty((size, size), dtype=np.intp)
     info_index[np.ix_(slots, slots)] = blocks.transpose(0, 2, 1, 3).reshape(size, size)
-    return _frozen(perm, None, None, None, runs, pair_shape, info_index, np.argsort(slots))
+    return dict(runs=runs, pair_shape=(pair_rows.size, pair_j.size), info_index=info_index,
+                score_index=np.argsort(slots))
 
 
 class _Problem:
@@ -190,8 +244,8 @@ class _Problem:
     on new rows.
 
     Reverse specs are compiled on the relabeled response with the canonical
-    family; ``perm`` maps parameter vectors between the reported and the
-    canonical order (the identity for forward specs). Every design row of a
+    family; ``shape.perm`` maps parameter vectors between the reported and
+    the canonical order (the identity for forward specs). Every design row of a
     global or location-shift spec is D_i = [I | 1 x_i' | w z_i'], and row r of
     a category-specific spec holds [1, x_i'] in threshold r's slots, so the
     predictors, the score and the information are assembled from X, Z and the
@@ -201,14 +255,12 @@ class _Problem:
     bands for the cumulative family (_Tridiagonal), semiseparable factors for
     the adjacent family (_Semiseparable).
 
-    What a problem holds has three lifetimes. Per shape, the index maps and
-    matrices that depend only on (family kind, structure, k, p, m, reverse)
-    and the scaling weights: the parameter permutation, the information's
-    mirror indices, the category-specific slot and mirror maps, and the
-    weights helpers' band and triangular matrices. Each is made once per
-    shape in a process by a memo of read-only arrays (_problem_constants and
-    the helpers' own), keyed by those small ints and the weights, never by
-    data. Per problem, the data and the block scratch. Per block, nothing:
+    What a problem holds has three lifetimes. Per shape, (family kind,
+    structure, k, p, m, orientation): the parameter permutation, the scaling
+    weights w, the information's index maps and the weights helpers' band
+    and triangular matrices, one read-only _Shape shared by every problem of
+    that shape and made once per shape in a process by _shape. Per problem,
+    the data, the weights helper and the block scratch. Per block, nothing:
     every per-observation, per-threshold quantity is threshold-major, a
     (k-1, rows) or (k, rows) array of one block of BLOCK_ROWS rows (a single
     block when n <= BLOCK_ROWS) in block scratch allocated once per problem,
@@ -235,12 +287,9 @@ class _Problem:
             family = Family(family.kind, reverse=False)
         self.family = family
         self.X, self.Z = design.X, design.Z
-        self.w = scaling_factors(family, layout.k)
         self.location, self.dispersion = layout.location, layout.dispersion
-        self.constants = _problem_constants(
-            family.kind, layout.structure, layout.k, layout.p, layout.m, self.reverse)
-        (self.perm, self._upper, self._lower, self._pair_cells, self._runs, self._pair_shape,
-         self._info_index, self._score_index) = self.constants
+        self.shape = _shape(family.kind, layout.structure, layout.k, layout.p, layout.m,
+                            self.reverse)
         n = y.size
         self.blocks = [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
         self.cumulative = family.kind == "cumulative"
@@ -253,14 +302,14 @@ class _Problem:
         self._probs = np.empty((q + 1, width))
         self._own, self._logs = np.empty(width), np.empty(width)
         self._loaded = None  # first row of the block whose data-only scratch is filled
-        self._weights = None
         if self.catspec:
-            self._products = np.empty((self._pair_shape[1], width))
+            self._products = np.empty((self.shape.pair_shape[1], width))
             self._products[0] = 1.0
         else:
             # c_i x_i' and c_i z_i' of one block, row-major, for the
             # information's X' (C X) products
             self._cX, self._cZ = np.empty((width, layout.p)), np.empty((width, layout.m))
+        self.weights = (_Tridiagonal if self.cumulative else _Semiseparable)(self)
 
     def canonical(self, params) -> np.ndarray:
         """``params``, in the reported order, as canonical theta: the one
@@ -273,7 +322,7 @@ class _Problem:
             j = bad[0]
             raise InvalidInputError(
                 f"parameter {j} ({self.layout.names[j]}) is not finite: {params[j]}")
-        return params[self.perm]
+        return params[self.shape.perm]
 
     def category_probabilities(self, params) -> np.ndarray:
         """(n, k) category probabilities at ``params``, in the original labels."""
@@ -310,7 +359,8 @@ class _Problem:
             np.add(theta[:q, None], self.X[rows] @ theta[self.location], out=out)
             if self.layout.m:
                 spread = self.Z[rows] @ theta[self.dispersion]
-                out += np.multiply(self.w[:, None], spread, out=self._probs[:q, :out.shape[1]])
+                w = self.shape.w[:, None]
+                out += np.multiply(w, spread, out=self._probs[:q, :out.shape[1]])
         return out
 
     def probabilities(self, theta: np.ndarray, rows: slice):
@@ -354,12 +404,6 @@ class _Problem:
             return True
         return False
 
-    def weights(self):
-        """The family's weights helper, compiled at the first call."""
-        if self._weights is None:
-            self._weights = (_Tridiagonal if self.cumulative else _Semiseparable)(self)
-        return self._weights
-
     def _load_data(self, rows: slice) -> None:
         """Fill the block scratch that depends on the data alone, the response
         mask and the category-specific products, unless it already holds this
@@ -367,12 +411,12 @@ class _Problem:
         if self._loaded == rows.start:
             return
         self._loaded = rows.start
-        self.weights().mask(self.y0[rows])
+        self.weights.mask(self.y0[rows])
         if self.catspec:
             p = self.layout.p
             products = self._products[:, :rows.stop - rows.start]
             products[1:p + 1] = self.X[rows].T
-            for j, run in self._runs:
+            for j, run in self.shape.runs:
                 np.multiply(products[j], products[j:p + 1], out=products[run])
 
     def evaluate(self, theta: np.ndarray, bound: float = np.inf):
@@ -408,15 +452,14 @@ class _Problem:
         (n, k-1, k-1) array is formed. Score and information are in
         canonical order.
         """
-        layout = self.layout
+        layout, shape, weights = self.layout, self.shape, self.weights
         q = layout.q
-        weights = self.weights()
         if self.catspec:
             p1 = layout.p + 1
             score_sum = np.zeros((q, p1))
             # the pair sums, and one zero that the information's empty blocks read
-            sums = np.zeros(self._pair_shape[0] * self._pair_shape[1] + 1)
-            pair_sum = sums[:-1].reshape(self._pair_shape)
+            sums = np.zeros(shape.pair_shape[0] * shape.pair_shape[1] + 1)
+            pair_sum = sums[:-1].reshape(shape.pair_shape)
         else:
             loc, disp, m = self.location, self.dispersion, layout.m
             s = np.zeros(layout.n_params)
@@ -440,7 +483,7 @@ class _Problem:
                 continue
             X, Z = self.X[rows], self.Z[rows]
             cX, cZ = self._cX[:own.size], self._cZ[:own.size]
-            flat[self._pair_cells] += weights.total()
+            flat[shape.pair_cells] += weights.total()
             # sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the quadratic
             # forms 1'W_i 1, 1'W_i w, w'W_i w of each row
             WX, WZ, forms = weights.forms(X, Z)
@@ -449,30 +492,14 @@ class _Problem:
             top_loc += WX
             loc_loc += X.T @ np.multiply(forms[0][:, None], X, out=cX)
             if m:
-                s_disp += Z.T @ (self.w @ u)
+                s_disp += Z.T @ (shape.w @ u)
                 top_disp += WZ
                 loc_disp += X.T @ np.multiply(forms[1][:, None], Z, out=cZ)
                 disp_disp += Z.T @ np.multiply(forms[2][:, None], Z, out=cZ)
         if self.catspec:
-            return -2.0 * loglik, score_sum.take(self._score_index), sums.take(self._info_index)
-        flat[self._lower] = flat[self._upper]
+            return -2.0 * loglik, score_sum.take(shape.score_index), sums.take(shape.info_index)
+        flat[shape.lower] = flat[shape.upper]
         return -2.0 * loglik, s, info
-
-
-@functools.cache
-def _band_constants(k: int, w: tuple, catspec: bool):
-    """_Tridiagonal's constants for k categories and scaling weights ``w``,
-    made once per (k, w, structure) in a process: the categories as a
-    column and, for global and location-shift problems, the matrices taking
-    the stacked bands [d; o] to W_i 1 and W_i w (expand) and to the
-    quadratic forms 1'W 1, 1'W w and w'W w (quadratic)."""
-    q = k - 1
-    expand = quadratic = None
-    if not catspec:
-        ones, w = np.ones(q), np.array(w)
-        expand = np.stack([_band_expansion(v) for v in (ones, w)])
-        quadratic = np.array([_band_form(a, b) for a, b in ((ones, ones), (ones, w), (w, w))])
-    return _frozen(np.arange(k)[:, None], expand, quadratic)
 
 
 class _Tridiagonal:
@@ -487,18 +514,17 @@ class _Tridiagonal:
     is u_ir = f_r S_ir / pi~_{y_i} with the response mask S_ir = [y_i = r] -
     [y_i = r + 1] (0-based categories): a_{y_i} at r = y_i and -b_{y_i - 1}
     at r = y_i - 1, zero elsewhere. mask() and load() rewrite the helper's
-    block scratch for the next block; its constants are _band_constants'.
+    block scratch for the next block; its constants are the problem's _Shape.
     """
 
     def __init__(self, problem: _Problem):
         layout = problem.layout
         q, k = layout.q, layout.k
         width = problem.blocks[0].stop
-        self.constants = _band_constants(k, tuple(problem.w.tolist()), problem.catspec)
-        self.categories, self.expand, self.quadratic = self.constants
         # the helper keeps what it reads of the problem, not the problem: a
         # reference back would make a cycle that holds the problem's block
         # scratch until the garbage collector runs
+        self.shape = problem.shape
         self.f, self.u = np.empty((q, width)), np.empty((q, width))
         self.g = np.empty((k, width))
         self.band = np.empty((2 * q - 1, width))  # d in rows 0..q-1, o after it
@@ -513,7 +539,7 @@ class _Tridiagonal:
     def mask(self, y0: np.ndarray) -> None:
         """Response mask S of the block whose 0-based responses are ``y0``."""
         nb = y0.size
-        is_y = np.equal(y0, self.categories, out=self.is_y[:, :nb]).view(np.int8)
+        is_y = np.equal(y0, self.shape.categories, out=self.is_y[:, :nb]).view(np.int8)
         np.subtract(is_y[:-1], is_y[1:], out=self.sign[:, :nb])
 
     def load(self, probs: np.ndarray, cdf: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -547,47 +573,19 @@ class _Tridiagonal:
     def forms(self, X: np.ndarray, Z: np.ndarray):
         """sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the (3, rows) quadratic
         forms of a block, from the two bands: W_i v is never formed."""
-        band = self.pairs()
-        forms = np.matmul(self.quadratic, band, out=self._forms[:, :band.shape[1]])
-        return self.expand[0] @ (band @ X), self.expand[1] @ (band @ Z), forms
+        band, shape = self.pairs(), self.shape
+        forms = np.matmul(shape.quadratic, band, out=self._forms[:, :band.shape[1]])
+        return shape.expand[0] @ (band @ X), shape.expand[1] @ (band @ Z), forms
 
     def total(self) -> np.ndarray:
         """sum_i W_i[r, s] of each pair (r, s) of the two bands, in the order
-        of _threshold_pairs."""
+        of the _Shape's threshold pairs."""
         return self.pairs().sum(axis=1)
 
     def pairs(self) -> np.ndarray:
-        """(pairs, rows) weights of the threshold pairs of _threshold_pairs:
-        the two bands."""
+        """(pairs, rows) weights of the _Shape's threshold pairs: the two
+        bands."""
         return self.band[:, :self.d.shape[1]]
-
-
-@functools.cache
-def _semiseparable_constants(k: int, w: tuple, dispersion: bool, catspec: bool):
-    """_Semiseparable's constants for k categories and scaling weights
-    ``w``, made once per (k, w, dispersion, structure) in a process: the
-    thresholds as a column, the flat indices of every threshold pair r <= s
-    (row-major) in a (k-1, k-1) array, the triangular 0/1 matrices taking
-    the probabilities to B and A and, for global and location-shift
-    problems, the stacked triangular matrices prefix[r, s] = v_s [s <= r]
-    and suffix[r, s] = v_s [s > r] of v = 1 and, with dispersion terms,
-    v = w, and the rows taking their stacked products to 1'W 1, 1'W w and
-    w'W w (quadratic)."""
-    q = k - 1
-    pair_rows, pair_cols = _threshold_pairs("adjacent", q)
-    # below_of[r, c] = 1 when c <= r
-    below_of = np.tril(np.ones((q, q + 1)))
-    prefix = suffix = quadratic = None
-    if not catspec:
-        ones, zeros, w = np.ones(q), np.zeros(q), np.array(w)
-        vectors = (ones, w) if dispersion else (ones,)
-        upto = np.tril(np.ones((q, q)))
-        prefix = np.stack([upto * v for v in vectors])
-        suffix = np.stack([(1.0 - upto) * v for v in vectors])
-        quadratic = (np.array([np.r_[ones, zeros], np.r_[zeros, ones], np.r_[zeros, w]])
-                     if dispersion else ones[None, :])
-    return _frozen(np.arange(q)[:, None], pair_rows * q + pair_cols, below_of, 1.0 - below_of,
-                   prefix, suffix, quadratic)
 
 
 class _Semiseparable:
@@ -597,38 +595,34 @@ class _Semiseparable:
     T_r = P(Y > r). Only B and A are stored, as (k-1, rows) products of
     triangular 0/1 matrices with the probabilities; the score is u_ir = B_r
     when y_i > r and -A_r otherwise, taken with the block's response mask.
-    Its constants are _semiseparable_constants'.
+    Its constants are the problem's _Shape.
     """
 
     def __init__(self, problem: _Problem):
-        layout = problem.layout
-        q = layout.q
+        q = problem.layout.q
         width = problem.blocks[0].stop
-        self.constants = _semiseparable_constants(
-            layout.k, tuple(problem.w.tolist()), bool(layout.m), problem.catspec)
-        (self.thresholds, self.pair_index, self.below_of, self.above_of,
-         self.prefix, self.suffix, self.quadratic) = self.constants
+        self.shape = shape = problem.shape
         self.below, self.above, self.u = (np.empty((q, width)) for _ in range(3))
         self.y_above = np.empty((q, width), dtype=bool)  # response mask of the score
         if problem.catspec:
-            self.pair_weights = np.empty((self.pair_index.size, width))
+            self.pair_weights = np.empty((shape.pair_rows.size, width))
             return
         # W_i 1 and, with dispersion terms, W_i w: one product for each of
         # the two sums with the stacked triangular matrices
-        self.products = np.empty((len(self.prefix), q, width))
+        self.products = np.empty((len(shape.prefix), q, width))
         self.product = np.empty_like(self.products)
-        self._forms = np.empty((len(self.quadratic), width))
+        self._forms = np.empty((len(shape.quadratic), width))
 
     def mask(self, y0: np.ndarray) -> None:
         """Response mask [y_i > r] of the block whose 0-based responses are ``y0``."""
-        np.greater(y0, self.thresholds, out=self.y_above[:, :y0.size])
+        np.greater(y0, self.shape.categories[:-1], out=self.y_above[:, :y0.size])
 
     def load(self, probs: np.ndarray, cdf, own) -> np.ndarray:
         """B and A of a block from its probabilities, after mask(); returns
         its (k-1, rows) score."""
         nb = probs.shape[1]
-        B = np.matmul(self.below_of, probs, out=self.below[:, :nb])
-        A = np.matmul(self.above_of, probs, out=self.above[:, :nb])
+        B = np.matmul(self.shape.below_of, probs, out=self.below[:, :nb])
+        A = np.matmul(self.shape.above_of, probs, out=self.above[:, :nb])
         self.B, self.A = B, A
         u = np.negative(A, out=self.u[:, :nb])
         np.copyto(u, B, where=self.y_above[:, :nb])
@@ -639,21 +633,21 @@ class _Semiseparable:
         forms of a block. W_i 1 and W_i w are each a prefix and a suffix sum,
         one product with a triangular matrix apiece:
         (W v)_r = A_r sum_{s <= r} B_s v_s + B_r sum_{s > r} A_s v_s."""
-        B, A = self.B, self.A
+        B, A, shape = self.B, self.A, self.shape
         nb = B.shape[1]
         out, product = self.products[:, :, :nb], self.product[:, :, :nb]
-        np.matmul(self.prefix, B, out=out)
+        np.matmul(shape.prefix, B, out=out)
         out *= A
-        np.matmul(self.suffix, A, out=product)
+        np.matmul(shape.suffix, A, out=product)
         product *= B
         out += product
-        forms = np.matmul(self.quadratic, out.reshape(-1, nb), out=self._forms[:, :nb])
+        forms = np.matmul(shape.quadratic, out.reshape(-1, nb), out=self._forms[:, :nb])
         return out[0] @ X, out[-1] @ Z, forms
 
     def total(self) -> np.ndarray:
         """sum_i W_i[r, s] of each threshold pair r <= s (row-major), from
         sum_i W_i = B' A."""
-        return (self.B @ self.A.T).take(self.pair_index)
+        return (self.B @ self.A.T).take(self.shape.pair_index)
 
     def pairs(self) -> np.ndarray:
         """Every threshold pair r <= s (row-major) and the (pairs, rows)
@@ -683,16 +677,6 @@ def _band_expansion(v: np.ndarray) -> np.ndarray:
 def _band_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row taking the stacked bands [d; o] of a tridiagonal W to a' W b."""
     return np.concatenate([a * b, a[:-1] * b[1:] + a[1:] * b[:-1]])
-
-
-def _reverse_permutation(structure: str, q: int, p: int, size: int) -> np.ndarray:
-    """Self-inverse index map between canonical and reversed parameter order:
-    the intercepts, and the category-specific threshold blocks, reversed."""
-    perm = np.arange(size)
-    perm[:q] = np.arange(q)[::-1]
-    if structure == "catspec":
-        perm[q:] = np.arange(q, size).reshape(q, p)[::-1].ravel()
-    return perm
 
 
 def _score_converged(s: np.ndarray, deviance: float) -> bool:
@@ -736,14 +720,15 @@ def score(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Analytic gradient of log_likelihood with respect to ``params``."""
     problem = _compile(data, spec)
     _, s, _ = problem.evaluate(problem.canonical(params))
-    return s[problem.perm]
+    return s[problem.shape.perm]
 
 
 def fisher_info(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     """Expected information matrix at ``params``."""
     problem = _compile(data, spec)
     _, _, info = problem.evaluate(problem.canonical(params))
-    return info[np.ix_(problem.perm, problem.perm)]
+    perm = problem.shape.perm
+    return info[np.ix_(perm, perm)]
 
 
 def category_probabilities(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
@@ -881,7 +866,7 @@ def fit(
     if boundary:
         notes.append("stopped at the threshold-order boundary")
 
-    perm = problem.perm
+    perm = problem.shape.perm
     return FitResult(
         spec=spec,
         layout=layout,

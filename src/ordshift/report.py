@@ -60,6 +60,18 @@ def _ladder_cells(table: ComparisonTable):
     return rows
 
 
+def _failure_notes(table: ComparisonTable):
+    """One line per failed row: its reason and the notes of its fit, if it
+    has one, that the reason does not already say."""
+    lines = []
+    for row in table.rows:
+        if not row.ok:
+            notes = [row.error] + [note for note in (row.fit.warnings if row.fit else ())
+                                   if note not in row.error]
+            lines.append(f"{row.label}: {'; '.join(notes)}")
+    return lines
+
+
 def _wald_cells(fit: FitResult):
     blocks = []
     table = wald_table(fit)
@@ -118,6 +130,8 @@ def render_report(ladder, fits, format: str = "text") -> str:
 
     Deviances carry 2 decimals, coefficients 3, p-values 4 ("0.0000" means
     below 5e-5); rows with unavailable standard errors render blank cells.
+    Each failed ladder row's reason, with its fit's notes, follows the
+    ladder table as a ``note:`` line.
     """
     if format not in ("text", "markdown"):
         raise InvalidInputError(f"unknown format {format!r}")
@@ -131,6 +145,9 @@ def render_report(ladder, fits, format: str = "text") -> str:
         cells = _ladder_cells(ladder)
         out.extend(_md_table(_LADDER_HEADER, cells) if md else _text_table(_LADDER_HEADER, cells))
         out.append("")
+        for note in _failure_notes(ladder):
+            out.append(f"note: {note}")
+            out.append("")
 
     for fit in fits:
         label = LADDER_LABELS.get(fit.structure, fit.structure)

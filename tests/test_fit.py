@@ -141,19 +141,25 @@ class TestScore:
             hess = fd_hessian(lambda t: log_likelihood(t, data, spec), theta)
             assert np.abs(info + hess).max() / np.abs(info).max() < 1e-4
 
-    def test_alpha_gradient_vanishes_with_zero_weights(self):
+    def test_alpha_gradient_vanishes_with_zero_weights(self, monkeypatch):
         # k=2 edge: all scaling factors are 0, so the alpha block of the
         # score and information must vanish identically; expand_design
-        # rejects dispersion terms at k=2, so a compiled k=3 problem gets
-        # the all-zero weights instead
+        # rejects dispersion terms at k=2, so a k=3 problem is compiled with
+        # all-zero weights instead, its shape's record made afresh under
+        # the patched scaling factors and dropped afterwards
         rng = np.random.default_rng(4)
         n = 30
         y = rng.integers(1, 4, size=n)
         y[:3] = [1, 2, 3]
         data = OrdinalDataset(y=y, k=3, columns={"z": rng.normal(size=n)})
-        problem = _compile(data, ModelSpec(CUM, "locshift", (), (Term("z"),)))
-        problem.w = np.zeros(2)
-        _, s, info = problem.evaluate(np.array([-0.3, 0.4, 1.7]))
+        monkeypatch.setattr(FIT_MODULE, "scaling_factors", lambda family, k: np.zeros(k - 1))
+        FIT_MODULE._shape.cache_clear()
+        try:
+            problem = _compile(data, ModelSpec(CUM, "locshift", (), (Term("z"),)))
+            assert np.all(problem.shape.w == 0.0)
+            _, s, info = problem.evaluate(np.array([-0.3, 0.4, 1.7]))
+        finally:
+            FIT_MODULE._shape.cache_clear()
         assert s[2] == 0.0
         assert np.all(info[2, :] == 0.0)
         assert np.all(info[:, 2] == 0.0)
@@ -368,8 +374,8 @@ class TestKernelParity:
         assert _max_rel(s, dense_s) <= 1e-12
         assert _max_rel(info, dense_info) <= 1e-12
         assert np.array_equal(info, info.T)
-        assert score(theta[problem.perm], data, spec) == pytest.approx(
-            s[problem.perm], rel=1e-12, abs=1e-12
+        assert score(theta[problem.shape.perm], data, spec) == pytest.approx(
+            s[problem.shape.perm], rel=1e-12, abs=1e-12
         )
 
 
@@ -540,7 +546,7 @@ class TestRowBlocks:
         for rows in problem.blocks:
             expected = logistic_density(eta[:, rows])
             _, cdf, _ = problem.probabilities(params, rows)
-            kept = problem.weights().density(cdf, np.empty_like(expected))
+            kept = problem.weights.density(cdf, np.empty_like(expected))
             assert np.array_equal(kept, expected)
 
     @staticmethod
@@ -725,12 +731,9 @@ class TestWorkspaces:
 
 
 class TestShapeConstants:
-    """Index maps and matrices that depend only on a problem's shape are
-    made once per shape in a process and shared, read-only, by every
-    problem of that shape."""
-
-    MEMOS = ("_triangle", "_threshold_pairs", "_problem_constants", "_band_constants",
-             "_semiseparable_constants")
+    """Index maps and matrices that depend only on a problem's shape are one
+    record, made once per shape in a process and shared, read-only, by every
+    problem of that shape and its weights helper."""
 
     @pytest.mark.parametrize("structure", ["global", "locshift", "catspec"])
     @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
@@ -741,25 +744,20 @@ class TestShapeConstants:
             for data, base, _ in (random_dataset(rng, n=n, k=5, family=Family(kind))
                                   for n in (40, 60))
         )
-        for a, b in ((first, second), (first.weights(), second.weights())):
-            assert a.constants is b.constants
-            arrays = [c for c in a.constants if isinstance(c, np.ndarray)]
-            assert arrays
-            for array in arrays:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array.flat[0] = array.flat[0]
+        assert first.shape is second.shape
+        assert first.weights.shape is first.shape
+        assert second.weights.shape is first.shape
+        arrays = [value for value in vars(first.shape).values()
+                  if isinstance(value, np.ndarray) and value.size]
+        assert len(arrays) >= 5
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = array.flat[0]
 
-    def test_triu_indices_once_per_size(self, monkeypatch):
-        for memo in self.MEMOS:
-            getattr(FIT_MODULE, memo).cache_clear()
-        calls, triu_indices = {}, np.triu_indices
-
-        def counted(n, *args, **kwargs):
-            calls[n] = calls.get(n, 0) + 1
-            return triu_indices(n, *args, **kwargs)
-
-        monkeypatch.setattr(np, "triu_indices", counted)
+    def test_one_record_per_shape(self):
+        FIT_MODULE._shape.cache_clear()
+        shapes = set()
         rng = np.random.default_rng(95)
         for k in (3, 5):
             for kind in ("cumulative", "adjacent"):
@@ -771,10 +769,12 @@ class TestShapeConstants:
                         for _ in range(2):
                             problem = _compile(data, spec)
                             problem.evaluate(problem.initial_params())
-        # information triangles of 6 to 12 parameters, the category-specific
-        # products of [1, x] and the adjacent threshold pairs
-        assert len(calls) >= 5
-        assert set(calls.values()) == {1}
+                            layout = problem.layout
+                            shapes.add((kind, structure, k, layout.p, layout.m, reverse))
+        assert len(shapes) == 24
+        info = FIT_MODULE._shape.cache_info()
+        assert info.misses == len(shapes)
+        assert info.hits >= len(shapes)
 
 
 @functools.lru_cache(maxsize=None)

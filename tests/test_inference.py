@@ -109,6 +109,14 @@ class TestNormalHelpers:
         for z in (0.1, 1.0, 2.5):
             assert normal_cdf(z) + normal_cdf(-z) == pytest.approx(1.0, abs=1e-15)
 
+    def test_quantile_upper_tail_mirrors_lower(self):
+        # q = 1 - p is exact in floating point, so normal_quantile(q) and
+        # -normal_quantile(1 - q) are the same quantile; an upper tail
+        # solved on q itself cancels near 1
+        for p in np.logspace(-12, np.log10(0.5), 200):
+            q = 1.0 - p
+            assert normal_quantile(q) == pytest.approx(-normal_quantile(1.0 - q), rel=1e-12)
+
     def test_quantile_domain(self):
         with pytest.raises(InvalidInputError):
             normal_quantile(0.0)

@@ -6,6 +6,8 @@ same cases, so a failure reproduces and the suite's time is fixed.
   orientations, with and without smooth terms;
 - predict on a grid of four rows works for every smooth spec, where a
   design learned on those rows could not place the knots;
+- a reverse-orientation fit is the forward fit on the responses relabeled
+  k+1-y, bit for bit, its parameters permuted;
 - a valid CSV through the CLI with a star plot exits 0, 2 or 3, never
   with a traceback.
 """
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from ordshift import cli
 from ordshift.data import OrdinalDataset
 from ordshift.design import ModelSpec, Term
+from ordshift.exceptions import SeparationWarning
 from ordshift.fit import category_probabilities, fit, predict
 from ordshift.links import Family
 
@@ -85,6 +88,37 @@ def test_predict_on_a_four_row_grid(kind, structure, side, seed, reverse, rows):
     assert probs.shape == (4, K)
     assert probs.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-12)
     assert probs == pytest.approx(predict(result, data.columns)[rows], abs=1e-12)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(seed=st.integers(0, 2**16), kind=st.sampled_from(["cumulative", "adjacent"]),
+       structure=st.sampled_from(["global", "locshift", "catspec"]), smooth=st.booleans())
+def test_reverse_fit_is_the_forward_fit_relabeled(seed, kind, structure, smooth):
+    x = Term("x", smooth=smooth and structure != "catspec", n_basis=5)
+    location, dispersion = (x, Term("g")), (Term("z"), Term("g"))
+    data = _dataset(seed)
+    relabeled = OrdinalDataset(y=K + 1 - data.y, k=K, columns=data.columns,
+                               categorical_levels={"g": ("a", "b", "c")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeparationWarning)
+        reverse = fit(ModelSpec(Family(kind, True), structure, location, dispersion), data)
+        forward = fit(ModelSpec(Family(kind), structure, location, dispersion), relabeled)
+    # the reverse fit reads the intercepts, and the category-specific
+    # threshold blocks of p columns each, in reverse threshold order
+    layout = forward.layout
+    q, n_params = layout.q, layout.n_params
+    perm = np.arange(n_params)
+    perm[:q] = np.arange(q)[::-1]
+    if structure == "catspec":
+        perm[q:] = np.arange(q, n_params).reshape(q, layout.p)[::-1].ravel()
+    assert np.array_equal(reverse.params, forward.params[perm])
+    assert np.array_equal(reverse.covariance, forward.covariance[np.ix_(perm, perm)])
+    assert np.array_equal(reverse.se_unavailable, forward.se_unavailable[perm])
+    assert reverse.deviance == forward.deviance
+    assert reverse.iterations == forward.iterations
+    assert reverse.converged == forward.converged
+    assert reverse.warnings == forward.warnings
+    assert reverse.names == forward.names
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Text and markdown report rendering."""
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,17 +55,27 @@ class TestTextReport:
         assert str(row.fit.df_residual) in report
 
     def test_failed_row_rendered(self, ladder):
+        stopped = replace(ladder.row("locshift").fit, converged=False, warnings=[
+            "did not converge", "stopped at the threshold-order boundary"])
         table = ComparisonTable(family="cumulative", reverse=False)
         table.rows = [
             LadderRow("catspec", "Model with category-specific effects",
+                      error="fit failed (boom)"),
+            LadderRow("locshift", "Location-shift model", fit=stopped,
                       error="fit failed (did not converge)"),
-            ladder.row("locshift"),
             ladder.row("global"),
         ]
-        report = render_report(table, [])
-        assert "fit failed" in report
-        line = next(l for l in report.split("\n") if "category-specific" in l)
-        assert "fit failed" in line
+        for format in ("text", "markdown"):
+            report = render_report(table, [], format=format)
+            line = next(l for l in report.split("\n") if "category-specific" in l)
+            assert "fit failed" in line
+            notes = [l for l in report.split("\n") if l.startswith("note: ")]
+            # the fit's "did not converge" is already the row's reason
+            assert notes == [
+                "note: Model with category-specific effects: fit failed (boom)",
+                "note: Location-shift model: fit failed (did not converge); "
+                "stopped at the threshold-order boundary",
+            ]
 
     def test_wald_blocks_present(self, ladder):
         fit = ladder.row("locshift").fit
