@@ -140,13 +140,15 @@ def _numeric_column(values: list, column: str):
 def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
     """Read a UTF-8, comma-delimited, headered CSV into an OrdinalDataset.
 
-    Only the response and the columns named by ``formula`` are kept. Columns
+    A byte-order mark, as spreadsheets export one, is skipped; a header that
+    names a column twice is an error naming both positions. Only the
+    response and the columns named by ``formula`` are kept. Columns
     listed in ``categorical`` (or whose values are entirely non-numeric) are
     treated as categorical with levels in first-seen order; a numeric column
     containing stray text or a non-finite value (nan, inf) is an error naming
     the offending cell.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -154,6 +156,12 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         rows = [r for r in reader if r]
+
+    first = {}
+    for position, name in enumerate(header, start=1):
+        if name and first.setdefault(name, position) != position:
+            raise DataError(f"{path}: column {name!r} appears twice in the header, "
+                            f"at positions {first[name]} and {position}")
 
     if not rows:
         raise DataError(f"{path}: no data rows")

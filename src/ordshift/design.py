@@ -5,14 +5,16 @@ per observation. ``expand_design`` is the one place that decides the design
 columns: it learns the parameter vector layout [intercepts | location |
 dispersion] (category-specific location blocks are laid out per threshold)
 on the training data, with what that data fixes of each column (a dummy's
-level, a smooth term's knots and training means), and builds the covariate
-matrices X (location) and Z (dispersion). ``design_columns`` is the one
-place where a layout column becomes numbers: the fit, the smooth curves of
-``fit.smooth_values`` and the predictions of ``fit.predict`` all build their
-columns through it, so a finished layout is reused on new rows as frozen,
-never learned again. Fitting works from X, Z and the scaling weights
-directly and never materializes the design rows; ``build_design_tensor``
-spells them out as a dense (n, k-1, n_params) tensor, as a reference.
+level, a smooth term's knots and training means), and builds the union
+columns U: the location columns, then the dispersion columns that equal no
+location column. ``design_columns`` is the one place where a layout column
+becomes numbers: the fit, the smooth curves of ``fit.smooth_values`` and the
+predictions of ``fit.predict`` all build their columns through it, so a
+finished layout is reused on new rows as frozen, never learned again.
+Every structure is fitted on the union design [1 | U] through a constraint
+map from the parameters to per-threshold coefficients on its columns, and
+the design rows are never materialized; ``build_design_tensor`` spells them
+out as a dense (n, k-1, n_params) tensor, as a reference.
 """
 
 from __future__ import annotations
@@ -152,6 +154,21 @@ class ParamLayout:
         start = self.location.stop
         return slice(start, start + self.m)
 
+    @property
+    def union_cols(self) -> list:
+        """The union columns: the location columns, then each dispersion
+        column that equals no location column. Equal means the same frozen
+        transform (ColumnInfo), not the same name: s(x, 6) and s(x, 5)
+        share column names but not bases."""
+        return list(dict.fromkeys(self.x_cols + self.z_cols))
+
+    @property
+    def z_union(self) -> tuple:
+        """The union column of each dispersion column, 0-based (the location
+        columns are 0..p-1)."""
+        column = {c: j for j, c in enumerate(self.union_cols)}
+        return tuple(column[c] for c in self.z_cols)
+
     def location_index(self, column: str) -> int:
         for i, c in enumerate(self.x_cols):
             if c.name == column:
@@ -167,11 +184,26 @@ class ParamLayout:
 
 @dataclass
 class ExpandedDesign:
-    """Location columns X, dispersion columns Z, and their parameter layout."""
+    """The union columns U of a design and its parameter layout.
 
-    X: np.ndarray
-    Z: np.ndarray
+    U is (n, u), the columns ``layout.union_cols``: a column that the
+    location and dispersion sides share (the same frozen transform on both)
+    is held, and was evaluated, once. The union design that every structure
+    is fitted on is [1 | U]. X and Z are read from U through the layout, as
+    copies: the fit reads U alone."""
+
+    U: np.ndarray
     layout: ParamLayout
+
+    @property
+    def X(self) -> np.ndarray:
+        """(n, p) location columns, U's first p."""
+        return self.U[:, :self.layout.p].copy()
+
+    @property
+    def Z(self) -> np.ndarray:
+        """(n, m) dispersion columns, U's columns ``layout.z_union``."""
+        return self.U.take(np.asarray(self.layout.z_union, dtype=np.intp), axis=1)
 
 
 def _catspec_fold(location, dispersion, key) -> tuple:
@@ -198,9 +230,11 @@ def _smooth_columns(layout: ParamLayout, side: str, name: str) -> list:
 
 def _terms(cols):
     """(slice of ``cols``, its columns) of each term: a run of columns that
-    read one variable, which a side of a layout holds at most once."""
+    read one variable through one basis. A side of a layout holds each
+    variable at most once; the union design can hold it twice, as s(x, 6)
+    and s(x, 5), one run per basis."""
     start = 0
-    for _, group in groupby(cols, attrgetter("source")):
+    for _, group in groupby(cols, attrgetter("source", "basis")):
         group = list(group)
         yield slice(start, start + len(group)), group
         start += len(group)
@@ -300,18 +334,17 @@ def _center(cols, block: np.ndarray) -> list:
 
 
 def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
-    """Learn the layout of ``spec`` on ``data`` and build its X (location)
-    and Z (dispersion) matrices.
+    """Learn the layout of ``spec`` on ``data`` and build its union columns U.
 
     Learning fixes what the training data decide: the dataset's declared
     level order for dummy coding, the knots of a smooth term with n_basis m
     (DEFAULT_N_BASIS when it sets none), which becomes m-1 B-spline columns,
-    and those columns' training means. The matrices are frozen_design's:
-    the smooth columns are built once with zero means, and centering them
-    by their column means is building them with the learned means, without
-    evaluating the B-splines again. The global
-    structure drops the dispersion terms; the category-specific one folds
-    them into the location set (_catspec_fold).
+    and those columns' training means. U is frozen_design's: the smooth
+    columns are built once with zero means, and centering them by their
+    column means is building them with the learned means, without
+    evaluating the B-splines again. A column that both sides share is built
+    and centered once. The global structure drops the dispersion terms; the
+    category-specific one folds them into the location set (_catspec_fold).
     """
     location, dispersion = spec.location, spec.dispersion
     if spec.structure == "catspec":
@@ -334,32 +367,34 @@ def expand_design(data: OrdinalDataset, spec: ModelSpec) -> ExpandedDesign:
         names.extend(c.name for c in x_cols + z_cols)
     layout = ParamLayout(names=names, structure=spec.structure, k=k, x_cols=x_cols, z_cols=z_cols)
     design = frozen_design(layout, data)
-    layout.x_cols, layout.z_cols = _center(x_cols, design.X), _center(z_cols, design.Z)
+    union = layout.union_cols
+    centered = dict(zip(union, _center(union, design.U)))
+    layout.x_cols = [centered[c] for c in x_cols]
+    layout.z_cols = [centered[c] for c in z_cols]
     return design
 
 
 def frozen_design(layout: ParamLayout, data: OrdinalDataset) -> ExpandedDesign:
-    """X and Z of a finished ``layout`` on the rows of ``data``: its levels,
-    knots and training means reused, never learned again."""
-    return ExpandedDesign(design_columns(layout.x_cols, data),
-                          design_columns(layout.z_cols, data), layout)
+    """The union columns of a finished ``layout`` on the rows of ``data``:
+    its levels, knots and training means reused, never learned again."""
+    return ExpandedDesign(design_columns(layout.union_cols, data), layout)
 
 
 def build_design_tensor(design: ExpandedDesign, spec: ModelSpec) -> np.ndarray:
     """(n, k-1, n_params) tensor of the design rows, in ``design.layout``."""
     layout = design.layout
-    n = design.X.shape[0]
+    X, Z = design.X, design.Z
     q, p = layout.q, layout.p
-    D = np.zeros((n, q, layout.n_params))
+    D = np.zeros((X.shape[0], q, layout.n_params))
     D[:, range(q), range(q)] = 1.0
     if layout.structure == "catspec":
         for r in range(q):
-            D[:, r, q + r * p:q + (r + 1) * p] = design.X
+            D[:, r, q + r * p:q + (r + 1) * p] = X
     else:
-        D[:, :, q:q + p] = design.X[:, None, :]
+        D[:, :, q:q + p] = X[:, None, :]
     if layout.m:
         w = scaling_factors(spec.family, layout.k)
-        D[:, :, layout.dispersion] = w[None, :, None] * design.Z[:, None, :]
+        D[:, :, layout.dispersion] = w[None, :, None] * Z[:, None, :]
     return D
 
 

@@ -104,16 +104,21 @@ def _unread() -> np.ndarray:
 class _Shape:
     """The constants of a compiled problem and of its weights helper: what
     depends on the problem's shape alone, (family kind, structure, k, p, m,
-    orientation), and never on its data. _shape makes one per shape in a
-    process, and every problem of that shape and its helper read it; each
-    array is read-only, so none may be written through. A field that the
-    shape's structure or family never reads is empty."""
+    orientation, union pattern), and never on its data. _shape makes one per
+    shape in a process, and every problem of that shape and its helper read
+    it; each array is read-only, so none may be written through. A field
+    that the shape's structure or family never reads is empty."""
 
     # the self-inverse map between reported and canonical parameter order:
     # the identity for forward specs; the intercepts, and the
     # category-specific threshold blocks, reversed for reverse specs
     perm: np.ndarray
     w: np.ndarray  # scaling weights of the canonical family
+    # the structure map M, (k-1)(1+u) x n_params: M theta, reshaped to
+    # (k-1, 1+u), is the coefficient matrix B(theta) on the columns of the
+    # union design [1 | U], row r [gamma_r, beta_r] (category-specific) or
+    # [gamma_r, beta + w_r alpha] (global and location-shift)
+    structure_map: np.ndarray
     # the threshold pairs r <= s, as rows and columns, where a family's
     # per-observation information W_i[r, s] can be nonzero: the diagonal and
     # then the upper band of the cumulative family's tridiagonal W_i, and
@@ -121,34 +126,29 @@ class _Shape:
     pair_rows: np.ndarray
     pair_cols: np.ndarray
     categories: np.ndarray  # 0..k-1 as a column, for the response masks
-    # global and location-shift: the flat indices of the information's strict
-    # upper triangle and of its mirror image below the diagonal, and of the
-    # intercept block's cells (r, s) of the threshold pairs
-    upper: np.ndarray = field(default_factory=_unread)
-    lower: np.ndarray = field(default_factory=_unread)
-    pair_cells: np.ndarray = field(default_factory=_unread)
-    # category-specific (see _Problem): (j, run of product rows) of each
-    # column j >= 1 of [1, x], the shape of the summed pair products, the
-    # flat index into those sums (and one zero after them) of each
-    # information cell, and the flat index into the (k-1, p+1) score sums of
-    # each score entry
-    runs: tuple = ()
-    pair_shape: tuple = ()
-    info_index: np.ndarray = field(default_factory=_unread)
-    score_index: np.ndarray = field(default_factory=_unread)
-    # global and location-shift, cumulative (_Tridiagonal): the matrices
-    # taking the stacked bands [d; o] to W_i 1 and W_i w
+    # the shapes of the segments of the flat information sums, and the flat
+    # index into those sums (and one zero after them) of every information
+    # cell, which places and mirrors them in one gather (see _catspec_info
+    # and _shift_info)
+    segments: tuple
+    info_index: np.ndarray
+    # (j, run of product rows) of each column j >= 1 of the union design
+    # [1 | U], whose distinct products (j <= l) are the rows of one table,
+    # row-major over the upper triangle: rows 0..u, (0, l), are [1 | U]
+    # itself, and the pairs (j, l >= j) of each j >= 1 are one run of rows
+    # after them
+    runs: tuple
+    # global and location-shift, cumulative (_Tridiagonal): the stacked
+    # matrices taking the bands [d; o] to W_i 1 and W_i w
     expand: np.ndarray = field(default_factory=_unread)
     # global and location-shift: the rows taking the helper's stacked
     # products to the quadratic forms 1'W 1, 1'W w and w'W w (1'W 1 alone
-    # for an adjacent shape without dispersion terms)
+    # without dispersion terms)
     quadratic: np.ndarray = field(default_factory=_unread)
-    # adjacent (_Semiseparable): the flat indices of the threshold pairs in a
-    # (k-1, k-1) array, the triangular 0/1 matrices taking the probabilities
-    # to B and A and, for global and location-shift problems, the stacked
-    # triangular matrices prefix[r, s] = v_s [s <= r] and
+    # adjacent (_Semiseparable): the triangular 0/1 matrices taking the
+    # probabilities to B and A and, for global and location-shift problems,
+    # the stacked triangular matrices prefix[r, s] = v_s [s <= r] and
     # suffix[r, s] = v_s [s > r] of v = 1 and, with dispersion terms, v = w
-    pair_index: np.ndarray = field(default_factory=_unread)
     below_of: np.ndarray = field(default_factory=_unread)
     above_of: np.ndarray = field(default_factory=_unread)
     prefix: np.ndarray = field(default_factory=_unread)
@@ -161,11 +161,17 @@ class _Shape:
 
 
 @functools.cache
-def _shape(kind: str, structure: str, k: int, p: int, m: int, reverse: bool) -> _Shape:
-    """The one _Shape of a problem shape, made at its first problem."""
+def _shape(kind: str, structure: str, k: int, p: int, m: int, reverse: bool,
+           z_union: tuple) -> _Shape:
+    """The one _Shape of a problem shape, made at its first problem.
+    ``z_union`` is the union column of each dispersion column
+    (ParamLayout.z_union): the union pattern, in ints."""
     q = k - 1
     catspec = structure == "catspec"
     size = q * (p + 1) if catspec else q + p + m
+    # the union design [1 | U]: its columns, and those of the dispersion terms
+    z_columns = 1 + np.asarray(z_union, dtype=np.intp)
+    width = 1 + max([p, *z_columns])
     perm = np.arange(size)
     if reverse:
         perm[:q] = np.arange(q)[::-1]
@@ -178,63 +184,100 @@ def _shape(kind: str, structure: str, k: int, p: int, m: int, reverse: bool) -> 
         index = np.arange(q)
         pair_rows = np.concatenate([index, index[:-1]])
         pair_cols = np.concatenate([index, index[1:]])
-    if catspec:
-        fields = _catspec_indices(q, p, pair_rows, pair_cols)
-    else:
-        rows, cols = np.triu_indices(size, 1)
-        fields = dict(upper=rows * size + cols, lower=cols * size + rows,
-                      pair_cells=pair_rows * size + pair_cols)
+    pair_j, pair_l = np.triu_indices(width)
+    first = np.searchsorted(pair_j, np.arange(width + 1))
+    runs = tuple((j, slice(first[j], first[j + 1])) for j in range(1, width))
+    # product row holding U_j U_l, for every (j, l)
+    mirror = np.empty((width, width), dtype=np.intp)
+    mirror[pair_j, pair_l] = mirror[pair_l, pair_j] = np.arange(pair_j.size)
+    r, j = np.arange(q)[:, None], np.arange(p)[None, :]
+    structure_map = np.zeros((q, width, size))
+    structure_map[r[:, 0], 0, r[:, 0]] = 1.0
     ones = np.ones(q)
+    if catspec:
+        structure_map[r, 1 + j, q + r * p + j] = 1.0
+        fields = _catspec_info(q, width, pair_rows, pair_cols, mirror)
+    else:
+        structure_map[:, 1 + j[0], q + j[0]] = 1.0
+        structure_map[:, z_columns, q + p + np.arange(m)] = w[:, None]
+        vectors = (ones, w) if m else (ones,)
+        fields = _shift_info(kind, q, p, m, width, z_columns, pair_rows, pair_cols, mirror,
+                             len(vectors))
     if kind == "cumulative" and not catspec:
-        fields["expand"] = np.stack([_band_expansion(v) for v in (ones, w)])
+        fields["expand"] = np.vstack([_band_expansion(v) for v in vectors])
         fields["quadratic"] = np.array(
-            [_band_form(a, b) for a, b in ((ones, ones), (ones, w), (w, w))])
+            [_band_form(a, b) for a, b in ((ones, ones), (ones, w), (w, w))[:3 if m else 1]])
     elif kind == "adjacent":
         # below_of[r, c] = 1 when c <= r
         below_of = np.tril(np.ones((q, q + 1)))
-        fields.update(pair_index=pair_rows * q + pair_cols, below_of=below_of,
-                      above_of=1.0 - below_of)
+        fields.update(below_of=below_of, above_of=1.0 - below_of)
         if not catspec:
             zeros = np.zeros(q)
-            vectors = (ones, w) if m else (ones,)
             upto = np.tril(np.ones((q, q)))
             fields["prefix"] = np.stack([upto * v for v in vectors])
             fields["suffix"] = np.stack([(1.0 - upto) * v for v in vectors])
             fields["quadratic"] = (
                 np.array([np.r_[ones, zeros], np.r_[zeros, ones], np.r_[zeros, w]])
                 if m else ones[None, :])
-    return _Shape(perm=perm, w=w, pair_rows=pair_rows, pair_cols=pair_cols,
-                  categories=np.arange(k)[:, None], **fields)
+    return _Shape(perm=perm, w=w, structure_map=structure_map.reshape(q * width, size),
+                  pair_rows=pair_rows, pair_cols=pair_cols, categories=np.arange(k)[:, None],
+                  runs=runs, **fields)
 
 
-def _catspec_indices(q: int, p: int, pair_rows: np.ndarray, pair_cols: np.ndarray) -> dict:
-    """_Shape's category-specific fields: runs, pair_shape, info_index and
-    score_index."""
-    p1, size = p + 1, q * (p + 1)
-    # x~_j x~_l of x~ = [1, x] for j <= l, row-major over the upper
-    # triangle: rows 0..p, (0, l), are x~ itself, and the pairs (j, l >= j)
-    # of each j >= 1 are one run of rows after them
-    pair_j, pair_l = np.triu_indices(p1)
-    first = np.searchsorted(pair_j, np.arange(p + 2))
-    runs = tuple((j, slice(first[j], first[j + 1])) for j in range(1, p1))
-    # product row holding x~_j x~_l, for every (j, l)
-    mirror = np.empty((p1, p1), dtype=np.intp)
-    mirror[pair_j, pair_l] = mirror[pair_l, pair_j] = np.arange(pair_j.size)
+def _catspec_info(q: int, width: int, pair_rows, pair_cols, mirror) -> dict:
+    """_Shape's category-specific segments and info_index. The one segment
+    is the threshold pairs' sums of the products table: the (p+1, p+1)
+    information block of threshold pair (r, s) and of (s, r) is pair
+    (r, s)'s triangle of sums mirrored; every other block reads the zero
+    after the sums."""
+    size, n_products = q * width, width * (width + 1) // 2
     # parameter slot of (threshold r, column j of [1, x])
-    j = np.arange(p1)[None, :]
+    j = np.arange(width)[None, :]
     r = np.arange(q)[:, None]
-    slots = np.where(j == 0, r, q + r * p + j - 1).ravel()
-    # the (p+1, p+1) information block of threshold pair (r, s) and of
-    # (s, r) is pair (r, s)'s triangle of sums mirrored; every other block
-    # reads the zero after the sums
-    entries = np.arange(pair_rows.size)[:, None, None] * pair_j.size + mirror
-    blocks = np.full((q, q, p1, p1), pair_rows.size * pair_j.size, dtype=np.intp)
+    slots = np.where(j == 0, r, q + r * (width - 1) + j - 1).ravel()
+    entries = np.arange(pair_rows.size)[:, None, None] * n_products + mirror
+    blocks = np.full((q, q, width, width), pair_rows.size * n_products, dtype=np.intp)
     blocks[pair_rows, pair_cols] = entries
     blocks[pair_cols, pair_rows] = entries
     info_index = np.empty((size, size), dtype=np.intp)
     info_index[np.ix_(slots, slots)] = blocks.transpose(0, 2, 1, 3).reshape(size, size)
-    return dict(runs=runs, pair_shape=(pair_rows.size, pair_j.size), info_index=info_index,
-                score_index=np.argsort(slots))
+    return dict(segments=((pair_rows.size, n_products),), info_index=info_index)
+
+
+def _shift_info(kind: str, q: int, p: int, m: int, width: int, z_columns: np.ndarray,
+                pair_rows, pair_cols, mirror, n_vectors: int) -> dict:
+    """_Shape's global and location-shift segments and info_index. The
+    segments are E, the sums of (W_i v) [1, U_i] for v = 1 (and w), stacked;
+    F, the quadratic forms 1'W_i 1 (and 1'W_i w, w'W_i w) against the
+    products table; and the cumulative band sums G, whose column 0 is the
+    threshold pairs' sum_i W_i, or the adjacent (k-1, k-1) sum_i B_i A_i',
+    whose upper triangle is sum_i W_i."""
+    n_products = width * (width + 1) // 2
+    n_forms = n_vectors * (n_vectors + 1) // 2
+    third = (2 * q - 1, width) if kind == "cumulative" else (q, q)
+    segments = ((n_vectors * q, width), (n_forms, n_products), third)
+    f_at = n_vectors * q * width
+    t_at = f_at + n_forms * n_products
+    zero = t_at + third[0] * third[1]
+    # union column of each parameter, 0 for the intercepts, and its vector
+    # v: 0 for 1 (intercepts and location), 1 for w (dispersion)
+    column = np.concatenate([np.zeros(q, dtype=np.intp), 1 + np.arange(p), z_columns])
+    vector = np.r_[np.zeros(q + p, dtype=np.intp), np.ones(m, dtype=np.intp)]
+    size = q + p + m
+    info_index = np.full((size, size), zero, dtype=np.intp)
+    if kind == "cumulative":
+        totals = t_at + np.arange(pair_rows.size) * width
+    else:
+        totals = t_at + pair_rows * q + pair_cols
+    info_index[pair_rows, pair_cols] = info_index[pair_cols, pair_rows] = totals
+    # intercept r against effect a: sum_i (W_i v_a)_r U_i[column a]
+    r, a = np.arange(q)[:, None], np.arange(q, size)[None, :]
+    info_index[r, a] = info_index[a, r] = (vector[a] * q + r) * width + column[a]
+    # effect a against effect b: sum_i v_a'W_i v_b U_i[column a] U_i[column b],
+    # form 0, 1 or 2 for (1, 1), (1, w) and (w, w)
+    a, b = np.arange(q, size)[:, None], np.arange(q, size)[None, :]
+    info_index[a, b] = f_at + (vector[a] + vector[b]) * n_products + mirror[column[a], column[b]]
+    return dict(segments=segments, info_index=info_index)
 
 
 class _Problem:
@@ -245,37 +288,42 @@ class _Problem:
 
     Reverse specs are compiled on the relabeled response with the canonical
     family; ``shape.perm`` maps parameter vectors between the reported and
-    the canonical order (the identity for forward specs). Every design row of a
-    global or location-shift spec is D_i = [I | 1 x_i' | w z_i'], and row r of
-    a category-specific spec holds [1, x_i'] in threshold r's slots, so the
-    predictors, the score and the information are assembled from X, Z and the
-    scaling weights w without materializing the (n, k-1, n_params) tensor.
+    the canonical order (the identity for forward specs). Every structure is
+    fitted on one union design [1 | U], U the location columns X and then
+    the dispersion columns Z that equal no X column, through its structure
+    map M: the predictors of a block are B [1 | U]' with B = M theta
+    reshaped to (k-1, 1+u), whose row r is [gamma_r, beta_r]
+    (category-specific) or [gamma_r, beta + w_r alpha] (global and
+    location-shift: the location-shift model is the category-specific one
+    under design.constraint_map). So the (n, k-1, n_params) design tensor is
+    never materialized, and neither are X and Z.
     The per-observation information in predictor space is kept in its
     structured form as well, never as an (n, k-1, k-1) array: tridiagonal
     bands for the cumulative family (_Tridiagonal), semiseparable factors for
     the adjacent family (_Semiseparable).
 
     What a problem holds has three lifetimes. Per shape, (family kind,
-    structure, k, p, m, orientation): the parameter permutation, the scaling
-    weights w, the information's index maps and the weights helpers' band
-    and triangular matrices, one read-only _Shape shared by every problem of
-    that shape and made once per shape in a process by _shape. Per problem,
-    the data, the weights helper and the block scratch. Per block, nothing:
-    every per-observation, per-threshold quantity is threshold-major, a
-    (k-1, rows) or (k, rows) array of one block of BLOCK_ROWS rows (a single
-    block when n <= BLOCK_ROWS) in block scratch allocated once per problem,
-    so each step along the short threshold axis is a few contiguous loops
-    over observations, and none outlives its block.
+    structure, k, p, m, orientation, union pattern): the parameter
+    permutation, the scaling weights w, the structure map, the information's
+    gather index and the weights helpers' band and triangular matrices, one
+    read-only _Shape shared by every problem of that shape and made once per
+    shape in a process by _shape. Per problem, the data, the weights helper
+    and the scratch. Per block, nothing: every per-observation,
+    per-threshold quantity is threshold-major, a (k-1, rows) or (k, rows)
+    array of one block of BLOCK_ROWS rows (a single block when n <=
+    BLOCK_ROWS) in block scratch allocated once per problem, so each step
+    along the short threshold axis is a few contiguous loops over
+    observations, and none outlives its block.
 
     evaluate() is one pass over the blocks: a block's predictors, F and
     probabilities, its log-likelihood, and then its score and information.
     The part of a block that depends on the data alone is block scratch too:
-    the weights helper's response mask and, for a category-specific
-    problem, the (p+1)(p+2)/2 distinct products x~_j x~_l (j <= l) of
-    x~ = [1, x], one row per product (as columns of a (rows, pairs) array
-    they took five times as long), refilled for each block in turn and
-    filled once when the problem is a single block. No step allocates an
-    (n, k-1) array.
+    the weights helper's response mask and the (1+u)(2+u)/2 distinct
+    products (j <= l) of the columns of [1 | U], one row per product (as
+    columns of a (rows, pairs) array they took five times as long),
+    refilled for each block in turn and filled once when the problem is a
+    single block. The score and information sums of a pass are problem
+    scratch too, zeroed at its start. No step allocates an (n, k-1) array.
     """
 
     def __init__(self, design: ExpandedDesign, family: Family, y):
@@ -286,10 +334,9 @@ class _Problem:
         if self.reverse:
             family = Family(family.kind, reverse=False)
         self.family = family
-        self.X, self.Z = design.X, design.Z
-        self.location, self.dispersion = layout.location, layout.dispersion
-        self.shape = _shape(family.kind, layout.structure, layout.k, layout.p, layout.m,
-                            self.reverse)
+        self.U = design.U
+        self.shape = shape = _shape(family.kind, layout.structure, layout.k, layout.p, layout.m,
+                                    self.reverse, layout.z_union)
         n = y.size
         self.blocks = [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
         self.cumulative = family.kind == "cumulative"
@@ -302,13 +349,18 @@ class _Problem:
         self._probs = np.empty((q + 1, width))
         self._own, self._logs = np.empty(width), np.empty(width)
         self._loaded = None  # first row of the block whose data-only scratch is filled
-        if self.catspec:
-            self._products = np.empty((self.shape.pair_shape[1], width))
-            self._products[0] = 1.0
-        else:
-            # c_i x_i' and c_i z_i' of one block, row-major, for the
-            # information's X' (C X) products
-            self._cX, self._cZ = np.empty((width, layout.p)), np.empty((width, layout.m))
+        union = 1 + self.U.shape[1]  # columns of [1 | U]
+        self._products = np.empty((union * (union + 1) // 2, width))
+        self._products[0] = 1.0
+        # a pass's score sums u U, and its flat information sums in the
+        # _Shape's segments with one zero after them, which info_index reads
+        # for the cells that are zero
+        self._score = np.empty((q, union))
+        self._sums = np.empty(sum(a * b for a, b in shape.segments) + 1)
+        self._segments, at = [], 0
+        for rows, cols in shape.segments:
+            self._segments.append(self._sums[at:at + rows * cols].reshape(rows, cols))
+            at += rows * cols
         self.weights = (_Tridiagonal if self.cumulative else _Semiseparable)(self)
 
     def canonical(self, params) -> np.ndarray:
@@ -347,20 +399,12 @@ class _Problem:
         return theta
 
     def predictors(self, theta: np.ndarray, rows: slice, out: np.ndarray) -> np.ndarray:
-        """(k-1, rows) linear predictors of one block at canonical ``theta``,
-        into ``out``. The dispersion term w_r z_i'alpha is made in the
-        probability block scratch, which the block's probabilities overwrite
-        afterwards."""
-        q = out.shape[0]
-        if self.catspec:
-            np.matmul(theta[q:].reshape(q, self.layout.p), self.X[rows].T, out=out)
-            out += theta[:q, None]
-        else:
-            np.add(theta[:q, None], self.X[rows] @ theta[self.location], out=out)
-            if self.layout.m:
-                spread = self.Z[rows] @ theta[self.dispersion]
-                w = self.shape.w[:, None]
-                out += np.multiply(w, spread, out=self._probs[:q, :out.shape[1]])
+        """(k-1, rows) linear predictors B [1 | U]' of one block at canonical
+        ``theta``, into ``out``, with B the (k-1, 1+u) coefficients M theta:
+        the product with U, and then B's column 0, the intercepts, added."""
+        coef = (self.shape.structure_map @ theta).reshape(out.shape[0], -1)
+        np.matmul(coef[:, 1:], self.U[rows].T, out=out)
+        out += coef[:, :1]
         return out
 
     def probabilities(self, theta: np.ndarray, rows: slice):
@@ -404,20 +448,21 @@ class _Problem:
             return True
         return False
 
-    def _load_data(self, rows: slice) -> None:
+    def _load_data(self, rows: slice) -> np.ndarray:
         """Fill the block scratch that depends on the data alone, the response
-        mask and the category-specific products, unless it already holds this
-        block: a one-block problem fills it once."""
-        if self._loaded == rows.start:
-            return
-        self._loaded = rows.start
-        self.weights.mask(self.y0[rows])
-        if self.catspec:
-            p = self.layout.p
-            products = self._products[:, :rows.stop - rows.start]
-            products[1:p + 1] = self.X[rows].T
+        mask and the union design's products table, unless it already holds
+        this block: a one-block problem fills it once. Returns the block's
+        (rows, pairs) products, whose first 1+u columns are its rows of
+        [1 | U]."""
+        products = self._products[:, :rows.stop - rows.start]
+        if self._loaded != rows.start:
+            self._loaded = rows.start
+            self.weights.mask(self.y0[rows])
+            union = 1 + self.U.shape[1]
+            products[1:union] = self.U[rows].T
             for j, run in self.shape.runs:
-                np.multiply(products[j], products[j:p + 1], out=products[run])
+                np.multiply(products[j], products[j:union], out=products[run])
+        return products.T
 
     def evaluate(self, theta: np.ndarray, bound: float = np.inf):
         """Deviance, score and information at canonical ``theta`` in one pass
@@ -438,68 +483,39 @@ class _Problem:
         in predictor space, in the closed forms of the multinomial GLM
         (Fahrmeir & Tutz, Multivariate Statistical Modelling Based on GLMs).
         The weights helper's load() returns a block's scores as one dense
-        (k-1, rows) array u, from which every structure's score is summed:
-        sum_i u_i, X'(1'u) and Z'(w'u), or u @ [1, X] for category-specific
-        blocks. Global and location-shift information needs only sum_i W_i,
-        W_i 1 and W_i w, and the quadratic forms of the last two against X
-        and Z. Only its upper triangle is assembled, sum_i W_i through the
-        flat indices of its threshold-pair cells and the rest into views of
-        its blocks taken once per pass, and mirrored at the end. The
-        category-specific information contracts only the threshold pairs
-        (r, s) where W_i[r, s] can be nonzero with the block's distinct
-        products x~_j x~_l (j <= l), (pairs, rows) @ (rows, (p+1)(p+2)/2),
-        and one gather through the compiled index places every cell. No
-        (n, k-1, k-1) array is formed. Score and information are in
+        (k-1, rows) array u, and every structure's score is M' vec(S) of the
+        sums S = sum_i u_i [1, U_i], (k-1, rows) @ (rows, 1+u). Each block's
+        information is summed in the _Shape's flat segments, and one gather
+        through its info_index places and mirrors every cell:
+        category-specific, the helper's pairs(), the threshold pairs (r, s)
+        where W_i[r, s] can be nonzero, against the distinct products
+        U_j U_l; global and location-shift, by the helper's add(), W_i 1 and
+        W_i w against [1 | U] and the quadratic forms 1'W_i 1, 1'W_i w and
+        w'W_i w against the products.
+        No (n, k-1, k-1) array is formed. Score and information are in
         canonical order.
         """
-        layout, shape, weights = self.layout, self.shape, self.weights
-        q = layout.q
-        if self.catspec:
-            p1 = layout.p + 1
-            score_sum = np.zeros((q, p1))
-            # the pair sums, and one zero that the information's empty blocks read
-            sums = np.zeros(shape.pair_shape[0] * shape.pair_shape[1] + 1)
-            pair_sum = sums[:-1].reshape(shape.pair_shape)
-        else:
-            loc, disp, m = self.location, self.dispersion, layout.m
-            s = np.zeros(layout.n_params)
-            info = np.zeros((layout.n_params, layout.n_params))
-            flat = info.reshape(-1)
-            s_top, s_loc, s_disp = s[:q], s[loc], s[disp]
-            top_loc, top_disp = info[:q, loc], info[:q, disp]
-            loc_loc, loc_disp, disp_disp = info[loc, loc], info[loc, disp], info[disp, disp]
+        weights, score = self.weights, self._score
+        score.fill(0.0)
+        self._sums.fill(0.0)
         loglik = 0.0
         for rows in self.blocks:
             probs, cdf, own = self.probabilities(theta, rows)
             loglik += self._block_loglik(own)
             if not -2.0 * loglik <= bound:
                 return None
-            self._load_data(rows)
+            products = self._load_data(rows)
             u = weights.load(probs, cdf, own)
+            block = products[:, :1 + self.U.shape[1]]
+            score += u @ block
             if self.catspec:
-                products = self._products[:, :own.size].T
-                score_sum += u @ products[:, :p1]
-                pair_sum += weights.pairs() @ products
-                continue
-            X, Z = self.X[rows], self.Z[rows]
-            cX, cZ = self._cX[:own.size], self._cZ[:own.size]
-            flat[shape.pair_cells] += weights.total()
-            # sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the quadratic
-            # forms 1'W_i 1, 1'W_i w, w'W_i w of each row
-            WX, WZ, forms = weights.forms(X, Z)
-            s_top += u.sum(axis=1)
-            s_loc += X.T @ u.sum(axis=0)
-            top_loc += WX
-            loc_loc += X.T @ np.multiply(forms[0][:, None], X, out=cX)
-            if m:
-                s_disp += Z.T @ (shape.w @ u)
-                top_disp += WZ
-                loc_disp += X.T @ np.multiply(forms[1][:, None], Z, out=cZ)
-                disp_disp += Z.T @ np.multiply(forms[2][:, None], Z, out=cZ)
-        if self.catspec:
-            return -2.0 * loglik, score_sum.take(shape.score_index), sums.take(shape.info_index)
-        flat[shape.lower] = flat[shape.upper]
-        return -2.0 * loglik, s, info
+                self._segments[0] += weights.pairs() @ products
+            else:
+                weights.add(block, products)
+        if self.cumulative and not self.catspec:
+            weights.finish()
+        s = self.shape.structure_map.T @ score.ravel()
+        return -2.0 * loglik, s, self._sums.take(self.shape.info_index)
 
 
 class _Tridiagonal:
@@ -514,7 +530,10 @@ class _Tridiagonal:
     is u_ir = f_r S_ir / pi~_{y_i} with the response mask S_ir = [y_i = r] -
     [y_i = r + 1] (0-based categories): a_{y_i} at r = y_i and -b_{y_i - 1}
     at r = y_i - 1, zero elsewhere. mask() and load() rewrite the helper's
-    block scratch for the next block; its constants are the problem's _Shape.
+    block scratch for the next block, and add() adds a global or
+    location-shift block to the problem's information sums (a
+    category-specific problem reads pairs()); its constants are the
+    problem's _Shape.
     """
 
     def __init__(self, problem: _Problem):
@@ -524,7 +543,7 @@ class _Tridiagonal:
         # the helper keeps what it reads of the problem, not the problem: a
         # reference back would make a cycle that holds the problem's block
         # scratch until the garbage collector runs
-        self.shape = problem.shape
+        self.shape = shape = problem.shape
         self.f, self.u = np.empty((q, width)), np.empty((q, width))
         self.g = np.empty((k, width))
         self.band = np.empty((2 * q - 1, width))  # d in rows 0..q-1, o after it
@@ -533,8 +552,11 @@ class _Tridiagonal:
         # times the memory
         self.is_y = np.empty((k, width), dtype=bool)
         self.sign = np.empty((q, width), dtype=np.int8)
-        if not problem.catspec:
-            self._forms = np.empty((3, width))
+        # global and location-shift information sums: E (sum_i (W_i 1) [1, U_i]
+        # and sum_i (W_i w) [1, U_i], made by finish()), F (the quadratic
+        # forms against the products) and G (the band against [1 | U])
+        self.sums = problem._segments
+        self._forms = np.empty((len(shape.quadratic), width))
 
     def mask(self, y0: np.ndarray) -> None:
         """Response mask S of the block whose 0-based responses are ``y0``."""
@@ -570,17 +592,21 @@ class _Tridiagonal:
         np.subtract(1.0, cdf, out=out)
         return np.multiply(out, cdf, out=out)
 
-    def forms(self, X: np.ndarray, Z: np.ndarray):
-        """sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the (3, rows) quadratic
-        forms of a block, from the two bands: W_i v is never formed."""
-        band, shape = self.pairs(), self.shape
-        forms = np.matmul(shape.quadratic, band, out=self._forms[:, :band.shape[1]])
-        return shape.expand[0] @ (band @ X), shape.expand[1] @ (band @ Z), forms
+    def add(self, block: np.ndarray, products: np.ndarray) -> None:
+        """Add a loaded global or location-shift block's information sums,
+        from its rows of [1 | U] and its (rows, pairs) products: W_i v is
+        never formed."""
+        band = self.pairs()
+        _, F, G = self.sums
+        G += band @ block
+        F += np.matmul(self.shape.quadratic, band, out=self._forms[:, :band.shape[1]]) @ products
 
-    def total(self) -> np.ndarray:
-        """sum_i W_i[r, s] of each pair (r, s) of the two bands, in the order
-        of the _Shape's threshold pairs."""
-        return self.pairs().sum(axis=1)
+    def finish(self) -> None:
+        """E of the pass from its band sums G: W 1 and W w are linear in the
+        bands, so their sums against [1 | U] are formed once per pass, not
+        per block."""
+        E, _, G = self.sums
+        np.matmul(self.shape.expand, G, out=E)
 
     def pairs(self) -> np.ndarray:
         """(pairs, rows) weights of the _Shape's threshold pairs: the two
@@ -607,6 +633,10 @@ class _Semiseparable:
         if problem.catspec:
             self.pair_weights = np.empty((shape.pair_rows.size, width))
             return
+        # global and location-shift information sums: E (sum_i (W_i 1) [1, U_i]
+        # and sum_i (W_i w) [1, U_i]), F (the quadratic forms against the
+        # products) and T (sum_i B_i A_i')
+        self.sums = problem._segments
         # W_i 1 and, with dispersion terms, W_i w: one product for each of
         # the two sums with the stacked triangular matrices
         self.products = np.empty((len(shape.prefix), q, width))
@@ -628,10 +658,11 @@ class _Semiseparable:
         np.copyto(u, B, where=self.y_above[:, :nb])
         return u
 
-    def forms(self, X: np.ndarray, Z: np.ndarray):
-        """sum_i (W_i 1) x_i', sum_i (W_i w) z_i' and the (3, rows) quadratic
-        forms of a block. W_i 1 and W_i w are each a prefix and a suffix sum,
-        one product with a triangular matrix apiece:
+    def add(self, block: np.ndarray, products: np.ndarray) -> None:
+        """Add a loaded global or location-shift block's information sums,
+        from its rows of [1 | U] and its (rows, pairs) products. W_i 1 and
+        W_i w are each a prefix and a suffix sum, one product with a
+        triangular matrix apiece:
         (W v)_r = A_r sum_{s <= r} B_s v_s + B_r sum_{s > r} A_s v_s."""
         B, A, shape = self.B, self.A, self.shape
         nb = B.shape[1]
@@ -641,13 +672,11 @@ class _Semiseparable:
         np.matmul(shape.suffix, A, out=product)
         product *= B
         out += product
-        forms = np.matmul(shape.quadratic, out.reshape(-1, nb), out=self._forms[:, :nb])
-        return out[0] @ X, out[-1] @ Z, forms
-
-    def total(self) -> np.ndarray:
-        """sum_i W_i[r, s] of each threshold pair r <= s (row-major), from
-        sum_i W_i = B' A."""
-        return (self.B @ self.A.T).take(self.shape.pair_index)
+        vectors = out.reshape(-1, nb)
+        E, F, T = self.sums
+        E += vectors @ block
+        F += np.matmul(shape.quadratic, vectors, out=self._forms[:, :nb]) @ products
+        T += B @ A.T
 
     def pairs(self) -> np.ndarray:
         """Every threshold pair r <= s (row-major) and the (pairs, rows)

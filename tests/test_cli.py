@@ -227,6 +227,25 @@ class TestExitCodes:
         message = proc.stderr.strip().splitlines()[-1]
         assert message == "error[data]: column 'y' row 4: response 5; response categories must be 1..3"
 
+    def test_data_error_duplicate_header(self, tmp_path):
+        bad = tmp_path / "dup.csv"
+        bad.write_text(DATA.read_text().replace("score", "age", 1))
+        proc = run_cli("--data", str(bad), "--formula", "y ~ age | age",
+                       "--structure", "global")
+        assert proc.returncode == 2
+        message = proc.stderr.strip().splitlines()[-1]
+        assert message.endswith("column 'age' appears twice in the header, "
+                                "at positions 2 and 4"), message
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(DATA.read_bytes().decode("utf-8").encode("utf-8-sig"))
+        out = tmp_path / "report.txt"
+        proc = run_cli("--data", str(bom), "--formula", FORMULA, "--categorical", "group",
+                       "--structure", "ladder", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == (GOLDEN / "report.txt").read_bytes()
+
     def test_usage_error_variable_twice_on_one_side(self):
         for formula in ("y ~ age + age | age", "y ~ age + s(age)"):
             proc = run_cli("--data", str(DATA), "--formula", formula, "--structure", "global")

@@ -107,6 +107,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(path, FORMULA)
 
+    def test_duplicate_header_names_both_positions(self, tmp_path):
+        path = write(tmp_path, "y,x,g,x\n1,0.5,m,9\n2,1.0,f,8\n")
+        with pytest.raises(DataError, match=r"column 'x' appears twice in the header, "
+                                            r"at positions 2 and 4"):
+            load_csv(path, parse_formula("y ~ x"))
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("y,a,g\n1,0.5,m\n2,1.0,f\n".encode("utf-8-sig"))
+        data = load_csv(path, parse_formula("y ~ a"))
+        assert data.y.tolist() == [1, 2]
+        assert data.columns["a"].tolist() == [0.5, 1.0]
+
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "y,a,g\n1,0.5,m\n2,1.0\n")
         with pytest.raises(DataError, match="row 3"):

@@ -5,6 +5,7 @@ import importlib
 import tracemalloc
 import zlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from helpers import (
 )
 
 from ordshift.data import OrdinalDataset
-from ordshift.design import ExpandedDesign, ModelSpec, Term, build_design_tensor, expand_design
+from ordshift.design import (
+    ModelSpec,
+    Term,
+    build_design_tensor,
+    design_columns,
+    expand_design,
+)
 from ordshift.exceptions import (
     DataError,
     InvalidInputError,
@@ -239,15 +246,20 @@ class TestFisherInfo:
         assert info == pytest.approx(expected, rel=1e-8)
 
 
-def _dense_score_info(problem, theta):
+def _dense_score_info(problem, data, theta):
     """Dense oracle of the structured kernel at canonical ``theta``.
 
     Builds A[i, c, r] = d log pi_c / d eta_r entry by entry and contracts it
     with the (n, k-1, n_params) design tensor: score sum_i D_i' A[i, y_i] and
-    information sum_i D_i' (sum_c pi_c A_c A_c') D_i.
+    information sum_i D_i' (sum_c pi_c A_c A_c') D_i. The tensor is built
+    from X and Z made column by column from the layout on ``data``, not
+    read from the problem's union design.
     """
-    spec = ModelSpec(problem.family, problem.layout.structure)
-    D = build_design_tensor(ExpandedDesign(problem.X, problem.Z, problem.layout), spec)
+    layout = problem.layout
+    spec = ModelSpec(problem.family, layout.structure)
+    sides = SimpleNamespace(X=design_columns(layout.x_cols, data),
+                            Z=design_columns(layout.z_cols, data), layout=layout)
+    D = build_design_tensor(sides, spec)
     eta = D @ theta
     probs = category_probs(problem.family, eta.T).T
     n, k = probs.shape
@@ -367,7 +379,7 @@ class TestKernelParity:
 
     @staticmethod
     def _check_at(problem, data, spec, theta):
-        eta, dense_s, dense_info = _dense_score_info(problem, theta)
+        eta, dense_s, dense_info = _dense_score_info(problem, data, theta)
         deviance, s, info = problem.evaluate(theta)
         assert deviance == -2.0 * problem.loglik(theta)[0]
         assert _max_rel(kernel_predictors(problem, theta).T, eta) <= 1e-12
@@ -377,6 +389,50 @@ class TestKernelParity:
         assert score(theta[problem.shape.perm], data, spec) == pytest.approx(
             s[problem.shape.perm], rel=1e-12, abs=1e-12
         )
+
+
+class TestUnionDesign:
+    """Every structure is fitted on one union design, in which a dispersion
+    column joins a location column only when both are the same frozen
+    transform: s(v, 6) and s(v, 5) share column names, not bases."""
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(63)
+        n = 150
+        v = rng.uniform(-2.0, 2.0, n)
+        g = rng.choice(np.array(["a", "b", "c"], dtype=object), n)
+        x, z = rng.normal(size=n), rng.normal(size=n)
+        latent = np.sin(v) + 0.4 * x + (g == "b") + rng.logistic(size=n) * np.exp(0.2 * z)
+        y = 1 + (latent[:, None] > np.array([-1.0, 0.2, 1.2])).sum(axis=1)
+        return OrdinalDataset(y=y, k=4, columns={"v": v, "g": g, "x": x, "z": z},
+                              categorical_levels={"g": ("a", "b", "c")})
+
+    @pytest.mark.parametrize("block_rows", [4096, 16])
+    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
+    @pytest.mark.parametrize("dispersion_basis", [5, 6])
+    def test_same_name_other_basis_stays_apart(self, monkeypatch, kind, dispersion_basis,
+                                               block_rows):
+        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", block_rows)
+        data = self._data()
+        location = (Term("v", smooth=True, n_basis=6), Term("g"), Term("x"))
+        dispersion = (Term("v", smooth=True, n_basis=dispersion_basis), Term("g"), Term("z"))
+        spec = ModelSpec(Family(kind), "locshift", location, dispersion)
+        design = expand_design(data, spec)
+        layout = design.layout
+        shared = 5 + 2 if dispersion_basis == 6 else 2  # the dummies of g, and s(v, 6)
+        assert [c.name for c in layout.z_cols[:dispersion_basis - 1]] == [
+            f"s(v).{j}" for j in range(1, dispersion_basis)]
+        assert design.U.shape == (150, layout.p + layout.m - shared)
+        bases = {c.basis for c in layout.union_cols if c.basis is not None}
+        assert len(bases) == (1 if dispersion_basis == 6 else 2)
+        # X and Z read from U through the layout are the columns built alone
+        assert np.array_equal(design.X, design_columns(layout.x_cols, data))
+        assert np.array_equal(design.Z, design_columns(layout.z_cols, data))
+        problem = _compile(data, spec)
+        assert len(problem.blocks) == (1 if block_rows == 4096 else 10)
+        theta = feasible_params(np.random.default_rng(64), layout, spec, data, scale=0.1)
+        TestKernelParity._check_at(problem, data, spec, theta)
 
 
 class TestScoreInfoEvaluations:
@@ -510,8 +566,9 @@ class TestRowBlocks:
     @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
     def test_distinct_products_match_single_block(self, monkeypatch, kind, p):
         # the category-specific information contracts the threshold pairs
-        # with the (p+1)(p+2)/2 distinct products of [1, x] and mirrors them:
-        # in blocks of 16 rows it agrees with one block and the dense oracle
+        # with the (p+1)(p+2)/2 distinct products of the union design
+        # [1, x] and mirrors them: in blocks of 16 rows it agrees with one
+        # block and the dense oracle
         rng = _case_rng("products", kind, p)
         data, base, _ = random_dataset(rng, n=150, k=5, n_cov=p, family=Family(kind))
         spec = base.with_structure("catspec")
@@ -520,13 +577,13 @@ class TestRowBlocks:
         expected = whole.evaluate(theta)
         # a one-block problem holds every row's products, [1, x] first, and
         # x itself only once: its design's
-        x1 = np.column_stack([np.ones(150), whole.X])
+        x1 = np.column_stack([np.ones(150), whole.U])
+        assert np.array_equal(whole.U, expand_design(data, spec).X)
         pair_j, pair_l = np.triu_indices(p + 1)
         products = x1[:, pair_j] * x1[:, pair_l]
         assert whole._products.shape == ((p + 1) * (p + 2) // 2, 150)
         assert np.array_equal(whole._products[:p + 1].T, x1)
         assert np.array_equal(whole._products.T, products)
-        assert np.array_equal(whole.X, expand_design(data, spec).X)
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
         blocked = _compile(data, spec)
         assert len(blocked.blocks) == 10
@@ -770,7 +827,8 @@ class TestShapeConstants:
                             problem = _compile(data, spec)
                             problem.evaluate(problem.initial_params())
                             layout = problem.layout
-                            shapes.add((kind, structure, k, layout.p, layout.m, reverse))
+                            shapes.add((kind, structure, k, layout.p, layout.m, reverse,
+                                        layout.z_union))
         assert len(shapes) == 24
         info = FIT_MODULE._shape.cache_info()
         assert info.misses == len(shapes)
