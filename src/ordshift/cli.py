@@ -11,6 +11,7 @@ The package's INFO lines (the CSV load) go to the stderr of each call.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -56,7 +57,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and kept for the
+    process: parsing keeps no state in it, each call returns a fresh
+    namespace."""
     parser = _Parser(
         prog="ordshift",
         description=(

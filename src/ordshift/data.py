@@ -111,11 +111,31 @@ def level_codes(values, levels) -> np.ndarray:
     return codes
 
 
-def _numeric_column(values: list, column: str):
-    """The cells of a CSV column as floats, each converted once, or None when
-    none of them is a number (a categorical column). A column mixing numbers
-    with text, or holding a non-finite number (nan, inf), is a DataError
-    naming its first offending cell."""
+def _numeric_column(cells, column: str):
+    """The cells of a CSV column as floats, converted in one call, or None
+    when none of them is a number (a categorical column). A column mixing
+    numbers with text, or holding a non-finite number (nan, inf), is a
+    DataError naming its first offending cell, stripped as it is read."""
+    try:
+        # float() of each cell, surrounding whitespace included
+        array = np.array(cells, dtype=float)
+    except ValueError:
+        array = _parse_cells(cells, column)
+        if array is None:
+            return None
+    nonfinite = np.flatnonzero(~np.isfinite(array))
+    if nonfinite.size:
+        i = nonfinite[0]
+        raise DataError(
+            f"column {column!r} row {i + 2}: {cells[i].strip()!r} is not a finite number"
+        )
+    return array
+
+
+def _parse_cells(cells, column: str):
+    """The error path of _numeric_column: each stripped cell through
+    float(), to name the first cell that is not a number."""
+    values = [c.strip() for c in cells]
     numbers, bad = [], None
     for i, value in enumerate(values):
         try:
@@ -129,12 +149,27 @@ def _numeric_column(values: list, column: str):
         raise DataError(
             f"column {column!r} row {bad + 2}: could not parse {values[bad]!r} as a number"
         )
-    array = np.array(numbers)
-    nonfinite = np.flatnonzero(~np.isfinite(array))
-    if nonfinite.size:
-        i = nonfinite[0]
-        raise DataError(f"column {column!r} row {i + 2}: {values[i]!r} is not a finite number")
-    return array
+    return np.array(numbers)
+
+
+def _responses(cells, column: str) -> np.ndarray:
+    """The response cells as integers, converted in one call; the error
+    path takes each stripped cell through int(), to name the first cell that
+    is not an integer."""
+    try:
+        # int() of each cell, surrounding whitespace included
+        return np.array(cells, dtype=int)
+    except (ValueError, OverflowError):
+        pass
+    y = []
+    for i, value in enumerate((c.strip() for c in cells), start=2):
+        try:
+            y.append(int(value))
+        except ValueError:
+            raise DataError(
+                f"column {column!r} row {i}: response {value!r} is not an integer"
+            ) from None
+    return np.array(y)
 
 
 def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
@@ -155,7 +190,7 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        rows = [r for r in reader if r]
+        rows = list(filter(None, reader))  # blank lines skipped
 
     first = {}
     for position, name in enumerate(header, start=1):
@@ -173,22 +208,13 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
     if missing:
         raise DataError(f"{path}: missing columns {missing}")
 
-    index = {c: header.index(c) for c in needed}
-    for i, r in enumerate(rows, start=2):
-        if len(r) != len(header):
-            raise DataError(f"{path}: row {i} has {len(r)} fields, expected {len(header)}")
+    if set(map(len, rows)) != {len(header)}:
+        i, r = next((i, r) for i, r in enumerate(rows, start=2) if len(r) != len(header))
+        raise DataError(f"{path}: row {i} has {len(r)} fields, expected {len(header)}")
 
-    raw = {c: [r[index[c]].strip() for r in rows] for c in needed}
-
-    y = []
-    for i, value in enumerate(raw[formula.response], start=2):
-        try:
-            y.append(int(value))
-        except ValueError:
-            raise DataError(
-                f"column {formula.response!r} row {i}: response {value!r} is not an integer"
-            ) from None
-    y = np.array(y)
+    table = list(zip(*rows))  # the file's columns, as read
+    cells = {c: table[header.index(c)] for c in needed}
+    y = _responses(cells[formula.response], formula.response)
     k_eff = int(y.max()) if k is None else int(k)
     outside = np.flatnonzero((y < 1) | (y > k_eff))
     if outside.size:
@@ -207,9 +233,9 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
     for name in needed:
         if name == formula.response:
             continue
-        values = raw[name]
-        numbers = None if name in declared else _numeric_column(values, name)
+        numbers = None if name in declared else _numeric_column(cells[name], name)
         if numbers is None:
+            values = [c.strip() for c in cells[name]]
             columns[name] = np.array(values, dtype=object)
             levels[name] = tuple(dict.fromkeys(values))
         else:

@@ -310,7 +310,10 @@ def _learn_side(data: OrdinalDataset, terms) -> list:
                         for lev in levels[1:])
         elif term.smooth:
             m = DEFAULT_N_BASIS if term.n_basis is None else term.n_basis
-            basis = knot_sequence(values, m, SPLINE_DEGREE)
+            try:
+                basis = knot_sequence(values, m, SPLINE_DEGREE)
+            except SpecError as exc:
+                raise SpecError(f"smooth term s({term.name}, {m}): {exc}") from None
             # the B-splines sum to one, so their m centered columns sum to
             # zero: the last is dropped, and the m-1 left have full rank
             cols.extend(ColumnInfo(f"s({term.name}).{j}", term.name, j, basis)
@@ -323,10 +326,21 @@ def _learn_side(data: OrdinalDataset, terms) -> list:
 def _center(cols, block: np.ndarray) -> list:
     """``cols`` with each smooth column's training mean, the mean of its
     column of ``block`` (built with zero means), which is subtracted from
-    that column in place."""
+    that column in place. A smooth column that is zero on every training
+    row, which knots piled up where the data do leave behind, has no
+    identified effect and is a SpecError naming the term."""
     cols = list(cols)
     for span, group in _terms(cols):
-        if group[0].basis is not None:
+        first = group[0]
+        if first.basis is not None:
+            zero = [c.basis_index for c, hit in zip(group, block[:, span].any(axis=0)) if not hit]
+            if zero:
+                knots = ", ".join(f"{v:.4g}" for v in first.basis.knots)
+                raise SpecError(
+                    f"smooth term s({first.source}, {first.basis.n_basis}): B-spline columns "
+                    f"{zero} are zero on every training row (knots {knots}); "
+                    "use a smaller n_basis"
+                )
             means = block[:, span].mean(axis=0)
             block[:, span] -= means
             cols[span] = [replace(c, mean=float(mean)) for c, mean in zip(group, means)]

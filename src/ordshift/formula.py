@@ -33,7 +33,7 @@ class FormulaSpec:
         return text
 
 
-def _parse_term(text: str, offset: int) -> Term:
+def _parse_term(text: str, offset: int, response: str) -> Term:
     token = text.strip()
     start = offset + (len(text) - len(text.lstrip()))
     if not token:
@@ -46,25 +46,30 @@ def _parse_term(text: str, offset: int) -> Term:
         if not _NAME.match(name):
             raise FormulaError(f"invalid variable name {name!r}", start)
         n_basis = int(match.group(2)) if match.group(2) else None
-        return Term(name, smooth=True, n_basis=n_basis)
-    if not _NAME.match(token):
+        term = Term(name, smooth=True, n_basis=n_basis)
+    elif not _NAME.match(token):
         raise FormulaError(f"invalid term {token!r}", start)
-    return Term(token)
+    else:
+        term = Term(token)
+    if term.name == response:
+        raise FormulaError(f"term {token!r} names the response {response!r}", start)
+    return term
 
 
-def _parse_side(text: str, offset: int) -> tuple:
+def _parse_side(text: str, offset: int, response: str) -> tuple:
     if not text.strip():
         return ()
     terms = []
     pos = 0
     for piece in text.split("+"):
-        terms.append(_parse_term(piece, offset + pos))
+        terms.append(_parse_term(piece, offset + pos, response))
         pos += len(piece) + 1
     return tuple(terms)
 
 
 def parse_formula(text: str) -> FormulaSpec:
-    """Parse ``response ~ location-terms [| dispersion-terms]``."""
+    """Parse ``response ~ location-terms [| dispersion-terms]``; a term
+    that names the response is an error at its position."""
     if text.count("~") == 0:
         raise FormulaError("formula needs a '~' between response and terms", 0)
     if text.count("~") > 1:
@@ -82,9 +87,9 @@ def parse_formula(text: str) -> FormulaSpec:
     rhs = text[tilde + 1:]
     if "|" in rhs:
         bar = rhs.index("|")
-        location = _parse_side(rhs[:bar], tilde + 1)
-        dispersion = _parse_side(rhs[bar + 1:], tilde + 1 + bar + 1)
+        location = _parse_side(rhs[:bar], tilde + 1, response)
+        dispersion = _parse_side(rhs[bar + 1:], tilde + 1 + bar + 1, response)
     else:
-        location = _parse_side(rhs, tilde + 1)
+        location = _parse_side(rhs, tilde + 1, response)
         dispersion = ()
     return FormulaSpec(response=response, location=location, dispersion=dispersion)

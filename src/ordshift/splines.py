@@ -25,6 +25,19 @@ class BasisDef:
     lo: float
     hi: float
 
+    def __post_init__(self):
+        # clamped: bspline_basis evaluates the degree+1 B-splines of a row's
+        # knot interval, which exist for every x in [lo, hi] only then
+        d, t = self.degree, self.knots
+        if (len(t) != self.n_basis + d + 1 or any(a > b for a, b in zip(t, t[1:]))
+                or not self.lo < self.hi
+                or set(t[:d + 1]) != {self.lo} or set(t[-d - 1:]) != {self.hi}):
+            raise InvalidInputError(
+                f"knots must be {self.n_basis + d + 1} nondecreasing values that begin "
+                f"with lo={self.lo} and end with hi={self.hi} > lo, each {d + 1} times; "
+                f"got {t}"
+            )
+
 
 def knot_sequence(x, n_basis: int, degree: int = 3) -> BasisDef:
     """Build a knot vector for ``n_basis`` B-splines of the given degree.
@@ -40,9 +53,9 @@ def knot_sequence(x, n_basis: int, degree: int = 3) -> BasisDef:
             f"n_basis={n_basis} is below the minimum degree+1={degree + 1}"
         )
     distinct = np.unique(x)
-    if distinct.size < n_basis:
+    if distinct.size < max(n_basis, 2):
         raise SpecError(
-            f"need at least {n_basis} distinct values to place knots, "
+            f"need at least {max(n_basis, 2)} distinct values to place knots, "
             f"got {distinct.size}"
         )
     lo, hi = float(distinct[0]), float(distinct[-1])
@@ -60,7 +73,9 @@ def bspline_basis(x, basis: BasisDef) -> np.ndarray:
     """Evaluate all basis functions at ``x`` (scalar or array).
 
     Values outside [lo, hi] are clamped to the boundary. Returns shape
-    (..., n_basis); rows are nonnegative and sum to 1.
+    (..., n_basis); rows are nonnegative and sum to 1. Only the degree+1
+    B-splines of each row's knot interval are evaluated, by the Cox-de Boor
+    recurrence in its full-width order of operations: the others are zero.
     """
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -70,27 +85,30 @@ def bspline_basis(x, basis: BasisDef) -> np.ndarray:
     t = np.asarray(basis.knots)
     d, m = basis.degree, basis.n_basis
 
-    # degree-0 indicators on half-open intervals, closing the last one at hi
-    n_cells = len(t) - 1
-    b = np.zeros((x.size, n_cells))
-    for s in range(n_cells):
-        if t[s + 1] > t[s]:
-            b[:, s] = (x >= t[s]) & (x < t[s + 1])
-    last = np.max(np.nonzero(np.diff(t) > 0)[0])
-    b[x == basis.hi, :] = 0.0
-    b[x == basis.hi, last] = 1.0
-
+    # the knot interval of each row, half-open [t[mu], t[mu+1]) and the last
+    # nonempty one, which ends at the first hi, closed: its degree-0
+    # B-spline is the row's only nonzero one, and of degree d only B-splines
+    # mu-d..mu can be nonzero
+    mu = np.searchsorted(t, x, side="right") - 1
+    mu[x == basis.hi] = basis.knots.index(basis.hi) - 1
+    # one row per knot offset, one column per x
+    window = t[np.arange(1 - d, d + 1)[:, None] + mu]  # t[mu-d+1], ..., t[mu+d]
+    lo_t, hi_t = window[:d], window[d:]
+    from_lo, to_hi = x - lo_t, hi_t - x
+    b = np.ones((1, x.size))
     for deg in range(1, d + 1):
-        nb = np.zeros((x.size, n_cells - deg))
-        for s in range(n_cells - deg):
-            left = t[s + deg] - t[s]
-            if left > 0:
-                nb[:, s] += (x - t[s]) / left * b[:, s]
-            right = t[s + deg + 1] - t[s + 1]
-            if right > 0:
-                nb[:, s] += (t[s + deg + 1] - x) / right * b[:, s + 1]
+        # b holds B-splines mu-deg+1..mu of degree deg-1; B-spline s of
+        # degree deg is (x - t[s]) / left * b[s] + (t[s+deg+1] - x) / right
+        # * b[s+1], where b[s] has support left = t[s+deg] - t[s] and b[s+1]
+        # right. An empty support holds a zero B-spline, whose term is zero:
+        # its span is taken as 1.
+        span = hi_t[:deg] - lo_t[d - deg:]
+        span += span == 0
+        nb = np.zeros((deg + 1, x.size))
+        nb[1:] = from_lo[d - deg:] / span * b
+        nb[:-1] += to_hi[:deg] / span * b
         b = nb
-
-    assert b.shape[1] == m
-    return b[0] if scalar else b
-
+    # B-spline mu-d+j of row i, flat index i*m + mu-d+j, is b[j, i]
+    out = np.zeros((x.size, m))
+    out.ravel()[np.arange(d + 1)[:, None] + (np.arange(0, x.size * m, m) + mu - d)] = b
+    return out[0] if scalar else out

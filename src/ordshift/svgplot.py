@@ -70,7 +70,7 @@ class _Canvas:
         self.parts.append(f"<text {attrs}>{_escape(content)}</text>")
 
     def polyline(self, xs, ys, cls=None):
-        pts = " ".join(f"{_c(x)},{_c(y)}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))  # _c of each
         attrs = f'points="{pts}" fill="none" stroke="black" stroke-width="1.5"'
         if cls:
             attrs += f' class="{cls}"'
@@ -183,5 +183,8 @@ def render_smooth_svg(result: FitResult, variable: str) -> str:
             svg.line(x0 - 4, py(tick), x0, py(tick))
             svg.text(x0 - 6, py(tick) + 4, f"{tick:.2f}", anchor="end")
         svg.text(x0 + plot_w / 2, height - 12, variable, anchor="middle")
-        svg.polyline([px(g) for g in grid], [py(v) for v in values], cls="curve")
+        # px and py of every point, in their order of operations
+        xs = x0 + (grid - grid[0]) / (grid[-1] - grid[0]) * plot_w
+        ys = top + plot_h - (values - v_lo) / (v_hi - v_lo) * plot_h
+        svg.polyline(xs.tolist(), ys.tolist(), cls="curve")
     return svg.render()

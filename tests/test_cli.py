@@ -184,6 +184,30 @@ class TestEndToEnd:
         assert logging.getLogger("ordshift").level == level
         assert logging.getLogger("ordshift").handlers == []
 
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        common = ["--data", str(DATA), "--formula", "y ~ s(age) + group + s(score) | age + group",
+                  "--categorical", "group", "--structure", "locshift"]
+        proc = run_cli(*common, "--out", str(first / "report.txt"),
+                       "--smooth", f"age:{first / 'age.svg'}",
+                       "--smooth", f"score:{first / 'score.svg'}")
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in first.iterdir()) == ["age.svg", "report.txt", "score.svg"]
+        score = (first / "score.svg").read_bytes()
+        for path in first.iterdir():
+            path.unlink()  # a request kept from the first call would write here again
+        parser = cli.build_parser()
+        proc = run_cli(*common, "--out", str(second / "report.txt"),
+                       "--smooth", f"score:{second / 'score.svg'}")
+        assert proc.returncode == 0, proc.stderr
+        assert cli.build_parser() is parser
+        assert parser.get_default("smooth") == []
+        assert list(first.iterdir()) == []
+        assert sorted(p.name for p in second.iterdir()) == ["report.txt", "score.svg"]
+        assert (second / "score.svg").read_bytes() == score
+
     def test_nbs_sets_the_basis_of_smooth_terms_without_one(self):
         proc = run_cli("--data", str(DATA), "--formula", "y ~ s(age) + group | age",
                        "--categorical", "group", "--structure", "locshift", "--nbs", "5")
@@ -200,6 +224,27 @@ class TestExitCodes:
         line = proc.stderr.strip().splitlines()[-1]
         assert line.startswith("error[usage]:")
         assert "\n" not in line
+
+    def test_usage_error_response_as_a_covariate(self):
+        # y is in the CSV, as the response: the formula names the term
+        proc = run_cli("--data", str(DATA), "--formula", "y ~ y | age", "--structure", "global")
+        assert proc.returncode == 4
+        line = proc.stderr.strip().splitlines()[-1]
+        assert line == "error[usage]: term 'y' names the response 'y' (position 4)"
+
+    def test_usage_error_smooth_column_zero_on_every_row(self, tmp_path):
+        # 400 of 500 x are 0: both interior knots of s(x, 6) sit at 0, and
+        # B-splines 1 and 2 are zero on every row
+        rng = np.random.default_rng(4)
+        x = np.where(np.arange(500) < 400, 0.0, rng.random(500))
+        y = rng.integers(1, 4, 500)
+        csv = tmp_path / "piled.csv"
+        csv.write_text("y,x\n" + "".join(f"{a},{b!r}\n" for a, b in zip(y, x.tolist())))
+        proc = run_cli("--data", str(csv), "--formula", "y ~ s(x, 6)", "--structure", "global")
+        assert proc.returncode == 4
+        line = proc.stderr.strip().splitlines()[-1]
+        assert line.startswith("error[usage]: smooth term s(x, 6): B-spline columns [1, 2] "
+                               "are zero on every training row"), line
 
     def test_usage_error_unknown_flag_value(self):
         proc = run_cli("--data", str(DATA), "--formula", FORMULA, "--structure", "wild")

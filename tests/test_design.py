@@ -282,6 +282,21 @@ class TestGuards:
         with pytest.raises(SpecError, match="n_basis=0"):
             expand_design(data, spec)
 
+    def test_smooth_column_zero_on_every_training_row_rejected(self):
+        # 400 of 500 values are 0: knot_sequence puts both interior knots of
+        # s(x, 6) at 0, and B-splines 1 and 2, of empty support, are zero on
+        # every row; their SEs would be NaN and an LR test's df overstated
+        rng = np.random.default_rng(2)
+        x = np.where(np.arange(500) < 400, 0.0, rng.random(500))
+        data = _dataset_with({"x": x})
+        spec = ModelSpec(Family("cumulative"), "locshift", (Term("x", smooth=True),))
+        with pytest.raises(SpecError, match=r"^smooth term s\(x, 6\): B-spline columns "
+                                            r"\[1, 2\] are zero on every training row"):
+            expand_design(data, spec)
+        # four B-splines have no interior knot, and all span the data
+        spec = ModelSpec(Family("cumulative"), "locshift", (Term("x", smooth=True, n_basis=4),))
+        assert expand_design(data, spec).X.shape == (500, 3)
+
     def test_k2_dispersion_rejected_at_expansion(self):
         data = _dataset_with({"a": np.linspace(0, 1, 12)}, k=2, y=np.tile([1, 2], 6))
         spec = ModelSpec(Family("cumulative"), "locshift", (Term("a"),), (Term("a"),))

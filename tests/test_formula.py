@@ -63,6 +63,17 @@ class TestParse:
             parse_formula("y ~ x + 1bad")
         assert err.value.position == 8
 
+    @pytest.mark.parametrize("text, term, position", [
+        ("y ~ y | age", "y", 4),
+        ("y ~ age | age + s(y)", "s(y)", 16),
+        ("y ~ age +  s( y , 4)", "s( y , 4)", 11),
+    ])
+    def test_response_as_a_term_rejected_at_its_position(self, text, term, position):
+        with pytest.raises(FormulaError) as err:
+            parse_formula(text)
+        assert err.value.position == position
+        assert str(err.value) == f"term {term!r} names the response 'y' (position {position})"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

@@ -30,6 +30,32 @@ def naive_basis_row(x, basis):
     )
 
 
+def full_width_basis(x, basis):
+    """Cox-de Boor over every B-spline of every degree, a column at a time,
+    on half-open knot intervals with the last nonempty one closed at hi."""
+    x = np.clip(np.asarray(x, dtype=float), basis.lo, basis.hi)
+    t = np.asarray(basis.knots)
+    n_cells = len(t) - 1
+    b = np.zeros((x.size, n_cells))
+    for s in range(n_cells):
+        if t[s + 1] > t[s]:
+            b[:, s] = (x >= t[s]) & (x < t[s + 1])
+    last = np.max(np.nonzero(np.diff(t) > 0)[0])
+    b[x == basis.hi, :] = 0.0
+    b[x == basis.hi, last] = 1.0
+    for deg in range(1, basis.degree + 1):
+        nb = np.zeros((x.size, n_cells - deg))
+        for s in range(n_cells - deg):
+            left = t[s + deg] - t[s]
+            if left > 0:
+                nb[:, s] += (x - t[s]) / left * b[:, s]
+            right = t[s + deg + 1] - t[s + 1]
+            if right > 0:
+                nb[:, s] += (t[s + deg + 1] - x) / right * b[:, s + 1]
+        b = nb
+    return b
+
+
 class TestKnotSequence:
     def test_bernstein_case(self):
         x = np.linspace(0, 1, 50)
@@ -54,6 +80,22 @@ class TestKnotSequence:
     def test_too_few_distinct(self):
         with pytest.raises(SpecError):
             knot_sequence(np.array([1.0, 1.0, 2.0, 2.0]), 5, 3)
+
+    def test_constant_values_rejected(self):
+        # one B-spline of degree 0 still needs a range to span
+        with pytest.raises(SpecError, match="at least 2 distinct values"):
+            knot_sequence(np.full(10, 3.0), 1, 0)
+
+    @pytest.mark.parametrize("knots, n_basis, lo, hi", [
+        ((-1.0, 0.0, 1.0, 1.0), 2, 0.0, 1.0),  # not clamped at lo
+        ((0.0, 0.0, 0.5, 1.0), 2, 0.0, 1.0),  # not clamped at hi
+        ((0.0, 0.0, 1.0), 2, 0.0, 1.0),  # one knot short
+        ((0.0, 0.0, 0.7, 0.5, 1.0, 1.0), 4, 0.0, 1.0),  # decreasing
+        ((1.0, 1.0, 1.0, 1.0), 2, 1.0, 1.0),  # empty range
+    ])
+    def test_basis_def_requires_clamped_knots(self, knots, n_basis, lo, hi):
+        with pytest.raises(InvalidInputError, match="knots must be"):
+            BasisDef(degree=1, n_basis=n_basis, knots=knots, lo=lo, hi=hi)
 
 
 class TestBasisEvaluation:
@@ -122,6 +164,20 @@ class TestBasisEvaluation:
             values = bspline_basis(grid, basis)
             coef, *_ = np.linalg.lstsq(values, grid, rcond=None)
             assert np.max(np.abs(values @ coef - grid)) < 1e-10
+
+    @pytest.mark.parametrize("degree, n_basis", [(0, 3), (1, 4), (2, 5), (3, 6), (3, 9), (4, 7)])
+    def test_bit_identical_to_the_full_width_recurrence(self, degree, n_basis):
+        # piled-up data repeat interior knots at the boundary and inside:
+        # empty supports, zero B-splines and the closed last interval
+        rng = np.random.default_rng(degree * 10 + n_basis)
+        for x in (rng.normal(size=200),
+                  np.where(rng.random(200) < 0.7, 0.0, rng.exponential(size=200)),
+                  rng.integers(0, n_basis + 2, size=200).astype(float)):
+            basis = knot_sequence(x, n_basis, degree)
+            grid = np.concatenate([x, basis.knots, np.linspace(basis.lo - 1, basis.hi + 1, 61)])
+            got = bspline_basis(grid, basis)
+            assert got.tobytes() == full_width_basis(grid, basis).tobytes()
+            assert bspline_basis(float(grid[0]), basis).tobytes() == got[0].tobytes()
 
     def test_nonfinite_rejected(self):
         basis = knot_sequence(np.linspace(0, 1, 30), 4, 3)
