@@ -6,7 +6,7 @@ deviance testing; Wald inference; and star/smooth plots.
 """
 
 from .data import OrdinalDataset, load_csv
-from .design import ModelSpec, Term, constraint_map, expand_design
+from .design import ModelSpec, Term
 from .exceptions import (
     DataError,
     FormulaError,
@@ -27,36 +27,30 @@ from .fit import (
     smooth_values,
     standard_errors,
 )
-from .formula import FormulaSpec, parse_formula
+from .formula import parse_formula
 from .inference import (
     ComparisonTable,
     StarPoint,
     TestResult,
-    chisq_sf,
     lrt,
     model_ladder,
-    normal_cdf,
-    normal_quantile,
     smooth_term_tests,
     star_data,
     wald_table,
 )
-from .links import Family, scaling_factors
+from .links import Family
 from .report import render_report
-from .simulate import draw_responses, locshift_example, simulate_dataset
-from .splines import BasisDef, bspline_basis, knot_sequence
+from .simulate import locshift_example, simulate_dataset
 from .svgplot import render_smooth_svg, render_star_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisDef",
     "ComparisonTable",
     "DataError",
     "Family",
     "FitResult",
     "FormulaError",
-    "FormulaSpec",
     "InvalidInputError",
     "ModelSpec",
     "NestingError",
@@ -68,27 +62,18 @@ __all__ = [
     "Term",
     "TestResult",
     "ThresholdOrderError",
-    "bspline_basis",
-    "chisq_sf",
-    "constraint_map",
-    "draw_responses",
-    "expand_design",
     "fisher_info",
     "fit",
-    "knot_sequence",
     "load_csv",
     "locshift_example",
     "log_likelihood",
     "lrt",
     "model_ladder",
-    "normal_cdf",
-    "normal_quantile",
     "parse_formula",
     "predict",
     "render_report",
     "render_smooth_svg",
     "render_star_svg",
-    "scaling_factors",
     "score",
     "simulate_dataset",
     "smooth_term_tests",

@@ -166,7 +166,8 @@ def _run(argv) -> int:
         ladder = model_ladder(data, base_spec, max_iter=max_iter)
         fits = [row.fit for row in ladder.rows if row.ok]
         if not fits:
-            raise OrdshiftError("every model in the ladder failed")
+            reasons = "; ".join(f"{row.label}: {row.error}" for row in ladder.rows)
+            raise OrdshiftError(f"every model in the ladder failed: {reasons}")
     else:
         result = fit(base_spec, data, max_iter=max_iter)
         if not result.converged:

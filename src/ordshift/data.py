@@ -11,6 +11,7 @@ import numpy as np
 from .exceptions import DataError
 
 log = logging.getLogger("ordshift.data")
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -155,7 +156,7 @@ def _parse_cells(cells, column: str):
 def _responses(cells, column: str) -> np.ndarray:
     """The response cells as integers, converted in one call; the error
     path takes each stripped cell through int(), to name the first cell that
-    is not an integer."""
+    is not an integer or lies beyond the int64 range."""
     try:
         # int() of each cell, surrounding whitespace included
         return np.array(cells, dtype=int)
@@ -169,6 +170,9 @@ def _responses(cells, column: str) -> np.ndarray:
             raise DataError(
                 f"column {column!r} row {i}: response {value!r} is not an integer"
             ) from None
+        if not _INT64.min <= y[-1] <= _INT64.max:
+            raise DataError(f"column {column!r} row {i}: response {value} is beyond the "
+                            "64-bit integer range")
     return np.array(y)
 
 

@@ -141,10 +141,6 @@ class ParamLayout:
         return len(self.names)
 
     @property
-    def intercepts(self):
-        return slice(0, self.q)
-
-    @property
     def location(self):
         width = self.p * self.q if self.structure == "catspec" else self.p
         return slice(self.q, self.q + width)
@@ -189,21 +185,11 @@ class ExpandedDesign:
     U is (n, u), the columns ``layout.union_cols``: a column that the
     location and dispersion sides share (the same frozen transform on both)
     is held, and was evaluated, once. The union design that every structure
-    is fitted on is [1 | U]. X and Z are read from U through the layout, as
-    copies: the fit reads U alone."""
+    is fitted on is [1 | U]: the location columns are U's first p, the
+    dispersion columns U's columns ``layout.z_union``."""
 
     U: np.ndarray
     layout: ParamLayout
-
-    @property
-    def X(self) -> np.ndarray:
-        """(n, p) location columns, U's first p."""
-        return self.U[:, :self.layout.p].copy()
-
-    @property
-    def Z(self) -> np.ndarray:
-        """(n, m) dispersion columns, U's columns ``layout.z_union``."""
-        return self.U.take(np.asarray(self.layout.z_union, dtype=np.intp), axis=1)
 
 
 def _catspec_fold(location, dispersion, key) -> tuple:
@@ -397,8 +383,8 @@ def frozen_design(layout: ParamLayout, data: OrdinalDataset) -> ExpandedDesign:
 def build_design_tensor(design: ExpandedDesign, spec: ModelSpec) -> np.ndarray:
     """(n, k-1, n_params) tensor of the design rows, in ``design.layout``."""
     layout = design.layout
-    X, Z = design.X, design.Z
     q, p = layout.q, layout.p
+    X, Z = design.U[:, :p], design.U[:, list(layout.z_union)]
     D = np.zeros((X.shape[0], q, layout.n_params))
     D[:, range(q), range(q)] = 1.0
     if layout.structure == "catspec":

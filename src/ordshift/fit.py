@@ -760,14 +760,6 @@ def fisher_info(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
     return info[np.ix_(perm, perm)]
 
 
-def category_probabilities(params, data: OrdinalDataset, spec: ModelSpec) -> np.ndarray:
-    """Category probabilities (n, k) at ``params`` in the original labels,
-    the design learned on ``data``: the probabilities of a spec that no fit
-    froze, as simulate_dataset draws from. A fitted model's probabilities
-    on new rows are predict's."""
-    return _compile(data, spec).category_probabilities(params)
-
-
 def predict(result: FitResult, columns: dict) -> np.ndarray:
     """Category probabilities (n, k) of a fitted model at the covariate
     ``columns`` (a dict of raw columns by variable name), in the original
@@ -780,8 +772,8 @@ def predict(result: FitResult, columns: dict) -> np.ndarray:
     categorical value outside the training levels, or a variable the fit
     reads and ``columns`` lack, is a DataError naming it. Cumulative
     thresholds can still cross at covariates beyond the training rows,
-    which raises ThresholdOrderError. On the training columns it is
-    category_probabilities(result.params, data, result.spec), bit for bit.
+    which raises ThresholdOrderError. On the training columns it is the
+    probabilities of the problem compiled on the training data, bit for bit.
     """
     layout = result.layout
     rows = columns_dataset(layout.x_cols + layout.z_cols, columns, layout.k)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import OrdinalDataset
 from .design import ModelSpec, Term, _catspec_fold, constraint_map
-from .exceptions import InvalidInputError, NestingError, OrdshiftError, SpecError
+from .exceptions import DataError, InvalidInputError, NestingError, OrdshiftError, SpecError
 from .fit import MAX_ITER, FitResult, fit, standard_errors
 
 LADDER_LABELS = {
@@ -103,6 +103,7 @@ class LadderRow:
     fit: FitResult | None = None
     error: str | None = None
     test: TestResult | None = None  # against the previous (richer) row
+    note: str | None = None  # why a converged row has no test
 
     @property
     def ok(self) -> bool:
@@ -152,7 +153,15 @@ def model_ladder(
     the remaining comparisons are still produced. A failed warm
     category-specific fit is not refitted from the default start: a
     cumulative one usually has no optimum inside the ordered-threshold
-    region, which no start can reach.
+    region, which no start can reach. The global and location-shift rungs
+    read only the data and the base spec's own terms, so a DataError or
+    SpecError there is the caller's and propagates; the category-specific
+    rung's SpecError (it takes no smooth terms) marks its row failed.
+
+    At k=3 with every variable on both sides, beta + w_r * alpha is a
+    linear reparametrization of the category-specific beta_r (w_1 != w_2):
+    the two rungs are one model with equal parameter counts, reported with
+    no test between them and a note saying so.
     """
     if not base_spec.dispersion:
         raise SpecError("the model ladder needs dispersion terms (y ~ x... | z...)")
@@ -173,13 +182,20 @@ def model_ladder(
             if not row.fit.converged:
                 row.error = "fit failed (did not converge)"
         except OrdshiftError as exc:
+            if isinstance(exc, (DataError, SpecError)) and structure != "catspec":
+                raise
             row.error = f"fit failed ({exc})"
         table.rows.append(row)
 
     order = {s: i for i, s in enumerate(LADDER_ORDER)}
     table.rows.sort(key=lambda r: order[r.structure])
     for prev, row in zip(table.rows, table.rows[1:]):
-        if prev.ok and row.ok:
+        if not (prev.ok and row.ok):
+            continue
+        if row.fit.n_params == prev.fit.n_params:
+            row.note = ("the category-specific model reparametrized (k=3, every variable "
+                        "on both sides); no test")
+        else:
             row.test = lrt(row.fit, prev.fit)
     return table
 

@@ -60,12 +60,15 @@ def _ladder_cells(table: ComparisonTable):
     return rows
 
 
-def _failure_notes(table: ComparisonTable):
+def _ladder_notes(table: ComparisonTable):
     """One line per failed row: its reason and the notes of its fit, if it
-    has one, that the reason does not already say."""
+    has one, that the reason does not already say; and one per converged row
+    whose note says why it has no test."""
     lines = []
     for row in table.rows:
-        if not row.ok:
+        if row.note is not None:
+            lines.append(f"{row.label}: {row.note}")
+        elif not row.ok:
             notes = [row.error] + [note for note in (row.fit.warnings if row.fit else ())
                                    if note not in row.error]
             lines.append(f"{row.label}: {'; '.join(notes)}")
@@ -131,7 +134,8 @@ def render_report(ladder, fits, format: str = "text") -> str:
     Deviances carry 2 decimals, coefficients 3, p-values 4 ("0.0000" means
     below 5e-5); rows with unavailable standard errors render blank cells.
     Each failed ladder row's reason, with its fit's notes, follows the
-    ladder table as a ``note:`` line.
+    ladder table as a ``note:`` line, as does a converged row's reason for
+    having no test.
     """
     if format not in ("text", "markdown"):
         raise InvalidInputError(f"unknown format {format!r}")
@@ -145,7 +149,7 @@ def render_report(ladder, fits, format: str = "text") -> str:
         cells = _ladder_cells(ladder)
         out.extend(_md_table(_LADDER_HEADER, cells) if md else _text_table(_LADDER_HEADER, cells))
         out.append("")
-        for note in _failure_notes(ladder):
+        for note in _ladder_notes(ladder):
             out.append(f"note: {note}")
             out.append("")
 

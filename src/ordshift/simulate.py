@@ -7,7 +7,7 @@ import numpy as np
 from .data import OrdinalDataset
 from .design import ModelSpec, Term
 from .exceptions import SpecError
-from .fit import category_probabilities
+from .fit import _compile
 from .links import Family
 
 
@@ -28,7 +28,7 @@ def simulate_dataset(
     """
     n = len(next(iter(columns.values())))
     shell = OrdinalDataset(y=np.ones(n, dtype=int), k=k, columns=dict(columns))
-    probs = category_probabilities(params, shell, spec)
+    probs = _compile(shell, spec).category_probabilities(params)
     return OrdinalDataset(y=draw_responses(probs, rng), k=k, columns=dict(columns))
 
 

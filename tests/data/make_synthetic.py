@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python tests/data/make_synthetic.py
+    PYTHONPATH=src python tests/data/make_synthetic.py
 
 The responses follow a cumulative location-shift model with dual
 location/dispersion effects for age (in decades) and group, a
@@ -17,11 +17,9 @@ import pathlib
 
 import numpy as np
 
-from ordshift.data import OrdinalDataset
 from ordshift.design import ModelSpec, Term
-from ordshift.fit import category_probabilities
 from ordshift.links import Family
-from ordshift.simulate import draw_responses
+from ordshift.simulate import simulate_dataset
 
 SEED = 20250808
 N = 500
@@ -57,9 +55,7 @@ def generate():
     params = np.concatenate(
         [INTERCEPTS, list(BETA.values()), list(ALPHA.values())]
     )
-    shell = OrdinalDataset(y=np.ones(N, dtype=int), k=K, columns=columns)
-    probs = category_probabilities(params, shell, spec)
-    y = draw_responses(probs, rng)
+    y = simulate_dataset(spec, params, columns, K, rng).y
     return y, age, group, score
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from ordshift.data import OrdinalDataset
 from ordshift.design import ModelSpec, Term
-from ordshift.fit import FitResult, log_likelihood
+from ordshift.fit import FitResult, _compile, log_likelihood
 from ordshift.links import Family, logistic
 from ordshift.simulate import simulate_dataset
 
@@ -13,6 +13,23 @@ def logistic_density(eta):
     """F'(eta) = F (1 - F) of the logistic F."""
     f = logistic(eta)
     return f * (1.0 - f)
+
+
+def category_probabilities(params, data, spec):
+    """(n, k) category probabilities of ``spec`` at ``params``, its design
+    learned on ``data``, in the original labels."""
+    return _compile(data, spec).category_probabilities(params)
+
+
+def location_columns(design):
+    """(n, p) location columns of an expanded design: U's first p."""
+    return design.U[:, :design.layout.p]
+
+
+def dispersion_columns(design):
+    """(n, m) dispersion columns of an expanded design: U's columns
+    ``layout.z_union``."""
+    return design.U[:, list(design.layout.z_union)]
 
 
 def kernel_predictors(problem, theta):
@@ -125,7 +142,6 @@ def nelder_mead_loglik(data, spec, start):
     from scipy.optimize import minimize
 
     from ordshift.exceptions import ThresholdOrderError
-    from ordshift.fit import _compile
 
     problem = _compile(data, spec)
 

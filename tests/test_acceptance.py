@@ -17,6 +17,7 @@ from helpers import (
     fd_gradient,
     fd_hessian,
     feasible_params,
+    location_columns,
     nelder_mead_loglik,
     stub_fit,
 )
@@ -240,7 +241,7 @@ def test_criterion_08_spline_properties():
 
     y = np.tile([1, 2, 3], 200)[:500]
     spec = ModelSpec(Family("cumulative"), "global", (Term("x", smooth=True, n_basis=6),))
-    centered = expand_design(OrdinalDataset(y=y, k=3, columns={"x": x}), spec).X
+    centered = location_columns(expand_design(OrdinalDataset(y=y, k=3, columns={"x": x}), spec))
     means = np.max(np.abs(centered.mean(axis=0)))
 
     ok = unity < 1e-12 and linear < 1e-10 and means < 1e-14

@@ -1,6 +1,7 @@
 """The package's top-level exports."""
 
 import ast
+import importlib
 import os
 import pathlib
 import re
@@ -10,8 +11,36 @@ import sys
 import ordshift
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the paper's workflow: data, formula, spec, family, fit and what a fit
+# gives, the ladder and its tests, tables, renderers, simulation, exceptions
+EXPORTED = frozenset({
+    "OrdinalDataset", "load_csv", "parse_formula", "ModelSpec", "Term", "Family",
+    "fit", "FitResult", "predict", "standard_errors", "smooth_values",
+    "log_likelihood", "score", "fisher_info",
+    "model_ladder", "ComparisonTable", "lrt", "TestResult", "smooth_term_tests",
+    "wald_table", "star_data", "StarPoint",
+    "render_report", "render_star_svg", "render_smooth_svg",
+    "simulate_dataset", "locshift_example",
+    "OrdshiftError", "DataError", "FormulaError", "SpecError", "InvalidInputError",
+    "NestingError", "StartError", "ThresholdOrderError",
+})
+# building blocks that the package once exported, each still public in its
+# own module
+IN_MODULE = {
+    "BasisDef": "splines",
+    "bspline_basis": "splines",
+    "knot_sequence": "splines",
+    "chisq_sf": "inference",
+    "normal_cdf": "inference",
+    "normal_quantile": "inference",
+    "scaling_factors": "links",
+    "constraint_map": "design",
+    "draw_responses": "simulate",
+    "FormulaSpec": "formula",
+    "expand_design": "design",
+}
 # internal or removed names that the package once exported
-NOT_EXPORTED = (
+NOT_EXPORTED = tuple(IN_MODULE) + (
     "Link",
     "LOGIT",
     "LogitLink",
@@ -37,6 +66,7 @@ def _top_level_imports(source: str) -> set:
 
 def test_every_exported_name_resolves():
     assert len(set(ordshift.__all__)) == len(ordshift.__all__)
+    assert set(ordshift.__all__) == EXPORTED and len(EXPORTED) == 35
     for name in ordshift.__all__:
         assert getattr(ordshift, name) is not None, name
 
@@ -54,6 +84,8 @@ def test_removed_and_internal_names_not_exported():
     for name in NOT_EXPORTED:
         assert name not in ordshift.__all__
         assert not hasattr(ordshift, name), name
+    for name, module in IN_MODULE.items():
+        assert getattr(importlib.import_module(f"ordshift.{module}"), name) is not None, name
 
 
 def test_import_loads_no_network_stack():

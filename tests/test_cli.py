@@ -64,6 +64,15 @@ def run_module(*args):
     )
 
 
+def recoded(tmp_path, codes):
+    """synthetic.csv with each response y written as ``codes[y - 1]``."""
+    lines = DATA.read_text().splitlines()
+    path = tmp_path / "recoded.csv"
+    path.write_text("\n".join([lines[0]] + [f"{codes[int(line[0]) - 1]}{line[1:]}"
+                                            for line in lines[1:]]) + "\n")
+    return path
+
+
 def ladder_args(tmp_path, **extra):
     args = [
         "--data", str(DATA),
@@ -320,6 +329,71 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
         assert proc.stderr.strip().splitlines()[-1].startswith("error[fit]:")
+
+    def test_every_failed_rung_named_in_the_error(self, tmp_path):
+        # one iteration fits nothing: the one error line gives each row's reason
+        proc = run_cli(*ladder_args(tmp_path), env_extra={"ORDSHIFT_MAX_ITER": "1"})
+        assert proc.returncode == 3
+        line = proc.stderr.strip().splitlines()[-1]
+        assert line == (
+            "error[fit]: every model in the ladder failed: "
+            "Model with category-specific effects: fit failed (did not converge); "
+            "Location-shift model: fit failed (did not converge); "
+            "Model with global effects: fit failed (did not converge)"
+        )
+
+    def test_ladder_spec_error_is_a_usage_error(self, tmp_path):
+        # 80% of v at 0 leaves B-splines 1 and 2 of s(v, 6) zero on every
+        # row: the global rung's spec error, an exit 4 as under locshift,
+        # not a ladder of failed fits
+        rng = np.random.default_rng(5)
+        v = np.where(np.arange(500) < 400, 0.0, rng.random(500))
+        g = rng.choice(["a", "b"], 500)
+        y = rng.integers(1, 5, 500)
+        csv = tmp_path / "piled.csv"
+        csv.write_text("y,v,g\n" + "".join(f"{a},{b!r},{c}\n"
+                                          for a, b, c in zip(y, v.tolist(), g)))
+        for structure in ("locshift", "ladder"):
+            proc = run_cli("--data", str(csv), "--formula", "y ~ s(v, 6) + g | g",
+                           "--categorical", "g", "--structure", structure)
+            assert proc.returncode == 4, structure
+            line = proc.stderr.strip().splitlines()[-1]
+            assert line.startswith("error[usage]: smooth term s(v, 6): B-spline columns "
+                                   "[1, 2] are zero on every training row"), line
+
+    def test_ladder_with_dispersion_at_k2_is_a_usage_error(self, tmp_path):
+        two = recoded(tmp_path, (1, 1, 1, 2, 2))
+        proc = run_cli("--data", str(two), "--formula", FORMULA, "--categorical", "group")
+        assert proc.returncode == 4
+        line = proc.stderr.strip().splitlines()[-1]
+        assert line.startswith("error[usage]: dispersion terms are not identified for k=2"), line
+
+    @pytest.mark.parametrize("family", ["cumulative", "acat"])
+    def test_ladder_at_k3_with_every_variable_on_both_sides(self, tmp_path, family):
+        # k=3: the location-shift rung reparametrizes the category-specific
+        # one; both are reported, with one note line and no test between them
+        three = recoded(tmp_path, (1, 1, 2, 3, 3))
+        proc = run_cli("--data", str(three), "--formula", "y ~ age + group | age + group",
+                       "--categorical", "group", "--family", family)
+        assert proc.returncode == 0, proc.stderr
+        report = proc.stdout.splitlines()
+        catspec, locshift, glob = report[3:6]
+        assert catspec.split()[-2:] == locshift.split()[-2:]  # deviance and df
+        assert len(locshift.split()) == 4 and len(glob.split()) == 9
+        notes = [line for line in report if line.startswith("note:")]
+        assert notes == ["note: Location-shift model: the category-specific model "
+                         "reparametrized (k=3, every variable on both sides); no test"]
+
+    def test_data_error_response_beyond_int64(self, tmp_path):
+        bad = tmp_path / "huge.csv"
+        bad.write_text("y,age,group,score\n1,1.0,a,0.1\n99999999999999999999,2.0,b,0.2\n"
+                       "2,3.0,a,0.3\n")
+        proc = run_cli("--data", str(bad), "--formula", FORMULA, "--categorical", "group")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == (
+            "error[data]: column 'y' row 3: response 99999999999999999999 is beyond the "
+            "64-bit integer range")
 
     def test_env_var_validated(self):
         proc = run_cli(

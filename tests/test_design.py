@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import kernel_predictors, random_dataset
+from helpers import dispersion_columns, kernel_predictors, location_columns, random_dataset
 
 from ordshift.data import OrdinalDataset
 from ordshift.design import (
@@ -33,7 +33,8 @@ def dummy_block(values, levels, name="variable"):
     dataset, then design_columns from its kept level codes."""
     data = OrdinalDataset(y=np.ones(len(values), dtype=int), k=2, columns={name: values},
                           categorical_levels={name: levels})
-    return expand_design(data, ModelSpec(Family("cumulative"), "global", (Term(name),))).X
+    return location_columns(expand_design(data, ModelSpec(Family("cumulative"), "global",
+                                                          (Term(name),))))
 
 
 def _loop_dummies(values, levels):
@@ -295,7 +296,7 @@ class TestGuards:
             expand_design(data, spec)
         # four B-splines have no interior knot, and all span the data
         spec = ModelSpec(Family("cumulative"), "locshift", (Term("x", smooth=True, n_basis=4),))
-        assert expand_design(data, spec).X.shape == (500, 3)
+        assert location_columns(expand_design(data, spec)).shape == (500, 3)
 
     def test_k2_dispersion_rejected_at_expansion(self):
         data = _dataset_with({"a": np.linspace(0, 1, 12)}, k=2, y=np.tile([1, 2], 6))
@@ -324,8 +325,8 @@ class TestGuards:
         )
         design = expand_design(data, spec)
         # five B-splines sum to one: centered, four of them span the block
-        assert design.X.shape == (80, 4)
-        assert np.max(np.abs(design.X.mean(axis=0))) < 1e-14
+        assert location_columns(design).shape == (80, 4)
+        assert np.max(np.abs(location_columns(design).mean(axis=0))) < 1e-14
         assert [c.basis_index for c in design.layout.x_cols] == [1, 2, 3, 4]
         assert {c.basis.n_basis for c in design.layout.x_cols} == {5}
 
@@ -344,12 +345,13 @@ class TestSmoothColumns:
         assert [c.name for c in cols] == [f"s(a).{j}" for j in range(1, 6)]
         assert all(c.source == "a" for c in cols)
         raw = bspline_basis(a, cols[0].basis)
+        Z = dispersion_columns(design)
         for j, c in enumerate(cols):
             assert c.basis is cols[0].basis
             assert c.mean == pytest.approx(raw[:, c.basis_index - 1].mean(), abs=1e-15)
-            assert np.array_equal(design.Z[:, j], raw[:, c.basis_index - 1] - c.mean)
-        assert np.max(np.abs(design.Z.mean(axis=0))) < 1e-14
-        assert np.linalg.matrix_rank(np.column_stack([np.ones(120), design.Z])) == 6
+            assert np.array_equal(Z[:, j], raw[:, c.basis_index - 1] - c.mean)
+        assert np.max(np.abs(Z.mean(axis=0))) < 1e-14
+        assert np.linalg.matrix_rank(np.column_stack([np.ones(120), Z])) == 6
         assert design.layout.x_cols[0].basis is None
 
     def test_new_grid_uses_the_training_transform(self):
@@ -363,8 +365,8 @@ class TestSmoothColumns:
         design = expand_design(data, spec)
         coef = result.params[result.layout.location]
         v1 = data.columns["v1"]
-        assert smooth_values(result, "location", "v1", v1) == pytest.approx(design.X @ coef,
-                                                                             abs=1e-12)
+        assert smooth_values(result, "location", "v1", v1) == pytest.approx(
+            location_columns(design) @ coef, abs=1e-12)
         lo, hi = v1.min(), v1.max()
         outside = smooth_values(result, "location", "v1", [lo - 5.0, hi + 5.0])
         assert outside == pytest.approx(smooth_values(result, "location", "v1", [lo, hi]),

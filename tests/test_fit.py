@@ -12,11 +12,14 @@ import pytest
 
 from helpers import (
     boundary_dataset,
+    category_probabilities,
+    dispersion_columns,
     empirical_start,
     fd_gradient,
     fd_hessian,
     feasible_params,
     kernel_predictors,
+    location_columns,
     logistic_density,
     nelder_mead_loglik,
     random_dataset,
@@ -44,7 +47,6 @@ from ordshift.fit import (
     WEIGHT_FLOOR,
     _compile,
     _Problem,
-    category_probabilities,
     fisher_info,
     fit,
     log_likelihood,
@@ -252,14 +254,13 @@ def _dense_score_info(problem, data, theta):
     Builds A[i, c, r] = d log pi_c / d eta_r entry by entry and contracts it
     with the (n, k-1, n_params) design tensor: score sum_i D_i' A[i, y_i] and
     information sum_i D_i' (sum_c pi_c A_c A_c') D_i. The tensor is built
-    from X and Z made column by column from the layout on ``data``, not
-    read from the problem's union design.
+    from union columns made from the layout on ``data``, not read from the
+    problem's union design.
     """
     layout = problem.layout
     spec = ModelSpec(problem.family, layout.structure)
-    sides = SimpleNamespace(X=design_columns(layout.x_cols, data),
-                            Z=design_columns(layout.z_cols, data), layout=layout)
-    D = build_design_tensor(sides, spec)
+    union = SimpleNamespace(U=design_columns(layout.union_cols, data), layout=layout)
+    D = build_design_tensor(union, spec)
     eta = D @ theta
     probs = category_probs(problem.family, eta.T).T
     n, k = probs.shape
@@ -426,9 +427,10 @@ class TestUnionDesign:
         assert design.U.shape == (150, layout.p + layout.m - shared)
         bases = {c.basis for c in layout.union_cols if c.basis is not None}
         assert len(bases) == (1 if dispersion_basis == 6 else 2)
-        # X and Z read from U through the layout are the columns built alone
-        assert np.array_equal(design.X, design_columns(layout.x_cols, data))
-        assert np.array_equal(design.Z, design_columns(layout.z_cols, data))
+        # the location and dispersion columns read from U through the layout
+        # are the columns built alone
+        assert np.array_equal(location_columns(design), design_columns(layout.x_cols, data))
+        assert np.array_equal(dispersion_columns(design), design_columns(layout.z_cols, data))
         problem = _compile(data, spec)
         assert len(problem.blocks) == (1 if block_rows == 4096 else 10)
         theta = feasible_params(np.random.default_rng(64), layout, spec, data, scale=0.1)
@@ -578,7 +580,7 @@ class TestRowBlocks:
         # a one-block problem holds every row's products, [1, x] first, and
         # x itself only once: its design's
         x1 = np.column_stack([np.ones(150), whole.U])
-        assert np.array_equal(whole.U, expand_design(data, spec).X)
+        assert np.array_equal(whole.U, location_columns(expand_design(data, spec)))
         pair_j, pair_l = np.triu_indices(p + 1)
         products = x1[:, pair_j] * x1[:, pair_l]
         assert whole._products.shape == ((p + 1) * (p + 2) // 2, 150)

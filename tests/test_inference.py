@@ -6,11 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import boundary_dataset, random_dataset, stub_fit
+from helpers import boundary_dataset, location_columns, random_dataset, stub_fit
 
 from ordshift.data import OrdinalDataset
 from ordshift.design import ModelSpec, Term, expand_design
-from ordshift.exceptions import InvalidInputError, NestingError, SeparationWarning, SpecError
+from ordshift.exceptions import (
+    DataError,
+    InvalidInputError,
+    NestingError,
+    SeparationWarning,
+    SpecError,
+)
 from ordshift.fit import fit, log_likelihood, standard_errors
 from ordshift.inference import (
     _catspec_start,
@@ -230,6 +236,42 @@ class TestModelLadder:
         assert table.row("global").ok
         assert table.row("locshift").test is None
         assert table.row("global").test is not None
+
+    @pytest.mark.parametrize("family", [CUM, Family("adjacent")])
+    def test_k3_locshift_and_catspec_are_one_model(self, family):
+        # at k=3 with every variable on both sides beta + w_r * alpha
+        # reparametrizes beta_r: equal parameter counts and deviances, and
+        # no test between the two rows
+        rng = np.random.default_rng(2)
+        data, spec, _ = random_dataset(rng, n=300, k=3, family=family)
+        table = model_ladder(data, spec)
+        cs, ls, gl = (table.row(s) for s in ("catspec", "locshift", "global"))
+        assert cs.ok and ls.ok and gl.ok
+        assert cs.fit.n_params == ls.fit.n_params
+        assert cs.fit.deviance == pytest.approx(ls.fit.deviance, rel=1e-9)
+        assert ls.test is None and ls.error is None
+        assert ls.note == ("the category-specific model reparametrized (k=3, every variable "
+                           "on both sides); no test")
+        assert gl.test is not None and gl.note is None
+
+    def test_spec_error_of_the_base_terms_propagates(self):
+        # the location-shift rung reads the base spec's dispersion terms: its
+        # spec error is the caller's, not a failed row
+        rng = np.random.default_rng(5)
+        data, _, _ = random_dataset(rng, n=300, k=4)
+        piled = np.where(np.arange(300) < 240, 0.0, rng.random(300))
+        data = OrdinalDataset(data.y, data.k, {"v1": data.columns["v1"], "v2": piled})
+        spec = ModelSpec(CUM, "locshift", (Term("v1"),), (Term("v2", smooth=True),))
+        with pytest.raises(SpecError, match=r"^smooth term s\(v2, 6\): B-spline columns"):
+            model_ladder(data, spec)
+
+    def test_data_error_propagates(self):
+        # an unobserved category fails every rung alike: the data's error
+        rng = np.random.default_rng(6)
+        data, spec, _ = random_dataset(rng, n=100, k=4)
+        y = np.where(data.y == 2, 1, data.y)
+        with pytest.raises(DataError, match=r"^response categories \[2\] are unobserved"):
+            model_ladder(OrdinalDataset(y, 4, data.columns), spec)
 
     def test_one_fit_per_rung(self, monkeypatch):
         # a failed warm category-specific fit is the row's fit: on this data
@@ -522,7 +564,7 @@ class TestSmoothTermTests:
         assert result.converged
         assert result.warnings == []
         assert np.all(np.isfinite(standard_errors(result)))
-        X = expand_design(data, spec).X
+        X = location_columns(expand_design(data, spec))
         rank = np.linalg.matrix_rank(np.column_stack([np.ones(n), X])) - 1
         assert rank == X.shape[1] == 5
         assert tests["drop"].df == rank

@@ -12,7 +12,8 @@ same cases, so a failure reproduces and the suite's time is fixed.
   the stripped cell through int() or float() would, and fails with the
   same message naming the same cell;
 - a valid CSV through the CLI with a star plot exits 0, 2 or 3, never
-  with a traceback, or 4 when a smooth term cannot be placed on its data.
+  with a traceback, or 4 when a smooth term cannot be placed on its data;
+  3 only with a fit that failed.
 """
 
 import contextlib
@@ -22,15 +23,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+
+from helpers import category_probabilities
 
 from ordshift import cli
 from ordshift.data import OrdinalDataset, load_csv
 from ordshift.design import ModelSpec, Term
 from ordshift.exceptions import DataError, SeparationWarning
-from ordshift.fit import category_probabilities, fit, predict
+from ordshift.fit import fit, predict
 from ordshift.formula import parse_formula
+from ordshift.inference import LADDER_LABELS
 from ordshift.links import Family
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -288,10 +292,20 @@ def test_cli_star_exits_with_a_code(tmp_path_factory, csv, family, reverse, stru
         # overflow or invalid value still fails (pyproject.toml)
         warnings.simplefilter("ignore", UserWarning)
         code = cli.main(argv)
+    event(f"{structure} exit {code}")
     assert code in ((0, 2, 3, 4) if smooth else (0, 2, 3))
+    last = stderr.getvalue().strip().splitlines()[-1]
     if code == 4:
-        last = stderr.getvalue().strip().splitlines()[-1]
         assert last.startswith("error[usage]: smooth term s(v, 6): "), last
+    if code == 3:
+        # only a fit that failed: the requested structure's, every rung's, or
+        # the location-shift rung's that the star plot needs
+        if last.startswith("error[fit]: every model in the ladder failed: "):
+            assert all(f"{label}: fit failed (" in last for label in LADDER_LABELS.values()), last
+        elif last == "error[fit]: star plot needs a converged location-shift fit":
+            assert "note: Location-shift model: fit failed (" in (out / "report.txt").read_text()
+        else:
+            assert last.startswith(f"error[fit]: {structure} fit did not converge in "), last
     if code == 0:
         svg = (out / "star.svg").read_text(encoding="utf-8")
         assert "inf" not in svg and "nan" not in svg
