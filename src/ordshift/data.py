@@ -185,7 +185,8 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
     listed in ``categorical`` (or whose values are entirely non-numeric) are
     treated as categorical with levels in first-seen order; a numeric column
     containing stray text or a non-finite value (nan, inf) is an error naming
-    the offending cell.
+    the offending cell. So is a k, inferred from the largest response or
+    given, above the row count: some category would be unobserved.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -245,6 +246,13 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
         else:
             columns[name] = numbers
 
+    if k_eff > y.size:
+        # checked before the data's first k-sized count
+        i = int(np.argmax(y))
+        raise DataError(
+            f"column {formula.response!r} row {i + 2}: largest response {y[i]}; "
+            f"k={k_eff} categories cannot all be observed in {y.size} rows"
+        )
     data = OrdinalDataset(y=y, k=k_eff, columns=columns, categorical_levels=levels)
     counts = ", ".join(f"{c}" for c in data.category_counts())
     log.info("loaded %s: n=%d, k=%d, category counts [%s]", path, data.n, data.k, counts)

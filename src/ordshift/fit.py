@@ -89,9 +89,11 @@ def _check_categories(data: OrdinalDataset) -> None:
     counts = data.category_counts()
     empty = np.nonzero(counts == 0)[0] + 1
     if empty.size:
+        listed = str(empty[:10].tolist())
+        if empty.size > 10:
+            listed = f"{listed[:-1]}, ...] ({empty.size} in all)"
         raise DataError(
-            f"response categories {empty.tolist()} are unobserved; "
-            "merge categories before fitting"
+            f"response categories {listed} are unobserved; merge categories before fitting"
         )
 
 
@@ -439,15 +441,6 @@ class _Problem:
             total += self._block_loglik(own)
         return total, floored
 
-    def crosses(self, theta: np.ndarray) -> bool:
-        """Whether the thresholds at canonical ``theta`` cross in any block,
-        by loglik()'s walk over every block."""
-        try:
-            self.loglik(theta)
-        except ThresholdOrderError:
-            return True
-        return False
-
     def _load_data(self, rows: slice) -> np.ndarray:
         """Fill the block scratch that depends on the data alone, the response
         mask and the union design's products table, unless it already holds
@@ -464,19 +457,15 @@ class _Problem:
                 np.multiply(products[j], products[j:union], out=products[run])
         return products.T
 
-    def evaluate(self, theta: np.ndarray, bound: float = np.inf):
+    def evaluate(self, theta: np.ndarray):
         """Deviance, score and information at canonical ``theta`` in one pass
-        over the blocks, or None once the deviance exceeds ``bound``.
+        over every block.
 
         Each block's probabilities are made in block scratch and its
-        log-likelihood is added first. Every block adds a nonpositive one, so
-        the running deviance never falls: the pass returns None as soon as it
-        exceeds ``bound``, exactly when the full deviance would, and before
-        any derivative work on that block, without reading the blocks after
-        it. Only then does the weights helper load the block's
+        log-likelihood is added; then the weights helper loads the block's
         weights from its probabilities, and the block's score and
-        information are added. Infeasible cumulative thresholds raise
-        ThresholdOrderError.
+        information are added. Infeasible cumulative thresholds, in any
+        block, raise ThresholdOrderError.
 
         u_i = d log pi_{y_i} / d eta_i and W_i = sum_c pi_c A_c A_c' with
         A_c = d log pi_c / d eta are each observation's score and information
@@ -502,8 +491,6 @@ class _Problem:
         for rows in self.blocks:
             probs, cdf, own = self.probabilities(theta, rows)
             loglik += self._block_loglik(own)
-            if not -2.0 * loglik <= bound:
-                return None
             products = self._load_data(rows)
             u = weights.load(probs, cdf, own)
             block = products[:, :1 + self.U.shape[1]]
@@ -796,34 +783,27 @@ def fit(
     already below tolerance, converged=False otherwise (retrying would solve
     for the same step); an unconverged stop at an iteration in which some
     candidate crossed thresholds is noted in ``warnings`` as a stop at the
-    threshold-order boundary (each candidate rejected on its deviance is
-    then walked again through every block of rows for a crossing, since its
-    pass stopped at the first block that took it past the bound).
+    threshold-order boundary.
     Convergence requires relative deviance change < DEVIANCE_TOL and
     max |score| < SCORE_TOL * (1 + |loglik|) at the same iteration. The
     covariance is the inverse expected information at the optimum. Each
-    candidate is evaluated in one pass bounded by the current deviance, so
-    a rejected candidate stops at the first block of rows that takes its
-    deviance past that bound; the score and information of an accepted
-    step come from the pass that accepted it and serve the convergence
-    test, the next step and the covariance.
+    candidate is evaluated in one whole pass over the rows, so a crossing
+    in any block is seen; the score and information of an accepted step
+    come from the pass that accepted it and serve the convergence test, the
+    next step and the covariance.
     """
     _check_categories(data)
     problem = _compile(data, spec)
     layout = problem.layout
 
-    if start is not None:
-        try:
-            theta = problem.canonical(start)
-        except (SpecError, InvalidInputError) as exc:
-            raise StartError(f"start: {exc}") from exc
-        try:
-            deviance, s, info = problem.evaluate(theta)
-        except ThresholdOrderError as exc:
-            raise StartError(f"infeasible start: {exc}") from exc
-    else:
-        theta = problem.initial_params()
+    try:
+        theta = problem.initial_params() if start is None else problem.canonical(start)
+    except (SpecError, InvalidInputError) as exc:
+        raise StartError(f"start: {exc}") from exc
+    try:
         deviance, s, info = problem.evaluate(theta)
+    except ThresholdOrderError as exc:
+        raise StartError(f"infeasible start: {exc}") from exc
 
     converged = False
     boundary = False
@@ -836,18 +816,17 @@ def fit(
             step = np.linalg.lstsq(info, s, rcond=None)[0]
         accepted = None
         crossed = False
-        bounded = []  # candidates rejected at the deviance bound
         lam = 1.0
         for _ in range(11):
             cand = theta + lam * step
             try:
-                accepted = problem.evaluate(cand, deviance)
+                result = problem.evaluate(cand)
             except ThresholdOrderError:
                 crossed = True
             else:
-                if accepted is not None:
+                if result[0] <= deviance:
+                    accepted = result
                     break
-                bounded.append(cand)
             lam /= 2.0
         if accepted is None:
             # a rejected step at a stationary point is convergence, not
@@ -855,10 +834,7 @@ def fit(
             # score is below tolerance. Elsewhere it stops the fit: a retry
             # would solve for the same step from the same score and information
             converged = _score_converged(s, deviance)
-            # a candidate stopped at the bound never read its later blocks,
-            # where its thresholds may cross
-            boundary = not converged and (crossed or problem.cumulative and any(
-                problem.crosses(candidate) for candidate in bounded))
+            boundary = not converged and crossed
             break
         rel_change = abs(deviance - accepted[0]) / (abs(deviance) + 1e-10)
         theta = cand

@@ -395,6 +395,21 @@ class TestExitCodes:
             "error[data]: column 'y' row 3: response 99999999999999999999 is beyond the "
             "64-bit integer range")
 
+    @pytest.mark.parametrize("top, k", [("100000", ()), ("3", ("--k", "100000"))],
+                             ids=["inferred", "given"])
+    def test_data_error_more_categories_than_rows(self, tmp_path, top, k):
+        # k=100000 in 4 rows leaves categories unobserved: one short line,
+        # naming the largest response, and no k-sized count or log line
+        bad = tmp_path / "wide.csv"
+        bad.write_text(f"y,age,group,score\n1,1.0,a,0.1\n{top},2.0,b,0.2\n2,3.0,a,0.3\n"
+                       "1,4.0,b,0.4\n")
+        proc = run_cli("--data", str(bad), "--formula", FORMULA, "--categorical", "group", *k)
+        assert proc.returncode == 2
+        assert len(proc.stderr) < 1024
+        assert proc.stderr == (
+            f"error[data]: column 'y' row 3: largest response {top}; k=100000 categories "
+            "cannot all be observed in 4 rows\n")
+
     def test_env_var_validated(self):
         proc = run_cli(
             "--data", str(DATA), "--formula", FORMULA,

@@ -438,9 +438,10 @@ class TestUnionDesign:
 
 
 class TestScoreInfoEvaluations:
-    """Fisher scoring makes a whole derivative pass once at the start and once
-    for each accepted step, the pass that accepted it, and at no other point;
-    a rejected candidate of a one-block problem costs no derivative work."""
+    """Fisher scoring makes one whole pass over the blocks at the start and
+    one for each candidate step whose thresholds do not cross, and at no
+    other point: the pass that accepts a step also gives its score and
+    information."""
 
     @pytest.mark.parametrize(
         "kind, structure, options",
@@ -456,8 +457,8 @@ class TestScoreInfoEvaluations:
         data, base, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
         spec = base.with_structure(structure)
         counts = self._instrument(monkeypatch)
-        fit(spec, data, **options)
-        self._assert_once_per_accepted(counts)
+        result = fit(spec, data, **options)
+        self._assert_one_pass_per_candidate(counts, result)
 
     def test_start_at_optimum(self, monkeypatch):
         rng = np.random.default_rng(89)
@@ -466,45 +467,43 @@ class TestScoreInfoEvaluations:
         counts = self._instrument(monkeypatch)
         result = fit(spec, data, start=optimum.params)
         assert result.converged
-        self._assert_once_per_accepted(counts)
+        self._assert_one_pass_per_candidate(counts, result)
 
     @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
     def test_once_per_accepted_step_in_row_blocks(self, monkeypatch, kind):
-        # one derivative pass per accepted step, not one per block of rows
+        # one pass per candidate, each block's weights loaded once in it
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 16)
         rng = np.random.default_rng(90)
         data, spec, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
         counts = self._instrument(monkeypatch)
-        fit(spec, data)
-        self._assert_once_per_accepted(counts)
+        result = fit(spec, data)
+        self._assert_one_pass_per_candidate(counts, result)
 
     @pytest.mark.parametrize("block_rows", [4096, 16])
     def test_rejected_candidates(self, monkeypatch, block_rows):
         # from this start two steps overshoot and are rejected on their
-        # deviance: in one block that costs no derivative work, in ten blocks
-        # only that of the blocks before the bound was passed
+        # deviance, each after one whole pass like any other candidate
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(88)
         data, base, _ = random_dataset(rng, n=150, k=5, family=ADJ)
         counts = self._instrument(monkeypatch)
-        fit(base, data, start=[0.3, 0.8, 0.3, -1.3, 0.9, 0.4, -0.5, 0.6])
-        assert self._assert_once_per_accepted(counts) > 0
+        result = fit(base, data, start=[0.3, 0.8, 0.3, -1.3, 0.9, 0.4, -0.5, 0.6])
+        assert self._assert_one_pass_per_candidate(counts, result) == 2
 
     @staticmethod
     def _instrument(monkeypatch):
-        # each candidate's full deviance, from the derivative-free walk over
-        # the blocks, the passes that returned a result, and the blocks whose
-        # weights were loaded
+        # each feasible candidate's deviance, from the derivative-free walk
+        # over the blocks, the passes that returned a result, and the blocks
+        # whose weights were loaded
         counts = {"passes": 0, "loads": 0, "deviances": [], "blocks": 0}
         evaluate, loglik = _Problem.evaluate, _Problem.loglik
 
-        def recorded_evaluate(self, theta, bound=np.inf):
+        def recorded_evaluate(self, theta):
             counts["blocks"] = len(self.blocks)
             counts["deviances"].append(-2.0 * loglik(self, theta)[0])
-            result = evaluate(self, theta, bound)
-            if result is not None:
-                counts["passes"] += 1
-                assert result[0] == counts["deviances"][-1]
+            result = evaluate(self, theta)
+            counts["passes"] += 1
+            assert result[0] == counts["deviances"][-1]
             return result
 
         monkeypatch.setattr(_Problem, "evaluate", recorded_evaluate)
@@ -517,25 +516,24 @@ class TestScoreInfoEvaluations:
         return counts
 
     @staticmethod
-    def _assert_once_per_accepted(counts):
+    def _assert_one_pass_per_candidate(counts, result):
         # replay the acceptance rule over the start and candidate deviances:
         # a candidate is accepted when its deviance does not exceed the
         # current one, and halving stops at the first accepted candidate;
-        # returns the number of feasible candidates rejected
+        # the last accepted deviance is the fit's. Returns the number of
+        # feasible candidates rejected
         current, *candidates = counts["deviances"]
         accepted = 0
         for dev in candidates:
-            if np.isfinite(dev) and dev <= current:
+            if dev <= current:
                 accepted += 1
                 current = dev
-        rejected = len(candidates) - accepted
-        blocks = counts["blocks"]
-        assert counts["passes"] == 1 + accepted
-        # a rejected candidate stops before the block that takes it past the
-        # bound, so it loads the weights of fewer blocks than a whole pass
-        assert (1 + accepted) * blocks <= counts["loads"]
-        assert counts["loads"] <= (1 + accepted) * blocks + rejected * (blocks - 1)
-        return rejected
+        assert current == result.deviance
+        # every feasible candidate is one whole pass, which loads each
+        # block's weights once; a crossing raises before the pass returns
+        assert counts["passes"] == len(counts["deviances"])
+        assert counts["loads"] == counts["passes"] * counts["blocks"]
+        return len(candidates) - accepted
 
 
 class TestRowBlocks:
@@ -633,15 +631,14 @@ class TestRowBlocks:
 
     def test_fresh_block_scratch_gives_the_same_fit(self, monkeypatch):
         # from this start, step halving meets candidates whose thresholds
-        # cross only in the last block, after their first four blocks were
-        # evaluated, and one whose deviance passes the bound in the second
-        # block, after the derivative work of the first: nothing may read
-        # the block scratch they leave, so evaluating every candidate with
-        # fresh block scratch gives the same fit bit for bit
+        # cross only in the last block, after the derivative work of their
+        # first four blocks: nothing may read the block scratch they leave,
+        # so evaluating every candidate with fresh block scratch gives the
+        # same fit bit for bit
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 8)
         data, spec, _ = self._crossing_late()
         start = [0.7, 1.5, 3.0, -4.0, -3.4, -2.3]
-        blocks, crossed, cut = [], [], []
+        blocks, crossed = [], []
         predictors, probs, evaluate = _Problem.predictors, FIT_MODULE.category_probs, _Problem.evaluate
 
         def traced_predictors(self, theta, rows, out):
@@ -655,23 +652,15 @@ class TestRowBlocks:
                 crossed.append(blocks[-1])
                 raise
 
-        def traced_evaluate(self, theta, bound=np.inf):
-            result = evaluate(self, theta, bound)
-            if result is None:
-                cut.append(blocks[-1])
-            return result
-
         monkeypatch.setattr(_Problem, "predictors", traced_predictors)
         monkeypatch.setattr(FIT_MODULE, "category_probs", traced_probs)
-        monkeypatch.setattr(_Problem, "evaluate", traced_evaluate)
         shared = fit(spec, data, start=start)
         assert shared.converged
         assert 32 in crossed  # a candidate crossed in the last block
-        assert cut and min(cut) < 32  # one passed the bound before the last block
 
-        def fresh_scratch(self, theta, bound=np.inf):
+        def fresh_scratch(self, theta):
             vars(self).update(vars(_compile(data, spec)))
-            return evaluate(self, theta, bound)
+            return evaluate(self, theta)
 
         monkeypatch.setattr(_Problem, "evaluate", fresh_scratch)
         separate = fit(spec, data, start=start)
@@ -680,36 +669,34 @@ class TestRowBlocks:
         assert separate.deviance == shared.deviance
         assert np.array_equal(separate.covariance, shared.covariance)
 
-
-    def test_boundary_note_after_candidates_cut_before_their_crossing(self, monkeypatch):
-        # every candidate pass gets the bound 0, so each is rejected at its
-        # first block and the fit stops at its first iteration with no
-        # accepted step, unconverged. From this start the candidates at
-        # lam = 1, 1/2 and 1/4 cross only in blocks 2-4 of 8 rows, which
-        # such a pass never reads: the fit walks them to find the crossing,
-        # and notes the stop at the threshold-order boundary as the
-        # one-block fit does, where the crossing raises before the bound
+    def test_boundary_note_in_any_block_size(self, monkeypatch):
+        # this start's first two thresholds touch at the last row (x = 4.5).
+        # Every halving of its first step crosses: lam = 1, 1/2 and 1/4 in
+        # the first block, the eight after them only in the last block of 8
+        # rows, after four blocks of derivative work. So the fit stops at
+        # its first iteration, unconverged, at the threshold-order boundary,
+        # in one block as in five
         data, spec, _ = self._crossing_late()
-        start = [0.7, 1.5, 3.0, -4.0, -3.4, -2.3]
-        evaluate, raised = _Problem.evaluate, []
+        start = [-4.3, -1.6, 0.7, -1.0, -1.6, -0.2]
+        whole = fit(spec, data, start=start)
+        probabilities, crossed = _Problem.probabilities, []
 
-        def zero_bound(self, theta, bound=np.inf):
+        def traced(self, theta, rows):
             try:
-                return evaluate(self, theta, 0.0 if np.isfinite(bound) else bound)
+                return probabilities(self, theta, rows)
             except ThresholdOrderError:
-                raised.append(len(self.blocks))
+                crossed.append(rows.start)
                 raise
 
-        monkeypatch.setattr(_Problem, "evaluate", zero_bound)
-        whole = fit(spec, data, start=start)
-        assert raised == [1, 1, 1]
+        monkeypatch.setattr(_Problem, "probabilities", traced)
         monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", 8)
         blocked = fit(spec, data, start=start)
-        assert raised == [1, 1, 1]  # no blocked candidate reached its crossing
-        for result in (whole, blocked):
-            assert result.iterations == 1 and not result.converged
-            assert result.warnings == [
-                "did not converge", "stopped at the threshold-order boundary"]
+        assert crossed == [0] * 3 + [32] * 8
+        assert blocked.iterations == whole.iterations == 1
+        assert not whole.converged and not blocked.converged
+        assert np.array_equal(blocked.params, whole.params)
+        assert blocked.warnings == whole.warnings == [
+            "did not converge", "stopped at the threshold-order boundary"]
 
 
 class TestWorkspaces:
@@ -731,17 +718,15 @@ class TestWorkspaces:
         step[problem.layout.location] = [0.3, -0.2]
         step[problem.layout.dispersion] = 0.02
         # warm up: the block scratch of evaluate() and of the weights helper
-        deviance = problem.evaluate(theta)[0]
+        problem.evaluate(theta)
         whole = n * (k - 1) * 8  # one (n, k-1) float array, 1.44 MB
         tracemalloc.start()
         try:
-            # three candidates, one cut off by the bound, and the walk
-            # without derivative work
+            # three candidates and the walk without derivative work
             for lam in (1.0, 0.5, 0.25):
-                assert problem.evaluate(theta + lam * step) is not None
+                problem.evaluate(theta + lam * step)
                 probs = problem.probabilities(theta + lam * step, problem.blocks[-1])[0]
                 assert probs.base is problem._probs
-            assert problem.evaluate(theta + step, bound=deviance / len(problem.blocks)) is None
             problem.loglik(theta + step)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -765,28 +750,6 @@ class TestWorkspaces:
         converged, peak = _catspec_fit_peak()
         assert converged
         assert peak < 8e6
-
-    @pytest.mark.parametrize("block_rows", [4096, 16])
-    @pytest.mark.parametrize("structure", ["locshift", "catspec"])
-    @pytest.mark.parametrize("kind", ["cumulative", "adjacent"])
-    def test_bound_rejects_exactly_past_the_deviance(self, monkeypatch, kind, structure, block_rows):
-        # evaluate() returns None exactly when the full deviance exceeds the
-        # bound, and otherwise the unbounded pass's result bit for bit
-        monkeypatch.setattr(FIT_MODULE, "BLOCK_ROWS", block_rows)
-        rng = _case_rng("bound", kind, structure, block_rows)
-        data, base, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
-        spec = base.with_structure(structure)
-        problem = _compile(data, spec)
-        theta = feasible_params(rng, problem.layout, spec, data, scale=0.1)
-        deviance, s, info = problem.evaluate(theta)
-        assert deviance == -2.0 * problem.loglik(theta)[0]
-        for bound in (deviance, np.nextafter(deviance, np.inf), np.inf):
-            again = problem.evaluate(theta, bound)
-            assert again[0] == deviance
-            assert np.array_equal(again[1], s)
-            assert np.array_equal(again[2], info)
-        for bound in (np.nextafter(deviance, -np.inf), deviance / 2.0, 0.0, -np.inf):
-            assert problem.evaluate(theta, bound) is None
 
 
 class TestShapeConstants:
@@ -966,9 +929,9 @@ class TestFit:
         evaluated = []
         evaluate = _Problem.evaluate
 
-        def recorded(self, theta, bound=np.inf):
+        def recorded(self, theta):
             evaluated.append(theta.tobytes())
-            return evaluate(self, theta, bound)
+            return evaluate(self, theta)
 
         monkeypatch.setattr(_Problem, "evaluate", recorded)
         result = fit(spec, data)
@@ -1003,6 +966,14 @@ class TestFit:
         data = OrdinalDataset(y=y, k=4, columns={})
         with pytest.raises(DataError, match="merge"):
             fit(_intercept_spec(), data)
+
+    def test_many_unobserved_categories_listed_briefly(self):
+        data = OrdinalDataset(y=np.array([1, 2, 1, 2]), k=40, columns={})
+        with pytest.raises(DataError) as error:
+            fit(_intercept_spec(), data)
+        assert str(error.value) == (
+            "response categories [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...] (38 in all) are "
+            "unobserved; merge categories before fitting")
 
     def test_infeasible_start_rejected(self):
         data = _counts_data([10, 20, 30])

@@ -36,4 +36,10 @@ def test_digest_of_two_dataset_pool_is_repeatable():
     changed["params"] = [(value + abs(value) * 2.0 ** -52).hex()] + changed["params"][1:]
     report, identical = parity.compare(first_lines, {**first_lines, key: changed})
     assert not identical
-    assert any(row.startswith("params") and "23/24" in row for row in report), report
+    # the params row names the changed fit's line
+    workload, item, _, spec, occurrence = key
+    assert occurrence == 0
+    assert any(row.startswith("params") and "23/24" in row
+               and row.endswith(f" at {workload} item {item}: {spec}") for row in report), report
+    # and no row of a field without a difference names a line
+    assert sum(" at " in row for row in report) == 1, report

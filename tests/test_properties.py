@@ -210,6 +210,10 @@ def _reference_load(table, k, declared):
             if not math.isfinite(number):
                 raise DataError(f"column {name!r} row {row}: {value!r} is not a finite number")
         columns[name] = np.array(numbers)
+    if k > len(y):
+        row = 2 + y.index(max(y))
+        raise DataError(f"column 'y' row {row}: largest response {max(y)}; "
+                        f"k={k} categories cannot all be observed in {len(y)} rows")
     return OrdinalDataset(y=np.array(y), k=k, columns=columns, categorical_levels=levels)
 
 

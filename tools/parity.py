@@ -15,13 +15,14 @@ of this repository instead, unpacked with ``git archive`` into a temporary
 directory that is removed afterwards, so nothing is left in ``.git``.
 
 ``compare`` matches the lines of two digests by workload, item, spec and
-occurrence, and reports per field the bit-identical count and the largest
-difference: relative |a - b| / (1 + |a|) for params and LR statistics,
-relative |a - b| / |a| for deviances and p-values, and covariance
-differences relative to the largest |entry|. It counts iteration
-differences and ``converged`` flips in each direction. Its exit status is 0
-when every field of every matched line is bit-identical and no line is
-unmatched, 1 otherwise.
+occurrence, and reports per field the bit-identical count, the largest
+difference and the line (workload, item, spec) that holds it: relative
+|a - b| / (1 + |a|) for params and LR statistics, relative |a - b| / |a|
+for deviances and p-values, and covariance differences relative to the
+largest |entry|; a second occurrence of a spec is named with #1, and so on.
+It counts iteration differences and ``converged`` flips in each direction.
+Its exit status is 0 when every field of every matched line is
+bit-identical and no line is unmatched, 1 otherwise.
 
 numpy and the standard library only.
 """
@@ -201,20 +202,27 @@ def _floats(values) -> list:
 
 
 class _Field:
-    """Bit-identical count and largest difference of one field."""
+    """Bit-identical count and largest difference of one field, and the key
+    of the line that holds that difference."""
 
     def __init__(self, name: str):
-        self.name, self.count, self.same, self.worst = name, 0, 0, 0.0
+        self.name, self.count, self.same, self.worst, self.where = name, 0, 0, 0.0, None
 
-    def add(self, a, b, difference) -> None:
+    def add(self, key: tuple, a, b, difference) -> None:
         self.count += 1
         if a == b:
             self.same += 1
-        else:
-            self.worst = max(self.worst, difference)
+            return
+        if self.where is None or difference > self.worst:
+            self.where, self.worst = key, max(self.worst, difference)
 
     def row(self) -> str:
-        return f"{self.name:<14} {self.same:>6}/{self.count:<6} {self.worst:.3g}"
+        row = f"{self.name:<14} {self.same:>6}/{self.count:<6} {self.worst:.3g}"
+        if self.where is None:
+            return row
+        workload, item, _, spec, occurrence = self.where
+        line = f"{row} at {workload} item {item}: {spec}"
+        return f"{line} #{occurrence}" if occurrence else line
 
 
 def _relative_to_one(a: list, b: list) -> float:
@@ -236,33 +244,33 @@ def compare(first: dict, second: dict) -> tuple:
     for key in sorted(first.keys() & second.keys(), key=str):
         a, b = first[key], second[key]
         if "error" in a or "error" in b:
-            fields["error"].add(a.get("error"), b.get("error"), math.inf)
+            fields["error"].add(key, a.get("error"), b.get("error"), math.inf)
             continue
         if key[2] == "fit":
             pa, pb = _floats(a["params"]), _floats(b["params"])
-            fields["params"].add(pa, pb, _relative_to_one(pa, pb) if len(pa) == len(pb)
+            fields["params"].add(key, pa, pb, _relative_to_one(pa, pb) if len(pa) == len(pb)
                                  else math.inf)
             da, db = float.fromhex(a["deviance"]), float.fromhex(b["deviance"])
-            fields["deviance"].add(da, db, _relative(da, db))
+            fields["deviance"].add(key, da, db, _relative(da, db))
             ca, cb = _floats(a["covariance"]), _floats(b["covariance"])
             scale = max((abs(x) for x in ca), default=0.0)
-            fields["covariance"].add(ca, cb, max(
+            fields["covariance"].add(key, ca, cb, max(
                 (abs(x - y) for x, y in zip(ca, cb)), default=0.0) / (scale or 1.0)
                 if len(ca) == len(cb) else math.inf)
-            fields["se_mask"].add(a["se_mask"], b["se_mask"], 1.0)
-            fields["warnings"].add(a["warnings"], b["warnings"], 1.0)
-            iterations.add(a["iterations"], b["iterations"],
+            fields["se_mask"].add(key, a["se_mask"], b["se_mask"], 1.0)
+            fields["warnings"].add(key, a["warnings"], b["warnings"], 1.0)
+            iterations.add(key, a["iterations"], b["iterations"],
                            abs(a["iterations"] - b["iterations"]))
             if a["converged"] != b["converged"]:
                 flips["true->false" if a["converged"] else "false->true"] += 1
         elif key[2] == "test":
             sa, sb = float.fromhex(a["statistic"]), float.fromhex(b["statistic"])
-            fields["statistic"].add(sa, sb, _relative_to_one([sa], [sb]))
-            fields["df"].add(a["df"], b["df"], abs(a["df"] - b["df"]))
+            fields["statistic"].add(key, sa, sb, _relative_to_one([sa], [sb]))
+            fields["df"].add(key, a["df"], b["df"], abs(a["df"] - b["df"]))
             va, vb = float.fromhex(a["p_value"]), float.fromhex(b["p_value"])
-            fields["p_value"].add(va, vb, _relative(va, vb))
+            fields["p_value"].add(key, va, vb, _relative(va, vb))
         else:
-            fields["sha256"].add(a["sha256"], b["sha256"], 1.0)
+            fields["sha256"].add(key, a["sha256"], b["sha256"], 1.0)
     only = (len(first.keys() - second.keys()), len(second.keys() - first.keys()))
     report = [f"matched lines: {len(first.keys() & second.keys())}; "
               f"only in the first: {only[0]}; only in the second: {only[1]}",
