@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
-import os
 import sys
 from dataclasses import replace
 
@@ -25,7 +24,7 @@ from .exceptions import (
     OrdshiftError,
     SpecError,
 )
-from .fit import MAX_ITER, fit
+from .fit import fit
 from .formula import parse_formula
 from .inference import model_ladder, star_data
 from .links import Family
@@ -113,19 +112,6 @@ def _write(flag: str, path: str, text: str) -> None:
         raise _UsageError(f"cannot write {flag} {path}: {exc.strerror or exc}") from None
 
 
-def _max_iter_from_env() -> int:
-    raw = os.environ.get("ORDSHIFT_MAX_ITER")
-    if raw is None:
-        return MAX_ITER
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise _UsageError(f"ORDSHIFT_MAX_ITER must be a positive integer, got {raw!r}") from None
-    return value
-
-
 def _with_basis(terms, n_basis: int) -> tuple:
     """``terms`` with ``n_basis`` in every smooth term that sets none."""
     return tuple(replace(t, n_basis=n_basis) if t.smooth and t.n_basis is None else t
@@ -134,11 +120,12 @@ def _with_basis(terms, n_basis: int) -> tuple:
 
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
-    max_iter = _max_iter_from_env()
     if not 0.0 < args.conf < 1.0:
         raise _UsageError(f"--conf must be in (0,1), got {args.conf}")
     if args.nbs < 4:
         raise _UsageError(f"--nbs must be at least 4 (cubic splines), got {args.nbs}")
+    if args.k is not None and args.k < 2:
+        raise _UsageError(f"--k must be at least 2 (response categories), got {args.k}")
     smooth_requests = []
     for item in args.smooth:
         var, sep, path = item.partition(":")
@@ -163,15 +150,16 @@ def _run(argv) -> int:
 
     ladder = None
     if args.structure == "ladder":
-        ladder = model_ladder(data, base_spec, max_iter=max_iter)
+        ladder = model_ladder(data, base_spec)
         fits = [row.fit for row in ladder.rows if row.ok]
         if not fits:
             reasons = "; ".join(f"{row.label}: {row.error}" for row in ladder.rows)
             raise OrdshiftError(f"every model in the ladder failed: {reasons}")
     else:
-        result = fit(base_spec, data, max_iter=max_iter)
+        result = fit(base_spec, data)
         if not result.converged:
-            raise OrdshiftError(f"{args.structure} fit did not converge in {max_iter} iterations")
+            raise OrdshiftError(f"{args.structure} fit stopped at iteration "
+                                f"{result.iterations}: {'; '.join(result.warnings)}")
         fits = [result]
 
     report = render_report(ladder, fits, format=args.format)

@@ -14,6 +14,15 @@ log = logging.getLogger("ordshift.data")
 _INT64 = np.iinfo(np.int64)
 
 
+def _brief_list(values: np.ndarray) -> str:
+    """``values`` as a list of at most its first 10 items and then, when
+    there are more, their total: ``[1, 2, ..., 10, ...] (3000 in all)``."""
+    listed = str(values[:10].tolist())
+    if values.size > 10:
+        listed = f"{listed[:-1]}, ...] ({values.size} in all)"
+    return listed
+
+
 @dataclass
 class OrdinalDataset:
     """Responses in 1..k plus raw covariate columns.
@@ -254,6 +263,6 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
             f"k={k_eff} categories cannot all be observed in {y.size} rows"
         )
     data = OrdinalDataset(y=y, k=k_eff, columns=columns, categorical_levels=levels)
-    counts = ", ".join(f"{c}" for c in data.category_counts())
-    log.info("loaded %s: n=%d, k=%d, category counts [%s]", path, data.n, data.k, counts)
+    log.info("loaded %s: n=%d, k=%d, category counts %s", path, data.n, data.k,
+             _brief_list(data.category_counts()))
     return data

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import OrdinalDataset
+from .data import OrdinalDataset, _brief_list
 from .design import (
     ExpandedDesign,
     ModelSpec,
@@ -41,7 +41,7 @@ from .links import PROB_FLOOR, Family, category_probs, logit, scaling_factors
 SEPARATION_BOUND = 30.0
 DEVIANCE_TOL = 1e-8  # convergence tolerances of fit(): see its docstring
 SCORE_TOL = 1e-4
-MAX_ITER = 100  # default iteration cap of fit()
+MAX_ITER = 100  # iteration cap of fit(), read at each call
 WEIGHT_FLOOR = 1e-12  # probability floor inside score/information weights
 # Rows per block of _Problem's pass. The block scratch, a few (k-1, rows)
 # arrays (288 KB each at k=10), is allocated once per problem and written in
@@ -89,12 +89,8 @@ def _check_categories(data: OrdinalDataset) -> None:
     counts = data.category_counts()
     empty = np.nonzero(counts == 0)[0] + 1
     if empty.size:
-        listed = str(empty[:10].tolist())
-        if empty.size > 10:
-            listed = f"{listed[:-1]}, ...] ({empty.size} in all)"
-        raise DataError(
-            f"response categories {listed} are unobserved; merge categories before fitting"
-        )
+        raise DataError(f"response categories {_brief_list(empty)} are unobserved; "
+                        "merge categories before fitting")
 
 
 def _unread() -> np.ndarray:
@@ -313,9 +309,10 @@ class _Problem:
     and the scratch. Per block, nothing: every per-observation,
     per-threshold quantity is threshold-major, a (k-1, rows) or (k, rows)
     array of one block of BLOCK_ROWS rows (a single block when n <=
-    BLOCK_ROWS) in block scratch allocated once per problem, so each step
-    along the short threshold axis is a few contiguous loops over
-    observations, and none outlives its block.
+    BLOCK_ROWS; fewer rows when the products table below would pass 2**21
+    floats) in block scratch allocated once per problem, so each step along
+    the short threshold axis is a few contiguous loops over observations,
+    and none outlives its block.
 
     evaluate() is one pass over the blocks: a block's predictors, F and
     probabilities, its log-likelihood, and then its score and information.
@@ -340,7 +337,12 @@ class _Problem:
         self.shape = shape = _shape(family.kind, layout.structure, layout.k, layout.p, layout.m,
                                     self.reverse, layout.z_union)
         n = y.size
-        self.blocks = [slice(i, min(i + BLOCK_ROWS, n)) for i in range(0, n, BLOCK_ROWS)]
+        union = 1 + self.U.shape[1]  # columns of [1 | U]
+        n_products = union * (union + 1) // 2
+        # a factor with many levels makes many products: the table stays
+        # within 2**21 floats, 16 MB
+        step = min(BLOCK_ROWS, max(1, 2**21 // n_products))
+        self.blocks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
         self.cumulative = family.kind == "cumulative"
         self.catspec = layout.structure == "catspec"
         q, width = layout.q, self.blocks[0].stop
@@ -351,8 +353,7 @@ class _Problem:
         self._probs = np.empty((q + 1, width))
         self._own, self._logs = np.empty(width), np.empty(width)
         self._loaded = None  # first row of the block whose data-only scratch is filled
-        union = 1 + self.U.shape[1]  # columns of [1 | U]
-        self._products = np.empty((union * (union + 1) // 2, width))
+        self._products = np.empty((n_products, width))
         self._products[0] = 1.0
         # a pass's score sums u U, and its flat information sums in the
         # _Shape's segments with one zero after them, which info_index reads
@@ -768,13 +769,7 @@ def predict(result: FitResult, columns: dict) -> np.ndarray:
     return problem.category_probabilities(result.params)
 
 
-def fit(
-    spec: ModelSpec,
-    data: OrdinalDataset,
-    *,
-    max_iter: int = MAX_ITER,
-    start=None,
-) -> FitResult:
+def fit(spec: ModelSpec, data: OrdinalDataset, *, start=None) -> FitResult:
     """Fisher scoring with step halving until the deviance stabilizes.
 
     A step is halved (up to 10 times) when it would increase the deviance or,
@@ -786,6 +781,9 @@ def fit(
     threshold-order boundary.
     Convergence requires relative deviance change < DEVIANCE_TOL and
     max |score| < SCORE_TOL * (1 + |loglik|) at the same iteration. The
+    loop runs at most MAX_ITER iterations, the module constant read at each
+    call; a fit still moving then stops, converged=False. ``start`` is a
+    parameter vector in the reported order (default: initial_params()). The
     covariance is the inverse expected information at the optimum. Each
     candidate is evaluated in one whole pass over the rows, so a crossing
     in any block is seen; the score and information of an accepted step
@@ -808,7 +806,7 @@ def fit(
     converged = False
     boundary = False
     iterations = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         iterations = iteration
         try:
             step = np.linalg.solve(info, s)

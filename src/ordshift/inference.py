@@ -19,7 +19,7 @@ import numpy as np
 from .data import OrdinalDataset
 from .design import ModelSpec, Term, _catspec_fold, constraint_map
 from .exceptions import DataError, InvalidInputError, NestingError, OrdshiftError, SpecError
-from .fit import MAX_ITER, FitResult, fit, standard_errors
+from .fit import FitResult, fit, standard_errors
 
 LADDER_LABELS = {
     "catspec": "Model with category-specific effects",
@@ -141,15 +141,13 @@ def _catspec_start(locshift_fit: FitResult, spec: ModelSpec):
     return np.concatenate([locshift_fit.params[:ls.q], slopes.ravel()])
 
 
-def model_ladder(
-    data: OrdinalDataset, base_spec: ModelSpec, *, max_iter: int = MAX_ITER
-) -> ComparisonTable:
+def model_ladder(data: OrdinalDataset, base_spec: ModelSpec) -> ComparisonTable:
     """Fit the three nested structures and the two adjacent deviance tests.
 
     One fit per structure. The category-specific fit starts from the
     location-shift solution through the constraint map when that fit
     converged, and from the default start otherwise. A row whose fit raises
-    or does not converge within ``max_iter`` iterations is marked failed;
+    or does not converge within fit's iteration cap is marked failed;
     the remaining comparisons are still produced. A failed warm
     category-specific fit is not refitted from the default start: a
     cumulative one usually has no optimum inside the ordered-threshold
@@ -178,7 +176,7 @@ def model_ladder(
             start = None
             if structure == "catspec" and "locshift" in fits and fits["locshift"].converged:
                 start = _catspec_start(fits["locshift"], spec)
-            row.fit = fits[structure] = fit(spec, data, max_iter=max_iter, start=start)
+            row.fit = fits[structure] = fit(spec, data, start=start)
             if not row.fit.converged:
                 row.error = "fit failed (did not converge)"
         except OrdshiftError as exc:
@@ -307,16 +305,13 @@ def star_data(result: FitResult, level: float = 0.95):
     return points
 
 
-def smooth_term_tests(
-    data: OrdinalDataset, spec: ModelSpec, name: str, side: str = "location", *,
-    max_iter: int = MAX_ITER,
-):
+def smooth_term_tests(data: OrdinalDataset, spec: ModelSpec, name: str, side: str = "location"):
     """LRTs for one smooth term: against dropping it and against a linear fit.
 
     Returns {"drop": TestResult, "linear": TestResult}; both baselines are
     exposed because either comparison can be the relevant one. The three
-    fits stop after ``max_iter`` iterations; lrt rejects any that did not
-    converge with a NestingError.
+    fits stop at fit's iteration cap; lrt rejects any that did not converge
+    with a NestingError.
     """
     if side not in ("location", "dispersion"):
         raise InvalidInputError(f"side must be location or dispersion, got {side!r}")
@@ -328,9 +323,7 @@ def smooth_term_tests(
     def rebuild(new_terms):
         return replace(spec, **{side: tuple(new_terms)})
 
-    full = fit(spec, data, max_iter=max_iter)
-    dropped = fit(rebuild([t for t in terms if t is not target]), data, max_iter=max_iter)
-    linear = fit(
-        rebuild([Term(t.name) if t is target else t for t in terms]), data, max_iter=max_iter
-    )
+    full = fit(spec, data)
+    dropped = fit(rebuild([t for t in terms if t is not target]), data)
+    linear = fit(rebuild([Term(t.name) if t is target else t for t in terms]), data)
     return {"drop": lrt(dropped, full), "linear": lrt(linear, full)}

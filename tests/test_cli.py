@@ -7,9 +7,9 @@ stderr it was called with, and leaves the root logger alone.
 """
 
 import contextlib
+import importlib
 import io
 import logging
-import os
 import pathlib
 import subprocess
 import sys
@@ -19,22 +19,22 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from helpers import boundary_dataset
+
 from ordshift import cli
 
+FIT_MODULE = importlib.import_module("ordshift.fit")
 DATA = pathlib.Path(__file__).parent / "data" / "synthetic.csv"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 FORMULA = "y ~ age + group + score | age + group"
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def run_cli(*args, env_extra=None):
-    """``cli.main(args)`` with its environment, stdout and stderr as a
-    subprocess would have them; a SystemExit becomes its exit code."""
+def run_cli(*args):
+    """``cli.main(args)`` with its stdout and stderr as a subprocess would
+    have them; a SystemExit becomes its exit code."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as patch, contextlib.ExitStack() as stack:
-        patch.delenv("ORDSHIFT_MAX_ITER", raising=False)
-        for name, value in (env_extra or {}).items():
-            patch.setenv(name, value)
+    with contextlib.ExitStack() as stack:
         stack.enter_context(contextlib.redirect_stdout(stdout))
         stack.enter_context(contextlib.redirect_stderr(stderr))
         # a UserWarning (star_data's exclusions) goes to stderr, where a
@@ -56,12 +56,8 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 def run_module(*args):
     """``python -m ordshift`` in a subprocess."""
-    env = dict(os.environ)
-    env.pop("ORDSHIFT_MAX_ITER", None)
-    return subprocess.run(
-        [sys.executable, "-m", "ordshift", *args],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "ordshift", *args],
+                          capture_output=True, text=True)
 
 
 def recoded(tmp_path, codes):
@@ -125,6 +121,14 @@ class TestEndToEnd:
         assert [e.text for e in root.iter(f"{SVG_NS}text") if e.get("class") == "star-label"] == ["v"]
         text = star.read_text()
         assert "inf" not in text and "nan" not in text
+
+    def test_environment_sets_no_iteration_cap(self, tmp_path, monkeypatch):
+        # the iteration cap is fit's own: no environment variable lowers it
+        monkeypatch.setenv("ORDSHIFT_MAX_ITER", "1")
+        proc = run_cli(*ladder_args(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "report.txt").read_bytes() == (GOLDEN / "report.txt").read_bytes()
+        assert (tmp_path / "star.svg").read_bytes() == (GOLDEN / "star.svg").read_bytes()
 
     def test_byte_stable_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -321,18 +325,34 @@ class TestExitCodes:
         assert message.startswith("error[data]:")
         assert "'age' row 4" in message
 
-    def test_fit_error_iteration_cap(self):
+    def test_fit_error_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(FIT_MODULE, "MAX_ITER", 1)
         proc = run_cli(
             "--data", str(DATA), "--formula", FORMULA,
             "--categorical", "group", "--structure", "locshift",
-            env_extra={"ORDSHIFT_MAX_ITER": "1"},
         )
         assert proc.returncode == 3
-        assert proc.stderr.strip().splitlines()[-1].startswith("error[fit]:")
+        assert proc.stderr.strip().splitlines()[-1] == (
+            "error[fit]: locshift fit stopped at iteration 1: did not converge")
 
-    def test_every_failed_rung_named_in_the_error(self, tmp_path):
+    def test_fit_error_names_where_and_why_the_fit_stopped(self, tmp_path):
+        # the category-specific fit of this sample stops at the
+        # threshold-order boundary long before the iteration cap
+        data, _ = boundary_dataset()
+        csv = tmp_path / "boundary.csv"
+        rows = zip(data.y.tolist(), *(data.columns[c].tolist() for c in ("x1", "x2", "z")))
+        csv.write_text("y,x1,x2,z\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        proc = run_cli("--data", str(csv), "--formula", "y ~ x1 + x2 | x2 + z",
+                       "--structure", "catspecific")
+        assert proc.returncode == 3
+        assert proc.stderr.strip().splitlines()[-1] == (
+            "error[fit]: catspecific fit stopped at iteration 27: did not converge; "
+            "stopped at the threshold-order boundary")
+
+    def test_every_failed_rung_named_in_the_error(self, tmp_path, monkeypatch):
         # one iteration fits nothing: the one error line gives each row's reason
-        proc = run_cli(*ladder_args(tmp_path), env_extra={"ORDSHIFT_MAX_ITER": "1"})
+        monkeypatch.setattr(FIT_MODULE, "MAX_ITER", 1)
+        proc = run_cli(*ladder_args(tmp_path))
         assert proc.returncode == 3
         line = proc.stderr.strip().splitlines()[-1]
         assert line == (
@@ -410,13 +430,28 @@ class TestExitCodes:
             f"error[data]: column 'y' row 3: largest response {top}; k=100000 categories "
             "cannot all be observed in 4 rows\n")
 
-    def test_env_var_validated(self):
-        proc = run_cli(
-            "--data", str(DATA), "--formula", FORMULA,
-            env_extra={"ORDSHIFT_MAX_ITER": "soon"},
-        )
+    @pytest.mark.parametrize("k", ["0", "1", "-3"])
+    def test_usage_error_fewer_than_two_categories(self, k):
+        proc = run_cli("--data", str(DATA), "--formula", FORMULA, "--categorical", "group",
+                       "--k", k)
         assert proc.returncode == 4
-        assert "ORDSHIFT_MAX_ITER" in proc.stderr
+        assert proc.stderr == (
+            f"error[usage]: --k must be at least 2 (response categories), got {k}\n")
+
+    def test_many_categories_logged_briefly(self, tmp_path):
+        # k=3000 in 3000 rows, 2997 categories unobserved: the load's log
+        # line and the error list the first ten of each and their total
+        csv = tmp_path / "wide.csv"
+        csv.write_text("y,x\n" + "".join(f"{(1, 2, 3000)[i % 3]},{i}\n" for i in range(3000)))
+        proc = run_cli("--data", str(csv), "--formula", "y ~ x", "--structure", "global")
+        assert proc.returncode == 2
+        assert len(proc.stderr) < 1024
+        assert proc.stderr.splitlines() == [
+            f"loaded {csv}: n=3000, k=3000, category counts "
+            "[1000, 1000, 0, 0, 0, 0, 0, 0, 0, 0, ...] (3000 in all)",
+            "error[data]: response categories [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...] "
+            "(2997 in all) are unobserved; merge categories before fitting",
+        ]
 
     def test_usage_error_smooth_on_linear_variable(self, tmp_path):
         proc = run_cli(

@@ -448,16 +448,18 @@ class TestScoreInfoEvaluations:
         [
             ("cumulative", "locshift", {}),
             ("adjacent", "catspec", {}),
-            ("cumulative", "global", {"max_iter": 2}),
-            ("adjacent", "locshift", {"max_iter": 0}),
+            ("cumulative", "global", {"MAX_ITER": 2}),
+            ("adjacent", "locshift", {"MAX_ITER": 0}),
         ],
     )
     def test_once_per_accepted_step(self, monkeypatch, kind, structure, options):
         rng = np.random.default_rng(88)
         data, base, _ = random_dataset(rng, n=150, k=5, family=Family(kind))
         spec = base.with_structure(structure)
+        for name, value in options.items():
+            monkeypatch.setattr(FIT_MODULE, name, value)
         counts = self._instrument(monkeypatch)
-        result = fit(spec, data, **options)
+        result = fit(spec, data)
         self._assert_one_pass_per_candidate(counts, result)
 
     def test_start_at_optimum(self, monkeypatch):
@@ -751,6 +753,28 @@ class TestWorkspaces:
         assert converged
         assert peak < 8e6
 
+    def test_many_level_factor_fit_peak_memory(self):
+        # a 60-level factor makes 1891 products of [1 | U]: 62 MB in one
+        # block of 4096 rows, 65.7 MB traced peak; blocks of 1109 rows keep
+        # the table within 2**21 floats, 16.8 MB
+        n, k = 4096, 5
+        rng = np.random.default_rng(96)
+        g = np.array([f"g{i}" for i in rng.integers(0, 60, n)], dtype=object)
+        x = rng.normal(size=n)
+        y = 1 + ((x + rng.logistic(size=n))[:, None] > [-1.0, 0.0, 0.5, 1.0]).sum(axis=1)
+        data = OrdinalDataset(y=y, k=k, columns={"g": g, "x": x},
+                              categorical_levels={"g": tuple(sorted(set(g)))})
+        spec = ModelSpec(CUM, "global", (Term("g"), Term("x")))
+        assert len(_compile(data, spec).blocks) == 4
+        tracemalloc.start()
+        try:
+            result = fit(spec, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < 32e6
+
 
 class TestShapeConstants:
     """Index maps and matrices that depend only on a problem's shape are one
@@ -871,12 +895,13 @@ class TestFit:
         assert a.deviance == pytest.approx(b.deviance, abs=1e-10)
         assert a.params == pytest.approx(b.params, abs=1e-8)
 
-    def test_deviance_never_increases(self):
+    def test_deviance_never_increases(self, monkeypatch):
         rng = np.random.default_rng(66)
         data, spec, _ = random_dataset(rng, n=120, k=5)
         devs = []
         for iters in range(1, 8):
-            devs.append(fit(spec, data, max_iter=iters).deviance)
+            monkeypatch.setattr(FIT_MODULE, "MAX_ITER", iters)
+            devs.append(fit(spec, data).deviance)
         assert all(d2 <= d1 + 1e-12 for d1, d2 in zip(devs, devs[1:]))
 
     def test_nesting_monotonicity(self):
@@ -912,10 +937,11 @@ class TestFit:
         grad = score(result.params, data, spec)
         assert np.max(np.abs(grad)) < 1e-4 * (1 + abs(result.loglik))
 
-    def test_honest_nonconvergence(self):
+    def test_honest_nonconvergence(self, monkeypatch):
         rng = np.random.default_rng(41)
         data, spec, _ = random_dataset(rng, n=150, k=5)
-        result = fit(spec, data, max_iter=1)
+        monkeypatch.setattr(FIT_MODULE, "MAX_ITER", 1)
+        result = fit(spec, data)
         assert not result.converged
         assert any("converge" in w for w in result.warnings)
 
