@@ -52,20 +52,50 @@ BLOCK_ROWS = 4096
 
 @dataclass
 class FitResult:
-    """Estimates, covariance, and diagnostics of one fitted model."""
+    """Estimates, covariance, and diagnostics of one fitted model.
+
+    ``information`` is the expected information at ``params``, in their
+    order: the matrix of the pass that accepted them, so fisher_info at
+    ``params`` bit for bit. ``covariance``, its inverse, and
+    ``se_unavailable``, the slots that a numerically null direction of it
+    touches, are computed from it the first time either is read, and kept:
+    until then the instance holds one P x P array, afterwards two. The
+    eigendecomposition runs in the canonical order of the fit
+    (_reported_order), so a reverse spec's covariance is its forward
+    relabeling's, permuted, bit for bit. The model comparisons read
+    deviances and parameter counts alone and never compute it.
+    """
 
     spec: ModelSpec
     layout: ParamLayout
     params: np.ndarray
-    covariance: np.ndarray
+    information: np.ndarray
     loglik: float
     deviance: float
     n: int
     k: int
     iterations: int
     converged: bool
-    se_unavailable: np.ndarray
     warnings: list = field(default_factory=list)
+
+    @functools.cached_property
+    def _inverse(self) -> tuple:
+        layout = self.layout
+        perm = _reported_order(layout.n_params, layout.q, layout.p,
+                               layout.structure == "catspec", self.spec.family.reverse)
+        cov, bad = _covariance(self.information[np.ix_(perm, perm)])
+        return cov[np.ix_(perm, perm)], bad[perm]
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """Inverse expected information at ``params``; computed on first read."""
+        return self._inverse[0]
+
+    @property
+    def se_unavailable(self) -> np.ndarray:
+        """Slots whose standard error the information cannot give; computed
+        on first read, with ``covariance``."""
+        return self._inverse[1]
 
     @property
     def names(self):
@@ -107,10 +137,7 @@ class _Shape:
     it; each array is read-only, so none may be written through. A field
     that the shape's structure or family never reads is empty."""
 
-    # the self-inverse map between reported and canonical parameter order:
-    # the identity for forward specs; the intercepts, and the
-    # category-specific threshold blocks, reversed for reverse specs
-    perm: np.ndarray
+    perm: np.ndarray  # _reported_order: reported <-> canonical parameter order
     w: np.ndarray  # scaling weights of the canonical family
     # the structure map M, (k-1)(1+u) x n_params: M theta, reshaped to
     # (k-1, 1+u), is the coefficient matrix B(theta) on the columns of the
@@ -158,6 +185,19 @@ class _Shape:
                 value.flags.writeable = False
 
 
+def _reported_order(size: int, q: int, p: int, catspec: bool, reverse: bool) -> np.ndarray:
+    """The self-inverse map between reported and canonical parameter order
+    of ``size`` parameters: the identity for forward specs; the intercepts,
+    and the category-specific threshold blocks of p, reversed for reverse
+    specs."""
+    perm = np.arange(size)
+    if reverse:
+        perm[:q] = np.arange(q)[::-1]
+        if catspec:
+            perm[q:] = np.arange(q, size).reshape(q, p)[::-1].ravel()
+    return perm
+
+
 @functools.cache
 def _shape(kind: str, structure: str, k: int, p: int, m: int, reverse: bool,
            z_union: tuple) -> _Shape:
@@ -170,11 +210,7 @@ def _shape(kind: str, structure: str, k: int, p: int, m: int, reverse: bool,
     # the union design [1 | U]: its columns, and those of the dispersion terms
     z_columns = 1 + np.asarray(z_union, dtype=np.intp)
     width = 1 + max([p, *z_columns])
-    perm = np.arange(size)
-    if reverse:
-        perm[:q] = np.arange(q)[::-1]
-        if catspec:
-            perm[q:] = np.arange(q, size).reshape(q, p)[::-1].ravel()
+    perm = _reported_order(size, q, p, catspec, reverse)
     w = scaling_factors(Family(kind), k)
     if kind == "adjacent":
         pair_rows, pair_cols = np.triu_indices(q)
@@ -783,12 +819,13 @@ def fit(spec: ModelSpec, data: OrdinalDataset, *, start=None) -> FitResult:
     max |score| < SCORE_TOL * (1 + |loglik|) at the same iteration. The
     loop runs at most MAX_ITER iterations, the module constant read at each
     call; a fit still moving then stops, converged=False. ``start`` is a
-    parameter vector in the reported order (default: initial_params()). The
-    covariance is the inverse expected information at the optimum. Each
+    parameter vector in the reported order (default: initial_params()). Each
     candidate is evaluated in one whole pass over the rows, so a crossing
     in any block is seen; the score and information of an accepted step
-    come from the pass that accepted it and serve the convergence test, the
-    next step and the covariance.
+    come from the pass that accepted it and serve the convergence test and
+    the next step. The result keeps the information of its parameters; its
+    covariance, the inverse expected information at the optimum, is
+    computed from it on first read (FitResult).
     """
     _check_categories(data)
     problem = _compile(data, spec)
@@ -841,8 +878,6 @@ def fit(spec: ModelSpec, data: OrdinalDataset, *, start=None) -> FitResult:
             converged = True
             break
 
-    cov, bad = _covariance(info)
-
     notes = []
     big = np.nonzero(np.abs(theta[layout.q:]) > SEPARATION_BOUND)[0] + layout.q
     if big.size:
@@ -866,20 +901,20 @@ def fit(spec: ModelSpec, data: OrdinalDataset, *, start=None) -> FitResult:
         spec=spec,
         layout=layout,
         params=theta[perm],
-        covariance=cov[np.ix_(perm, perm)],
+        information=info[np.ix_(perm, perm)],
         loglik=-deviance / 2.0,
         deviance=deviance,
         n=data.n,
         k=data.k,
         iterations=iterations,
         converged=converged,
-        se_unavailable=bad[perm],
         warnings=notes,
     )
 
 
 def standard_errors(result: FitResult) -> np.ndarray:
-    """sqrt of the covariance diagonal; NaN where the information is singular."""
+    """sqrt of the covariance diagonal; NaN where the information is
+    singular. The first read of a fit's covariance computes it."""
     se = np.sqrt(np.maximum(np.diag(result.covariance), 0.0)).copy()
     se[result.se_unavailable] = np.nan
     return se

@@ -90,8 +90,9 @@ def _check_monotone(eta: np.ndarray, gaps: np.ndarray) -> None:
     # is the first crossing of the first observation that has one.
     np.subtract(eta[1:], eta[:-1], out=gaps)
     if gaps.size and gaps.min() < -1e-12:
-        bad = np.moveaxis(gaps < -1e-12, 0, -1)
-        raise ThresholdOrderError(int(np.argwhere(bad)[0][-1]) + 1)
+        crossed = (gaps < -1e-12).reshape(len(gaps), -1)
+        first = crossed[:, crossed.any(axis=0).argmax()]
+        raise ThresholdOrderError(int(first.argmax()) + 1)
 
 
 def _cumulative_probs(eta, out, cdf_out, work) -> np.ndarray:

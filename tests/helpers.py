@@ -183,12 +183,11 @@ def stub_fit(n_params, deviance=100.0, n=100, k=3, converged=True, family=Family
         spec=spec,
         layout=None,
         params=np.zeros(n_params),
-        covariance=np.eye(n_params),
+        information=np.eye(n_params),
         loglik=-deviance / 2.0,
         deviance=deviance,
         n=n,
         k=k,
         iterations=1,
         converged=converged,
-        se_unavailable=np.zeros(n_params, dtype=bool),
     )

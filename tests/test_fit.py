@@ -1120,6 +1120,19 @@ class TestDevianceReport:
 
 
 class TestStandardErrors:
+    @pytest.mark.parametrize("family", [CUM, Family("cumulative", reverse=True), ADJ])
+    def test_information_kept_and_covariance_read_once(self, family):
+        # the fit keeps the information of the pass that accepted its
+        # params, in their order; the covariance made from it on first read
+        # is kept, so an edit to it persists
+        data, spec, _ = random_dataset(np.random.default_rng(16), n=120, k=4)
+        spec = replace(spec, family=family, structure="catspec")
+        result = fit(spec, data)
+        assert np.array_equal(result.information, fisher_info(result.params, data, spec))
+        cov = result.covariance
+        assert result.covariance is cov and result.se_unavailable is result.se_unavailable
+        assert cov @ result.information == pytest.approx(np.eye(result.n_params), abs=1e-6)
+
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         data, spec, _ = random_dataset(rng, n=100, k=4)
@@ -1148,12 +1161,12 @@ class TestStandardErrors:
         y = rng.integers(1, 4, size=80)
         y[:3] = [1, 2, 3]
         data = OrdinalDataset(y=y, k=3, columns={"a": x, "b": x.copy()})
-        spec = ModelSpec(CUM, "global", (Term("a"), Term("b")))
-        result = fit(spec, data)
-        se = standard_errors(result)
-        assert result.se_unavailable[2] and result.se_unavailable[3]
-        assert np.isnan(se[2]) and np.isnan(se[3])
-        assert not np.isnan(se[0])
+        for family in (CUM, Family("cumulative", reverse=True)):
+            result = fit(ModelSpec(family, "global", (Term("a"), Term("b"))), data)
+            se = standard_errors(result)
+            assert result.se_unavailable[2] and result.se_unavailable[3]
+            assert np.isnan(se[2]) and np.isnan(se[3])
+            assert not np.isnan(se[0])
 
 
 class TestSmoothFit:

@@ -3,6 +3,7 @@
 import importlib
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ordshift.inference import (
     wald_table,
 )
 from ordshift.links import Family, scaling_factors
+from ordshift.report import render_report
 from ordshift.simulate import simulate_dataset
 from ordshift.svgplot import render_star_svg
 
@@ -422,6 +424,51 @@ class TestWaldTable:
         result = fit(spec, data)
         rows = wald_table(result).block("location")
         assert all(math.isnan(r.se) and math.isnan(r.z) and math.isnan(r.p) for r in rows)
+
+
+class TestDeferredCovariance:
+    """A fit computes its covariance the first time it is read: the model
+    comparisons read deviances alone, and never compute one."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        inner = FIT_MODULE._covariance
+
+        def counting(info):
+            calls.append(info.shape)
+            return inner(info)
+
+        monkeypatch.setattr(FIT_MODULE, "_covariance", counting)
+        return calls
+
+    @staticmethod
+    def _ladder():
+        data, spec, _ = random_dataset(np.random.default_rng(21), n=300, k=4)
+        ladder = model_ladder(data, spec)
+        assert [row.ok for row in ladder.rows] == [True, True, True]
+        return data, spec, ladder
+
+    def test_model_comparisons_compute_none(self, calls):
+        data, spec, ladder = self._ladder()
+        smooth = replace(spec, location=(Term("v1", smooth=True, n_basis=5), Term("v2")))
+        tests = smooth_term_tests(data, smooth, "v1")
+        assert set(tests) == {"drop", "linear"}
+        assert calls == []
+
+    def test_wald_table_read_twice_computes_one(self, calls):
+        data, spec, _ = random_dataset(np.random.default_rng(22), n=200, k=4)
+        result = fit(spec, data)
+        assert calls == []
+        first, second = wald_table(result), wald_table(result)
+        assert calls == [(7, 7)]
+        assert [row.se for row in first.rows] == [row.se for row in second.rows]
+
+    def test_report_computes_one_per_rung(self, calls):
+        _, _, ladder = self._ladder()
+        fits = [row.fit for row in ladder.rows]
+        render_report(ladder, fits)
+        assert len(calls) == 3
 
 
 class TestStarData:

@@ -94,6 +94,25 @@ class TestCumulativeProbs:
             category_probs(CUM, [1.0, -1.0])
         assert err.value.index == 1
 
+    def test_ordering_violation_names_first_crossing_observation(self):
+        # columns are observations: the first crossing one is column 2,
+        # whose thresholds 3 and 4 fall below their predecessors; later
+        # columns cross at earlier thresholds, and column 1's fall of 1e-13
+        # is float noise, not a crossing
+        eta = np.array([
+            [-1.0, -1.0, -1.0, 0.5, -1.0],
+            [0.0, -1.0 - 1e-13, 0.0, -1.0, 0.0],
+            [1.0, 1.0, 1.0, 2.0, -2.0],
+            [2.0, 2.0, 0.5, 1.5, 3.0],
+            [3.0, 3.0, 0.0, 4.0, 4.0],
+        ])
+        with pytest.raises(ThresholdOrderError) as err:
+            category_probs(CUM, eta)
+        assert err.value.index == 3
+        with pytest.raises(ThresholdOrderError) as err:
+            category_probs(CUM, eta[:, 3:])
+        assert err.value.index == 1
+
     def test_simplex_property(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

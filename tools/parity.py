@@ -9,7 +9,8 @@
 line per fit, per likelihood-ratio test and per output file of that
 operation. A fit line holds the workload, item, spec, iterations,
 ``converged``, warnings, SE mask, and params, deviance and covariance as
-float hex, so two digests of one tree are byte-identical and two of
+float hex (reading a fit's covariance computes it, which the workloads
+themselves may never do), so two digests of one tree are byte-identical and two of
 different trees can be compared to the last bit. ``--ref`` digests a commit
 of this repository instead, unpacked with ``git archive`` into a temporary
 directory that is removed afterwards, so nothing is left in ``.git``.
