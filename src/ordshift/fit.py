@@ -61,7 +61,7 @@ class FitResult:
     touches, are computed from it the first time either is read, and kept:
     until then the instance holds one P x P array, afterwards two. The
     eigendecomposition runs in the canonical order of the fit
-    (_reported_order), so a reverse spec's covariance is its forward
+    (_Shape.perm), so a reverse spec's covariance is its forward
     relabeling's, permuted, bit for bit. The model comparisons read
     deviances and parameter counts alone and never compute it.
     """
@@ -70,7 +70,6 @@ class FitResult:
     layout: ParamLayout
     params: np.ndarray
     information: np.ndarray
-    loglik: float
     deviance: float
     n: int
     k: int
@@ -80,9 +79,9 @@ class FitResult:
 
     @functools.cached_property
     def _inverse(self) -> tuple:
-        layout = self.layout
-        perm = _reported_order(layout.n_params, layout.q, layout.p,
-                               layout.structure == "catspec", self.spec.family.reverse)
+        layout, family = self.layout, self.spec.family
+        perm = _shape(family.kind, layout.structure, layout.k, layout.p, layout.m,
+                      family.reverse, layout.z_union).perm
         cov, bad = _covariance(self.information[np.ix_(perm, perm)])
         return cov[np.ix_(perm, perm)], bad[perm]
 
@@ -96,6 +95,11 @@ class FitResult:
         """Slots whose standard error the information cannot give; computed
         on first read, with ``covariance``."""
         return self._inverse[1]
+
+    @property
+    def loglik(self) -> float:
+        """-deviance / 2: the log-likelihood at ``params``."""
+        return -self.deviance / 2.0
 
     @property
     def names(self):
@@ -137,11 +141,15 @@ class _Shape:
     it; each array is read-only, so none may be written through. A field
     that the shape's structure or family never reads is empty."""
 
-    perm: np.ndarray  # _reported_order: reported <-> canonical parameter order
+    # the self-inverse map between reported and canonical parameter order:
+    # parameter a's slot is that of (a's code, reversed, on a's column), the
+    # identity for forward specs
+    perm: np.ndarray
     w: np.ndarray  # scaling weights of the canonical family
-    # the structure map M, (k-1)(1+u) x n_params: M theta, reshaped to
-    # (k-1, 1+u), is the coefficient matrix B(theta) on the columns of the
-    # union design [1 | U], row r [gamma_r, beta_r] (category-specific) or
+    # the structure map M, (k-1)(1+u) x n_params, column a parameter a's
+    # threshold vector on its union column: M theta, reshaped to (k-1, 1+u),
+    # is the coefficient matrix B(theta) on the columns of the union design
+    # [1 | U], row r [gamma_r, beta_r] (category-specific) or
     # [gamma_r, beta + w_r alpha] (global and location-shift)
     structure_map: np.ndarray
     # the threshold pairs r <= s, as rows and columns, where a family's
@@ -152,9 +160,8 @@ class _Shape:
     pair_cols: np.ndarray
     categories: np.ndarray  # 0..k-1 as a column, for the response masks
     # the shapes of the segments of the flat information sums, and the flat
-    # index into those sums (and one zero after them) of every information
-    # cell, which places and mirrors them in one gather (see _catspec_info
-    # and _shift_info)
+    # index into those sums (and the zeros after them) of every information
+    # cell, which places and mirrors them in one gather (see _info_layout)
     segments: tuple
     info_index: np.ndarray
     # (j, run of product rows) of each column j >= 1 of the union design
@@ -185,33 +192,37 @@ class _Shape:
                 value.flags.writeable = False
 
 
-def _reported_order(size: int, q: int, p: int, catspec: bool, reverse: bool) -> np.ndarray:
-    """The self-inverse map between reported and canonical parameter order
-    of ``size`` parameters: the identity for forward specs; the intercepts,
-    and the category-specific threshold blocks of p, reversed for reverse
-    specs."""
-    perm = np.arange(size)
-    if reverse:
-        perm[:q] = np.arange(q)[::-1]
-        if catspec:
-            perm[q:] = np.arange(q, size).reshape(q, p)[::-1].ravel()
-    return perm
-
-
 @functools.cache
 def _shape(kind: str, structure: str, k: int, p: int, m: int, reverse: bool,
            z_union: tuple) -> _Shape:
     """The one _Shape of a problem shape, made at its first problem.
     ``z_union`` is the union column of each dispersion column
-    (ParamLayout.z_union): the union pattern, in ints."""
+    (ParamLayout.z_union): the union pattern, in ints. Each canonical
+    parameter is one threshold vector on one column of [1 | U]: its code, a
+    row of the basis e_1 .. e_{k-1}, 1, w, and its union column. gamma_r is
+    e_r on column 0, a category-specific beta_rj e_r on column 1+j, a global
+    or location-shift beta_j 1 on column 1+j and alpha_j w on its union
+    column; the structure map, the gather index and the reverse order are
+    read off them."""
     q = k - 1
-    catspec = structure == "catspec"
-    size = q * (p + 1) if catspec else q + p + m
     # the union design [1 | U]: its columns, and those of the dispersion terms
     z_columns = 1 + np.asarray(z_union, dtype=np.intp)
     width = 1 + max([p, *z_columns])
-    perm = _reported_order(size, q, p, catspec, reverse)
     w = scaling_factors(Family(kind), k)
+    ones = np.ones(q)
+    basis = np.vstack([np.eye(q), ones, w])
+    if structure == "catspec":
+        code, column = np.repeat(np.arange(q), p), np.tile(1 + np.arange(p), q)
+    else:
+        code, column = np.repeat([q, q + 1], [p, m]), np.r_[1 + np.arange(p), z_columns]
+    code, column = np.r_[np.arange(q), code], np.r_[np.zeros(q, dtype=np.intp), column]
+    size = code.size
+    structure_map = np.zeros((q, width, size))
+    structure_map[:, column, np.arange(size)] = basis[code].T
+    # a reverse spec reverses the thresholds, e_r <-> e_{k-r}, and keeps 1 and w
+    flip = np.r_[np.arange(q)[::-1] if reverse else np.arange(q), q, q + 1]
+    slot = np.empty((q + 2, width), dtype=np.intp)
+    slot[code, column] = np.arange(size)
     if kind == "adjacent":
         pair_rows, pair_cols = np.triu_indices(q)
     else:
@@ -224,20 +235,11 @@ def _shape(kind: str, structure: str, k: int, p: int, m: int, reverse: bool,
     # product row holding U_j U_l, for every (j, l)
     mirror = np.empty((width, width), dtype=np.intp)
     mirror[pair_j, pair_l] = mirror[pair_l, pair_j] = np.arange(pair_j.size)
-    r, j = np.arange(q)[:, None], np.arange(p)[None, :]
-    structure_map = np.zeros((q, width, size))
-    structure_map[r[:, 0], 0, r[:, 0]] = 1.0
-    ones = np.ones(q)
-    if catspec:
-        structure_map[r, 1 + j, q + r * p + j] = 1.0
-        fields = _catspec_info(q, width, pair_rows, pair_cols, mirror)
-    else:
-        structure_map[:, 1 + j[0], q + j[0]] = 1.0
-        structure_map[:, z_columns, q + p + np.arange(m)] = w[:, None]
-        vectors = (ones, w) if m else (ones,)
-        fields = _shift_info(kind, q, p, m, width, z_columns, pair_rows, pair_cols, mirror,
-                             len(vectors))
-    if kind == "cumulative" and not catspec:
+    segments, base = _info_layout(kind, structure, q, width, m, pair_rows, pair_cols)
+    fields = dict(segments=segments, info_index=base[np.ix_(code, code)]
+                  + mirror[np.ix_(column, column)])
+    vectors = (ones, w) if m else (ones,)
+    if kind == "cumulative" and structure != "catspec":
         fields["expand"] = np.vstack([_band_expansion(v) for v in vectors])
         fields["quadratic"] = np.array(
             [_band_form(a, b) for a, b in ((ones, ones), (ones, w), (w, w))[:3 if m else 1]])
@@ -245,7 +247,7 @@ def _shape(kind: str, structure: str, k: int, p: int, m: int, reverse: bool,
         # below_of[r, c] = 1 when c <= r
         below_of = np.tril(np.ones((q, q + 1)))
         fields.update(below_of=below_of, above_of=1.0 - below_of)
-        if not catspec:
+        if structure != "catspec":
             zeros = np.zeros(q)
             upto = np.tril(np.ones((q, q)))
             fields["prefix"] = np.stack([upto * v for v in vectors])
@@ -253,65 +255,48 @@ def _shape(kind: str, structure: str, k: int, p: int, m: int, reverse: bool,
             fields["quadratic"] = (
                 np.array([np.r_[ones, zeros], np.r_[zeros, ones], np.r_[zeros, w]])
                 if m else ones[None, :])
-    return _Shape(perm=perm, w=w, structure_map=structure_map.reshape(q * width, size),
+    return _Shape(perm=slot[flip[code], column], w=w,
+                  structure_map=structure_map.reshape(q * width, size),
                   pair_rows=pair_rows, pair_cols=pair_cols, categories=np.arange(k)[:, None],
                   runs=runs, **fields)
 
 
-def _catspec_info(q: int, width: int, pair_rows, pair_cols, mirror) -> dict:
-    """_Shape's category-specific segments and info_index. The one segment
-    is the threshold pairs' sums of the products table: the (p+1, p+1)
-    information block of threshold pair (r, s) and of (s, r) is pair
-    (r, s)'s triangle of sums mirrored; every other block reads the zero
-    after the sums."""
-    size, n_products = q * width, width * (width + 1) // 2
-    # parameter slot of (threshold r, column j of [1, x])
-    j = np.arange(width)[None, :]
-    r = np.arange(q)[:, None]
-    slots = np.where(j == 0, r, q + r * (width - 1) + j - 1).ravel()
-    entries = np.arange(pair_rows.size)[:, None, None] * n_products + mirror
-    blocks = np.full((q, q, width, width), pair_rows.size * n_products, dtype=np.intp)
-    blocks[pair_rows, pair_cols] = entries
-    blocks[pair_cols, pair_rows] = entries
-    info_index = np.empty((size, size), dtype=np.intp)
-    info_index[np.ix_(slots, slots)] = blocks.transpose(0, 2, 1, 3).reshape(size, size)
-    return dict(segments=((pair_rows.size, n_products),), info_index=info_index)
-
-
-def _shift_info(kind: str, q: int, p: int, m: int, width: int, z_columns: np.ndarray,
-                pair_rows, pair_cols, mirror, n_vectors: int) -> dict:
-    """_Shape's global and location-shift segments and info_index. The
-    segments are E, the sums of (W_i v) [1, U_i] for v = 1 (and w), stacked;
-    F, the quadratic forms 1'W_i 1 (and 1'W_i w, w'W_i w) against the
-    products table; and the cumulative band sums G, whose column 0 is the
-    threshold pairs' sum_i W_i, or the adjacent (k-1, k-1) sum_i B_i A_i',
-    whose upper triangle is sum_i W_i."""
+def _info_layout(kind: str, structure: str, q: int, width: int, m: int, pair_rows,
+                 pair_cols):
+    """The segments of a shape's flat information sums, and base, the flat
+    index where the sums of each pair of basis codes (e_1 .. e_{k-1}, 1, w)
+    start: the information of parameters a and b is the sum at
+    base[code_a, code_b] + mirror[column_a, column_b], mirror the products
+    table's row of their union columns; a zero cell reads the n_products
+    zeros after the sums. Category-specific, the one segment is the
+    threshold pairs' sums of the products table. Global and location-shift,
+    the segments are E, the sums of (W_i v) [1, U_i] for v = 1 (and w),
+    stacked, read by (e_r, v); F, the quadratic forms 1'W_i 1 (and 1'W_i w,
+    w'W_i w) against the products table, read by (v, v'); and, read by
+    (e_r, e_s), the cumulative band sums G, whose column 0 is the threshold
+    pairs' sum_i W_i, or the adjacent (k-1, k-1) sum_i B_i A_i', whose
+    upper triangle is sum_i W_i."""
     n_products = width * (width + 1) // 2
-    n_forms = n_vectors * (n_vectors + 1) // 2
-    third = (2 * q - 1, width) if kind == "cumulative" else (q, q)
-    segments = ((n_vectors * q, width), (n_forms, n_products), third)
-    f_at = n_vectors * q * width
-    t_at = f_at + n_forms * n_products
-    zero = t_at + third[0] * third[1]
-    # union column of each parameter, 0 for the intercepts, and its vector
-    # v: 0 for 1 (intercepts and location), 1 for w (dispersion)
-    column = np.concatenate([np.zeros(q, dtype=np.intp), 1 + np.arange(p), z_columns])
-    vector = np.r_[np.zeros(q + p, dtype=np.intp), np.ones(m, dtype=np.intp)]
-    size = q + p + m
-    info_index = np.full((size, size), zero, dtype=np.intp)
-    if kind == "cumulative":
-        totals = t_at + np.arange(pair_rows.size) * width
+    if structure == "catspec":
+        segments = ((pair_rows.size, n_products),)
+        pair_at = np.arange(pair_rows.size) * n_products
     else:
-        totals = t_at + pair_rows * q + pair_cols
-    info_index[pair_rows, pair_cols] = info_index[pair_cols, pair_rows] = totals
-    # intercept r against effect a: sum_i (W_i v_a)_r U_i[column a]
-    r, a = np.arange(q)[:, None], np.arange(q, size)[None, :]
-    info_index[r, a] = info_index[a, r] = (vector[a] * q + r) * width + column[a]
-    # effect a against effect b: sum_i v_a'W_i v_b U_i[column a] U_i[column b],
-    # form 0, 1 or 2 for (1, 1), (1, w) and (w, w)
-    a, b = np.arange(q, size)[:, None], np.arange(q, size)[None, :]
-    info_index[a, b] = f_at + (vector[a] + vector[b]) * n_products + mirror[column[a], column[b]]
-    return dict(segments=segments, info_index=info_index)
+        n_vectors, n_forms = (2, 3) if m else (1, 1)
+        vector = np.arange(n_vectors)
+        third = (2 * q - 1, width) if kind == "cumulative" else (q, q)
+        segments = ((n_vectors * q, width), (n_forms, n_products), third)
+        f_at = n_vectors * q * width
+        t_at = f_at + n_forms * n_products
+        pair_at = t_at + (np.arange(pair_rows.size) * width if kind == "cumulative"
+                          else pair_rows * q + pair_cols)
+    base = np.full((q + 2, q + 2), sum(a * b for a, b in segments), dtype=np.intp)
+    base[pair_rows, pair_cols] = base[pair_cols, pair_rows] = pair_at
+    if structure != "catspec":
+        v = q + vector
+        base[:q, v] = (vector * q + np.arange(q)[:, None]) * width
+        base[v, :q] = base[:q, v].T
+        base[np.ix_(v, v)] = f_at + (vector[:, None] + vector) * n_products
+    return segments, base
 
 
 class _Problem:
@@ -338,10 +323,11 @@ class _Problem:
 
     What a problem holds has three lifetimes. Per shape, (family kind,
     structure, k, p, m, orientation, union pattern): the parameter
-    permutation, the scaling weights w, the structure map, the information's
-    gather index and the weights helpers' band and triangular matrices, one
-    read-only _Shape shared by every problem of that shape and made once per
-    shape in a process by _shape. Per problem, the data, the weights helper
+    permutation, the structure map and the information's gather index, each
+    read off every parameter's threshold vector and union column, the
+    scaling weights w and the weights helpers' band and triangular
+    matrices, one read-only _Shape shared by every problem of that shape
+    and made once per shape in a process by _shape. Per problem, the data, the weights helper
     and the scratch. Per block, nothing: every per-observation,
     per-threshold quantity is threshold-major, a (k-1, rows) or (k, rows)
     array of one block of BLOCK_ROWS rows (a single block when n <=
@@ -392,10 +378,10 @@ class _Problem:
         self._products = np.empty((n_products, width))
         self._products[0] = 1.0
         # a pass's score sums u U, and its flat information sums in the
-        # _Shape's segments with one zero after them, which info_index reads
-        # for the cells that are zero
+        # _Shape's segments with n_products zeros after them, which
+        # info_index reads for the cells that are zero
         self._score = np.empty((q, union))
-        self._sums = np.empty(sum(a * b for a, b in shape.segments) + 1)
+        self._sums = np.empty(sum(a * b for a, b in shape.segments) + n_products)
         self._segments, at = [], 0
         for rows, cols in shape.segments:
             self._segments.append(self._sums[at:at + rows * cols].reshape(rows, cols))
@@ -748,8 +734,20 @@ def _covariance(info: np.ndarray):
 
 
 def _compile(data: OrdinalDataset, spec: ModelSpec) -> _Problem:
-    """The problem of ``spec`` on ``data``, its design learned on ``data``."""
-    return _Problem(expand_design(data, spec), spec.family, data.y)
+    """The problem of ``spec`` on ``data``, its design learned on ``data``.
+    A model with more parameters than the n(k-1) response cells of ``data``
+    is a SpecError naming the factor with the most levels; a saturated one
+    is allowed."""
+    design = expand_design(data, spec)
+    layout, cells = design.layout, data.n * (data.k - 1)
+    if layout.n_params > cells:
+        levels = {c.source: len(c.levels) for c in layout.union_cols if c.levels}
+        widest = max(levels, key=levels.get, default=None)
+        raise SpecError(
+            f"model has {layout.n_params} parameters, more than the n(k-1) = {cells} "
+            "response cells"
+            + (f"; factor {widest!r} has {levels[widest]} levels" if widest else ""))
+    return _Problem(design, spec.family, data.y)
 
 
 def log_likelihood(params, data: OrdinalDataset, spec: ModelSpec) -> float:
@@ -823,9 +821,11 @@ def fit(spec: ModelSpec, data: OrdinalDataset, *, start=None) -> FitResult:
     candidate is evaluated in one whole pass over the rows, so a crossing
     in any block is seen; the score and information of an accepted step
     come from the pass that accepted it and serve the convergence test and
-    the next step. The result keeps the information of its parameters; its
-    covariance, the inverse expected information at the optimum, is
-    computed from it on first read (FitResult).
+    the next step. A model with more parameters than the n(k-1) response
+    cells of ``data`` is a SpecError before any pass. The result keeps the
+    information of its parameters; its covariance, the inverse expected
+    information at the optimum, is computed from it on first read
+    (FitResult).
     """
     _check_categories(data)
     problem = _compile(data, spec)
@@ -902,7 +902,6 @@ def fit(spec: ModelSpec, data: OrdinalDataset, *, start=None) -> FitResult:
         layout=layout,
         params=theta[perm],
         information=info[np.ix_(perm, perm)],
-        loglik=-deviance / 2.0,
         deviance=deviance,
         n=data.n,
         k=data.k,

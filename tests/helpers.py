@@ -184,7 +184,6 @@ def stub_fit(n_params, deviance=100.0, n=100, k=3, converged=True, family=Family
         layout=None,
         params=np.zeros(n_params),
         information=np.eye(n_params),
-        loglik=-deviance / 2.0,
         deviance=deviance,
         n=n,
         k=k,

@@ -381,6 +381,33 @@ class TestExitCodes:
             assert line.startswith("error[usage]: smooth term s(v, 6): B-spline columns "
                                    "[1, 2] are zero on every training row"), line
 
+    @staticmethod
+    def _level_per_row(tmp_path):
+        """12 rows at k=3 and a factor g with one level per row: the
+        category-specific model of y ~ g + x | x has 2 (1 + 11 + 1) = 26
+        parameters on 2 * 12 = 24 response cells."""
+        x = np.random.default_rng(3).normal(size=12).round(3)
+        csv = tmp_path / "per_row.csv"
+        csv.write_text("y,g,x\n" + "".join(f"{1 + i % 3},{chr(97 + i)},{v}\n"
+                                           for i, v in enumerate(x)))
+        return "--data", str(csv), "--formula", "y ~ g + x | x", "--categorical", "g"
+
+    BEYOND_CELLS = ("model has 26 parameters, more than the n(k-1) = 24 response cells; "
+                    "factor 'g' has 12 levels")
+
+    def test_usage_error_more_parameters_than_response_cells(self, tmp_path):
+        proc = run_cli(*self._level_per_row(tmp_path), "--structure", "catspecific")
+        assert proc.returncode == 4
+        assert proc.stderr.strip().splitlines()[-1] == f"error[usage]: {self.BEYOND_CELLS}"
+
+    def test_ladder_row_with_more_parameters_than_response_cells_fails(self, tmp_path):
+        proc = run_cli(*self._level_per_row(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        report = proc.stdout.splitlines()
+        assert report[3].split()[-2:] == ["fit", "failed"]
+        assert (f"note: Model with category-specific effects: fit failed "
+                f"({self.BEYOND_CELLS})") in report
+
     def test_ladder_with_dispersion_at_k2_is_a_usage_error(self, tmp_path):
         two = recoded(tmp_path, (1, 1, 1, 2, 2))
         proc = run_cli("--data", str(two), "--formula", FORMULA, "--categorical", "group")

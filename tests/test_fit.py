@@ -823,6 +823,29 @@ class TestShapeConstants:
         assert info.misses == len(shapes)
         assert info.hits >= len(shapes)
 
+    def test_map_and_order_match_dense_design_rows(self):
+        # row i of the dense design tensor, in the reported order, is the
+        # structure map applied to [1, U_i]: the canonical threshold r is
+        # the reported threshold k-1-r of a reverse spec, and the canonical
+        # parameter a the reported perm[a]
+        rng = np.random.default_rng(95)
+        for k in (3, 5):
+            for kind in ("cumulative", "adjacent"):
+                data, base, _ = random_dataset(rng, n=60, k=k, family=Family(kind))
+                for reverse in (False, True):
+                    for structure in ("global", "locshift", "catspec"):
+                        spec = ModelSpec(Family(kind, reverse), structure,
+                                         base.location, base.dispersion)
+                        design = expand_design(data, spec)
+                        shape = _compile(data, spec).shape
+                        union = np.c_[np.ones(data.n), design.U]
+                        M = shape.structure_map.reshape(k - 1, union.shape[1], -1)
+                        rows = build_design_tensor(design, spec)
+                        if reverse:
+                            rows = rows[:, ::-1]
+                        assert np.array_equal(rows[:, :, shape.perm],
+                                              np.einsum("rja,ij->ira", M, union)), spec
+
 
 @functools.lru_cache(maxsize=None)
 def _catspec_fit_peak():
@@ -1117,6 +1140,10 @@ class TestDevianceReport:
         result = fit(_intercept_spec(), data)
         assert result.deviance == -2.0 * result.loglik
         assert result.df_residual == data.n * (data.k - 1) - result.n_params
+
+    def test_loglik_follows_a_replaced_deviance(self):
+        result = fit(_intercept_spec(), _counts_data([10, 20, 30]))
+        assert replace(result, deviance=123.5).loglik == -123.5 / 2.0
 
 
 class TestStandardErrors:
