@@ -14,10 +14,9 @@ import argparse
 import functools
 import logging
 import sys
-from dataclasses import replace
 
 from .data import load_csv
-from .design import DEFAULT_N_BASIS, ModelSpec
+from .design import ModelSpec
 from .exceptions import (
     DataError,
     FormulaError,
@@ -78,10 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["global", "locshift", "catspecific", "ladder"],
         default="ladder",
     )
-    parser.add_argument("--nbs", type=int, default=DEFAULT_N_BASIS,
-                        help="B-spline basis count of a smooth term that sets none")
     parser.add_argument("--conf", type=float, default=0.95, help="confidence level for stars")
-    parser.add_argument("--k", type=int, default=None, help="number of response categories")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=["text", "markdown"], default="text")
     parser.add_argument("--star", default=None, metavar="SVG", help="write a star plot")
@@ -112,20 +108,10 @@ def _write(flag: str, path: str, text: str) -> None:
         raise _UsageError(f"cannot write {flag} {path}: {exc.strerror or exc}") from None
 
 
-def _with_basis(terms, n_basis: int) -> tuple:
-    """``terms`` with ``n_basis`` in every smooth term that sets none."""
-    return tuple(replace(t, n_basis=n_basis) if t.smooth and t.n_basis is None else t
-                 for t in terms)
-
-
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     if not 0.0 < args.conf < 1.0:
         raise _UsageError(f"--conf must be in (0,1), got {args.conf}")
-    if args.nbs < 4:
-        raise _UsageError(f"--nbs must be at least 4 (cubic splines), got {args.nbs}")
-    if args.k is not None and args.k < 2:
-        raise _UsageError(f"--k must be at least 2 (response categories), got {args.k}")
     smooth_requests = []
     for item in args.smooth:
         var, sep, path = item.partition(":")
@@ -136,7 +122,7 @@ def _run(argv) -> int:
     formula = parse_formula(args.formula)
     categorical = tuple(c.strip() for c in args.categorical.split(",") if c.strip())
     try:
-        data = load_csv(args.data, formula, k=args.k, categorical=categorical)
+        data = load_csv(args.data, formula, categorical=categorical)
     except OSError as exc:
         raise DataError(str(exc)) from exc
 
@@ -144,8 +130,8 @@ def _run(argv) -> int:
     base_spec = ModelSpec(
         family=family,
         structure=_STRUCTURES.get(args.structure, "locshift"),
-        location=_with_basis(formula.location, args.nbs),
-        dispersion=_with_basis(formula.dispersion, args.nbs),
+        location=formula.location,
+        dispersion=formula.dispersion,
     )
 
     ladder = None

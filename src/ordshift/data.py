@@ -185,7 +185,7 @@ def _responses(cells, column: str) -> np.ndarray:
     return np.array(y)
 
 
-def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
+def load_csv(path, formula, categorical=()) -> OrdinalDataset:
     """Read a UTF-8, comma-delimited, headered CSV into an OrdinalDataset.
 
     A byte-order mark, as spreadsheets export one, is skipped; a header that
@@ -194,8 +194,9 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
     listed in ``categorical`` (or whose values are entirely non-numeric) are
     treated as categorical with levels in first-seen order; a numeric column
     containing stray text or a non-finite value (nan, inf) is an error naming
-    the offending cell. So is a k, inferred from the largest response or
-    given, above the row count: some category would be unobserved.
+    the offending cell. The response's k is its largest value; a response
+    below 1, or a k above the row count (some category would be
+    unobserved), is an error naming the cell.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -229,13 +230,13 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
     table = list(zip(*rows))  # the file's columns, as read
     cells = {c: table[header.index(c)] for c in needed}
     y = _responses(cells[formula.response], formula.response)
-    k_eff = int(y.max()) if k is None else int(k)
-    outside = np.flatnonzero((y < 1) | (y > k_eff))
+    k = int(y.max())
+    outside = np.flatnonzero(y < 1)
     if outside.size:
         i = outside[0]
         raise DataError(
             f"column {formula.response!r} row {i + 2}: response {y[i]}; "
-            f"response categories must be 1..{k_eff}"
+            f"response categories must be 1..{k}"
         )
 
     declared = set(categorical)
@@ -255,14 +256,14 @@ def load_csv(path, formula, k=None, categorical=()) -> OrdinalDataset:
         else:
             columns[name] = numbers
 
-    if k_eff > y.size:
+    if k > y.size:
         # checked before the data's first k-sized count
         i = int(np.argmax(y))
         raise DataError(
             f"column {formula.response!r} row {i + 2}: largest response {y[i]}; "
-            f"k={k_eff} categories cannot all be observed in {y.size} rows"
+            f"k={k} categories cannot all be observed in {y.size} rows"
         )
-    data = OrdinalDataset(y=y, k=k_eff, columns=columns, categorical_levels=levels)
+    data = OrdinalDataset(y=y, k=k, columns=columns, categorical_levels=levels)
     log.info("loaded %s: n=%d, k=%d, category counts %s", path, data.n, data.k,
              _brief_list(data.category_counts()))
     return data

@@ -735,18 +735,20 @@ def _covariance(info: np.ndarray):
 
 def _compile(data: OrdinalDataset, spec: ModelSpec) -> _Problem:
     """The problem of ``spec`` on ``data``, its design learned on ``data``.
-    A model with more parameters than the n(k-1) response cells of ``data``
-    is a SpecError naming the factor with the most levels; a saturated one
-    is allowed."""
+    A location design [1 | X] or dispersion design [1 | Z] with more
+    columns than ``data`` has rows is not identified (a null vector of it
+    moves the thresholds and coefficients without changing any predictor):
+    a SpecError naming the design, its width, n and the factor with the most
+    levels. A saturated design, as wide as n, is allowed."""
     design = expand_design(data, spec)
-    layout, cells = design.layout, data.n * (data.k - 1)
-    if layout.n_params > cells:
-        levels = {c.source: len(c.levels) for c in layout.union_cols if c.levels}
-        widest = max(levels, key=levels.get, default=None)
-        raise SpecError(
-            f"model has {layout.n_params} parameters, more than the n(k-1) = {cells} "
-            "response cells"
-            + (f"; factor {widest!r} has {levels[widest]} levels" if widest else ""))
+    for side, cols in (("location design [1 | X]", design.layout.x_cols),
+                       ("dispersion design [1 | Z]", design.layout.z_cols)):
+        if 1 + len(cols) > data.n:
+            levels = {c.source: len(c.levels) for c in cols if c.levels}
+            widest = max(levels, key=levels.get, default=None)
+            raise SpecError(
+                f"{side} has {1 + len(cols)} columns, more than the n = {data.n} rows"
+                + (f"; factor {widest!r} has {levels[widest]} levels" if widest else ""))
     return _Problem(design, spec.family, data.y)
 
 
@@ -821,10 +823,10 @@ def fit(spec: ModelSpec, data: OrdinalDataset, *, start=None) -> FitResult:
     candidate is evaluated in one whole pass over the rows, so a crossing
     in any block is seen; the score and information of an accepted step
     come from the pass that accepted it and serve the convergence test and
-    the next step. A model with more parameters than the n(k-1) response
-    cells of ``data`` is a SpecError before any pass. The result keeps the
-    information of its parameters; its covariance, the inverse expected
-    information at the optimum, is computed from it on first read
+    the next step. A location or dispersion design with more columns than
+    ``data`` has rows is a SpecError before any pass (_compile). The result
+    keeps the information of its parameters; its covariance, the inverse
+    expected information at the optimum, is computed from it on first read
     (FitResult).
     """
     _check_categories(data)

@@ -106,14 +106,12 @@ def _text_table(header, rows, indent="  "):
     widths = [len(h) for h in header]
     for row in rows:
         widths = [max(w, len(c)) for w, c in zip(widths, row)]
-    lines = []
-    if any(header):
-        lines.append(indent + "  ".join(h.ljust(w) if i == 0 else h.rjust(w)
-                                        for i, (h, w) in enumerate(zip(header, widths))).rstrip())
-    for row in rows:
-        lines.append(indent + "  ".join(c.ljust(w) if i == 0 else c.rjust(w)
-                                        for i, (c, w) in enumerate(zip(row, widths))).rstrip())
-    return lines
+
+    def line(cells):
+        return indent + "  ".join(c.ljust(w) if i == 0 else c.rjust(w)
+                                  for i, (c, w) in enumerate(zip(cells, widths))).rstrip()
+
+    return ([line(header)] if any(header) else []) + [line(row) for row in rows]
 
 
 def _md_escape(text: str) -> str:

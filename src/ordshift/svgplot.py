@@ -183,8 +183,5 @@ def render_smooth_svg(result: FitResult, variable: str) -> str:
             svg.line(x0 - 4, py(tick), x0, py(tick))
             svg.text(x0 - 6, py(tick) + 4, f"{tick:.2f}", anchor="end")
         svg.text(x0 + plot_w / 2, height - 12, variable, anchor="middle")
-        # px and py of every point, in their order of operations
-        xs = x0 + (grid - grid[0]) / (grid[-1] - grid[0]) * plot_w
-        ys = top + plot_h - (values - v_lo) / (v_hi - v_lo) * plot_h
-        svg.polyline(xs.tolist(), ys.tolist(), cls="curve")
+        svg.polyline(px(grid).tolist(), py(values).tolist(), cls="curve")
     return svg.render()

@@ -11,6 +11,7 @@ import importlib
 import io
 import logging
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -91,6 +92,25 @@ class TestEndToEnd:
         assert report == (GOLDEN / "report.txt").read_bytes()
         star = (tmp_path / "star.svg").read_bytes()
         assert star == (GOLDEN / "star.svg").read_bytes()
+
+    def test_smooth_fit_matches_goldens(self, tmp_path):
+        # s(age) takes its basis, DEFAULT_N_BASIS, from the design
+        proc = run_cli("--data", str(DATA), "--formula", "y ~ s(age) + group + score | age + group",
+                       "--categorical", "group", "--structure", "locshift",
+                       "--out", str(tmp_path / "smooth_report.txt"),
+                       "--smooth", f"age:{tmp_path / 'smooth.svg'}")
+        assert proc.returncode == 0, proc.stderr
+        for name in ("smooth_report.txt", "smooth.svg"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_readme_flag_table_lists_the_parser_options(self):
+        # the table leaves out the required --formula and --data
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme[readme.index("| flag | meaning |"):].split("\n\n")[0]
+        documented = re.findall(r"^\| `(--[a-z]+)", table, flags=re.M)
+        options = [a.option_strings[-1] for a in cli.build_parser()._actions
+                   if not a.required and a.dest != "help"]
+        assert sorted(documented) == sorted(options)
 
     def test_star_svg_valid_with_one_star_per_dual_variable(self, tmp_path):
         proc = run_cli(*ladder_args(tmp_path))
@@ -221,9 +241,9 @@ class TestEndToEnd:
         assert sorted(p.name for p in second.iterdir()) == ["report.txt", "score.svg"]
         assert (second / "score.svg").read_bytes() == score
 
-    def test_nbs_sets_the_basis_of_smooth_terms_without_one(self):
-        proc = run_cli("--data", str(DATA), "--formula", "y ~ s(age) + group | age",
-                       "--categorical", "group", "--structure", "locshift", "--nbs", "5")
+    def test_smooth_term_basis_is_set_in_the_formula(self):
+        proc = run_cli("--data", str(DATA), "--formula", "y ~ s(age, 5) + group | age",
+                       "--categorical", "group", "--structure", "locshift")
         assert proc.returncode == 0, proc.stderr
         for j in range(1, 5):
             assert f"s(age).{j} " in proc.stdout
@@ -275,15 +295,6 @@ class TestExitCodes:
         proc = run_cli("--data", str(bad), "--formula", FORMULA, "--categorical", "group")
         assert proc.returncode == 2
         assert "error[data]:" in proc.stderr
-
-    def test_data_error_response_beyond_k(self, tmp_path):
-        bad = tmp_path / "k.csv"
-        bad.write_text("y,age,group,score\n1,1.0,a,0.1\n2,2.0,b,0.2\n5,3.0,a,0.3\n")
-        proc = run_cli("--data", str(bad), "--formula", FORMULA, "--categorical", "group",
-                       "--k", "3")
-        assert proc.returncode == 2
-        message = proc.stderr.strip().splitlines()[-1]
-        assert message == "error[data]: column 'y' row 4: response 5; response categories must be 1..3"
 
     def test_data_error_duplicate_header(self, tmp_path):
         bad = tmp_path / "dup.csv"
@@ -382,31 +393,58 @@ class TestExitCodes:
                                    "[1, 2] are zero on every training row"), line
 
     @staticmethod
-    def _level_per_row(tmp_path):
-        """12 rows at k=3 and a factor g with one level per row: the
-        category-specific model of y ~ g + x | x has 2 (1 + 11 + 1) = 26
-        parameters on 2 * 12 = 24 response cells."""
+    def _level_per_row(tmp_path, formula="y ~ g + x | x"):
+        """12 rows at k=3 and a factor g with one level per row: with x
+        beside it, g's 11 dummies make a design [1 | g + x] of 13 columns
+        on 12 rows."""
         x = np.random.default_rng(3).normal(size=12).round(3)
         csv = tmp_path / "per_row.csv"
         csv.write_text("y,g,x\n" + "".join(f"{1 + i % 3},{chr(97 + i)},{v}\n"
                                            for i, v in enumerate(x)))
-        return "--data", str(csv), "--formula", "y ~ g + x | x", "--categorical", "g"
+        return "--data", str(csv), "--formula", formula, "--categorical", "g"
 
-    BEYOND_CELLS = ("model has 26 parameters, more than the n(k-1) = 24 response cells; "
-                    "factor 'g' has 12 levels")
+    BEYOND_ROWS = "has 13 columns, more than the n = 12 rows; factor 'g' has 12 levels"
+
+    @pytest.mark.parametrize("formula, structure, design", [
+        ("y ~ g + x | x", "global", "location design [1 | X]"),
+        ("y ~ g + x | x", "locshift", "location design [1 | X]"),
+        ("y ~ g + x | x", "ladder", "location design [1 | X]"),
+        ("y ~ x | x + g", "locshift", "dispersion design [1 | Z]"),
+    ])
+    def test_usage_error_design_wider_than_rows(self, tmp_path, formula, structure, design):
+        # 14 or 15 parameters on 2 * 12 = 24 response cells, but the design
+        # has a null vector that moves the thresholds with the coefficients;
+        # the ladder's global rung fails the ladder
+        proc = run_cli(*self._level_per_row(tmp_path, formula), "--structure", structure)
+        assert proc.returncode == 4
+        assert proc.stderr.strip().splitlines()[-1] == (
+            f"error[usage]: {design} {self.BEYOND_ROWS}")
 
     def test_usage_error_more_parameters_than_response_cells(self, tmp_path):
+        # the category-specific model has 2 (1 + 11 + 1) = 26 parameters on
+        # 24 response cells: its design is the one too wide
         proc = run_cli(*self._level_per_row(tmp_path), "--structure", "catspecific")
         assert proc.returncode == 4
-        assert proc.stderr.strip().splitlines()[-1] == f"error[usage]: {self.BEYOND_CELLS}"
+        assert proc.stderr.strip().splitlines()[-1] == (
+            f"error[usage]: location design [1 | X] {self.BEYOND_ROWS}")
 
     def test_ladder_row_with_more_parameters_than_response_cells_fails(self, tmp_path):
-        proc = run_cli(*self._level_per_row(tmp_path))
+        # g and h, 7 levels each, fit the global and location-shift designs
+        # on 12 rows; the category-specific one joins them, 1 + 6 + 1 + 6 =
+        # 14 columns and 28 parameters on 24 response cells, and fails alone
+        x = np.random.default_rng(3).normal(size=12).round(3)
+        csv = tmp_path / "two_factors.csv"
+        csv.write_text("y,g,h,x\n" + "".join(f"{1 + i % 3},{'abcdefgabcde'[i]},"
+                                             f"{'pqrstuvtsrqp'[i]},{v}\n"
+                                             for i, v in enumerate(x)))
+        proc = run_cli("--data", str(csv), "--formula", "y ~ g + x | h",
+                       "--categorical", "g,h")
         assert proc.returncode == 0, proc.stderr
         report = proc.stdout.splitlines()
         assert report[3].split()[-2:] == ["fit", "failed"]
-        assert (f"note: Model with category-specific effects: fit failed "
-                f"({self.BEYOND_CELLS})") in report
+        assert ("note: Model with category-specific effects: fit failed (location design "
+                "[1 | X] has 14 columns, more than the n = 12 rows; factor 'g' has 7 "
+                "levels)") in report
 
     def test_ladder_with_dispersion_at_k2_is_a_usage_error(self, tmp_path):
         two = recoded(tmp_path, (1, 1, 1, 2, 2))
@@ -442,28 +480,26 @@ class TestExitCodes:
             "error[data]: column 'y' row 3: response 99999999999999999999 is beyond the "
             "64-bit integer range")
 
-    @pytest.mark.parametrize("top, k", [("100000", ()), ("3", ("--k", "100000"))],
-                             ids=["inferred", "given"])
-    def test_data_error_more_categories_than_rows(self, tmp_path, top, k):
+    def test_data_error_more_categories_than_rows(self, tmp_path):
         # k=100000 in 4 rows leaves categories unobserved: one short line,
         # naming the largest response, and no k-sized count or log line
         bad = tmp_path / "wide.csv"
-        bad.write_text(f"y,age,group,score\n1,1.0,a,0.1\n{top},2.0,b,0.2\n2,3.0,a,0.3\n"
+        bad.write_text("y,age,group,score\n1,1.0,a,0.1\n100000,2.0,b,0.2\n2,3.0,a,0.3\n"
                        "1,4.0,b,0.4\n")
-        proc = run_cli("--data", str(bad), "--formula", FORMULA, "--categorical", "group", *k)
+        proc = run_cli("--data", str(bad), "--formula", FORMULA, "--categorical", "group")
         assert proc.returncode == 2
         assert len(proc.stderr) < 1024
         assert proc.stderr == (
-            f"error[data]: column 'y' row 3: largest response {top}; k=100000 categories "
+            "error[data]: column 'y' row 3: largest response 100000; k=100000 categories "
             "cannot all be observed in 4 rows\n")
 
-    @pytest.mark.parametrize("k", ["0", "1", "-3"])
-    def test_usage_error_fewer_than_two_categories(self, k):
-        proc = run_cli("--data", str(DATA), "--formula", FORMULA, "--categorical", "group",
-                       "--k", k)
+    @pytest.mark.parametrize("flag, value", [("--k", "5"), ("--nbs", "6")])
+    def test_usage_error_k_and_basis_flags_are_unrecognized(self, tmp_path, flag, value):
+        # k is the largest response and a smooth term's basis is the
+        # formula's: neither has a flag
+        proc = run_cli(*ladder_args(tmp_path), flag, value)
         assert proc.returncode == 4
-        assert proc.stderr == (
-            f"error[usage]: --k must be at least 2 (response categories), got {k}\n")
+        assert proc.stderr == f"error[usage]: unrecognized arguments: {flag} {value}\n"
 
     def test_many_categories_logged_briefly(self, tmp_path):
         # k=3000 in 3000 rows, 2997 categories unobserved: the load's log

@@ -36,20 +36,14 @@ class TestLoadCsv:
         assert data.columns["a"].dtype == float
         assert data.categorical_levels["g"] == ("m", "f")
 
-    def test_explicit_k(self, tmp_path):
-        path = write(tmp_path, "y,a,g\n1,0.5,m\n2,1.0,f\n1,1.5,m\n2,2.0,f\n")
-        data = load_csv(path, FORMULA, k=4)
-        assert data.k == 4
-
-    @pytest.mark.parametrize("largest, k", [(100000, None), (2, 3)])
-    def test_more_categories_than_rows_names_the_largest_response(self, tmp_path, largest, k):
-        # k, inferred or given, above the row count leaves a category
+    def test_more_categories_than_rows_names_the_largest_response(self, tmp_path):
+        # k, the largest response, above the row count leaves a category
         # unobserved: an error before any count of k categories
-        path = write(tmp_path, f"y,a,g\n1,0.5,m\n{largest},1.0,f\n")
+        path = write(tmp_path, "y,a,g\n1,0.5,m\n100000,1.0,f\n")
         with pytest.raises(DataError) as error:
-            load_csv(path, FORMULA, k=k)
-        assert str(error.value) == (f"column 'y' row 3: largest response {largest}; "
-                                    f"k={k or largest} categories cannot all be observed in 2 rows")
+            load_csv(path, FORMULA)
+        assert str(error.value) == ("column 'y' row 3: largest response 100000; "
+                                    "k=100000 categories cannot all be observed in 2 rows")
 
     def test_zero_category_rejected(self, tmp_path):
         path = write(tmp_path, "y,a,g\n0,0.5,m\n2,1.0,f\n")
@@ -58,8 +52,8 @@ class TestLoadCsv:
 
     def test_out_of_range_response_names_the_cell(self, tmp_path):
         path = write(tmp_path, "y,a,g\n1,0.5,m\n2,1.0,f\n5,1.5,m\n0,2.0,f\n")
-        with pytest.raises(DataError, match=r"column 'y' row 4: response 5; .*1\.\.3$"):
-            load_csv(path, FORMULA, k=3)
+        with pytest.raises(DataError, match=r"column 'y' row 5: response 0; .*1\.\.5$"):
+            load_csv(path, FORMULA)
 
     def test_non_integer_response(self, tmp_path):
         path = write(tmp_path, "y,a,g\n1.5,0.5,m\n2,1.0,f\n")

@@ -177,7 +177,7 @@ def _table(draw):
     return table
 
 
-def _reference_load(table, k, declared):
+def _reference_load(table, declared):
     """The per-cell reading: each stripped cell through int() (the
     response) or float(), with load_csv's messages; a column declared
     categorical, or without a number, is text with its levels in
@@ -189,7 +189,7 @@ def _reference_load(table, k, declared):
             y.append(int(value))
         except ValueError:
             raise DataError(f"column 'y' row {row}: response {value!r} is not an integer") from None
-    k = max(y) if k is None else k
+    k = max(y)
     for row, value in enumerate(y, start=2):
         if not 1 <= value <= k:
             raise DataError(f"column 'y' row {row}: response {value}; "
@@ -229,15 +229,14 @@ def _outcome(load):
 
 
 @settings(PROPERTY, max_examples=150)
-@given(table=_table(), k=st.one_of(st.none(), st.integers(2, 6)),
-       declared=st.sets(st.sampled_from(["a", "g"])))
-def test_load_csv_reads_each_cell_as_int_or_float(tmp_path_factory, table, k, declared):
+@given(table=_table(), declared=st.sets(st.sampled_from(["a", "g"])))
+def test_load_csv_reads_each_cell_as_int_or_float(tmp_path_factory, table, declared):
     path = tmp_path_factory.getbasetemp() / "load_csv.csv"  # each example rewrites it
     rows = zip(*table.values())
     path.write_text("y,a,g\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
-    got = _outcome(lambda: load_csv(path, parse_formula("y ~ a + g | a"), k=k,
+    got = _outcome(lambda: load_csv(path, parse_formula("y ~ a + g | a"),
                                     categorical=sorted(declared)))
-    want = _outcome(lambda: _reference_load(table, k, declared))
+    want = _outcome(lambda: _reference_load(table, declared))
     if isinstance(want, str):
         assert got == want
         return
